@@ -30,7 +30,6 @@ from .constellation import (
     pack_ephemeris,
     propagate,
     propagation_delay,
-    transmit_time_for_reception,
     unpack_ephemeris,
 )
 from .frame_sync import (
@@ -39,7 +38,6 @@ from .frame_sync import (
     PersistedSnapshot,
     SnapshotFormatError,
     SnapshotUnavailableError,
-    StaleSnapshotError,
     TrackingStatus,
     code_doppler_from_carrier,
     compensate_code_phase,
@@ -55,7 +53,6 @@ from .frame_sync import (
 from .nav_message import (
     BitstreamCursor,
     DecodeError,
-    NavWord,
     ParityError,
     PreambleHit,
     Subframe,
@@ -73,7 +70,6 @@ from .nav_message import (
     write_bitstream,
 )
 from .pvt import (
-    CausalityError,
     GeometryError,
     InsufficientSatellitesError,
     PseudorangeMeasurement,
@@ -81,7 +77,6 @@ from .pvt import (
     design_matrix,
     enu_errors,
     horizontal_error,
-    pseudorange,
     rms_2d,
     solve,
 )

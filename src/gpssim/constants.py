@@ -17,8 +17,6 @@ WORD_S = WORD_BITS * BIT_S            # 0.6 s
 SUBFRAME_WORDS = 10
 SUBFRAME_BITS = SUBFRAME_WORDS * WORD_BITS  # 300
 SUBFRAME_S = SUBFRAME_WORDS * WORD_S  # 6 s
-FRAME_SUBFRAMES = 5
-FRAME_BITS = FRAME_SUBFRAMES * SUBFRAME_BITS
 
 WEEK_S = 604_800.0
 # Number of 6 s handover units in one week; TOW counts live in [0, TOW_COUNT).

@@ -15,7 +15,6 @@ import numpy as np
 from .constants import (
     CHIP_RATE_HZ,
     CODE_LENGTH_CHIPS,
-    DEFAULT_PROPAGATION_DELAY_S,
     EARTH_RADIUS_M,
     GM_EARTH_M3_S2,
     GPS_ORBIT_RADIUS_M,
@@ -119,21 +118,6 @@ def carrier_doppler(
         raise ValueError("satellite and user positions coincide")
     range_rate = float(np.dot(los, sat.velocity - user_vel) / rng)
     return -range_rate / SPEED_OF_LIGHT_M_S * L1_CARRIER_HZ
-
-
-def transmit_time_for_reception(
-    eph: EphemerisRecord, user_pos: np.ndarray, t_rx: float, *, iterations: int = 3
-) -> float:
-    """Absolute transmit time of the signal arriving at user_pos at t_rx.
-
-    Fixed-point light-time solve; three passes settle well below a
-    nanosecond for GPS geometry.
-    """
-    t_tx = t_rx - DEFAULT_PROPAGATION_DELAY_S
-    for _ in range(iterations):
-        rng = geometric_range(propagate(eph, t_tx).position, user_pos)
-        t_tx = t_rx - rng / SPEED_OF_LIGHT_M_S
-    return t_tx
 
 
 def code_phase_chips(transmit_time: float) -> float:

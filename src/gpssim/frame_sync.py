@@ -59,10 +59,6 @@ class SnapshotUnavailableError(RuntimeError):
     """Tracking state is too shallow to snapshot (no bit lock or no fix yet)."""
 
 
-class StaleSnapshotError(RuntimeError):
-    """Elapsed sleep exceeds the drift budget for the stored snapshot."""
-
-
 class SnapshotFormatError(ValueError):
     """Persisted snapshot bytes are corrupt or of an unknown version."""
 
@@ -162,7 +158,6 @@ def estimate_frame_state(
     *,
     mode: EstimationMode = EstimationMode.EXACT,
     current_tic: float = 0.0,
-    max_elapsed_ms: float | None = None,
 ) -> EstimatedFrameState:
     """Predict (bit, word, tow) at rtc_now from a stored snapshot.
 
@@ -172,10 +167,6 @@ def estimate_frame_state(
     handover word.
     """
     elapsed = elapsed_ms_from_rtc(rtc_now, snapshot.rtc_count, rtc_hz)
-    if max_elapsed_ms is not None and elapsed > max_elapsed_ms:
-        raise StaleSnapshotError(
-            f"{elapsed:.0f} ms asleep exceeds the {max_elapsed_ms:.0f} ms budget"
-        )
 
     if mode is EstimationMode.FIELDWISE:
         words = int(elapsed // _MS_PER_WORD)
@@ -321,7 +312,7 @@ def save_snapshot(snapshot: PersistedSnapshot, path) -> None:
 
 
 def load_snapshot(path) -> PersistedSnapshot:
-    """Read a persisted snapshot; reject bad magic, version, or checksum."""
+    """Read a persisted snapshot; reject bad magic, version, checksum, or fields."""
     blob = Path(path).read_bytes()
     if len(blob) < _HEAD.size + _BODY.size + 2 + _CRC.size:
         raise SnapshotFormatError("snapshot file truncated")
@@ -346,6 +337,9 @@ def load_snapshot(path) -> PersistedSnapshot:
     eph = tuple(
         _EPH.unpack_from(blob, off + i * _EPH.size) for i in range(n_eph)
     )
-    return PersistedSnapshot(
-        word, bit, tow, rtc, doppler, code_phase, Rco(rco_week, rco_second), eph
-    )
+    try:
+        return PersistedSnapshot(
+            word, bit, tow, rtc, doppler, code_phase, Rco(rco_week, rco_second), eph
+        )
+    except ValueError as exc:
+        raise SnapshotFormatError(f"snapshot field {exc}") from exc

@@ -125,29 +125,6 @@ def solve_trailing_bits(data22: int, d29_prev: int, d30_prev: int) -> int:
     return top | (d23 << 1) | d24
 
 
-@dataclass(frozen=True)
-class NavWord:
-    """One transmitted 30-bit word plus the carry bits it was encoded under."""
-
-    word: int
-    d29_prev: int = 0
-    d30_prev: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.word < (1 << WORD_BITS):
-            raise ValueError("word out of range")
-        if self.d29_prev not in (0, 1) or self.d30_prev not in (0, 1):
-            raise ValueError("carry bits must be 0 or 1")
-
-    @property
-    def bits(self) -> np.ndarray:
-        return word_to_bits(self.word)
-
-    @property
-    def data(self) -> int:
-        return check_word(self.word, self.d29_prev, self.d30_prev)
-
-
 def word_to_bits(word30: int) -> np.ndarray:
     """30-bit word to a bit array, first transmitted bit at index 0."""
     return np.array(
@@ -289,15 +266,12 @@ class BitstreamCursor:
     word_index: int = 1
     bit_index: int = 0
     tow_current: int = 0
-    polarity: int = 1  # +1 normal, -1 inverted
 
     def __post_init__(self) -> None:
         if not 1 <= self.word_index <= SUBFRAME_WORDS:
             raise ValueError("word_index out of range")
         if not 0 <= self.bit_index < WORD_BITS:
             raise ValueError("bit_index out of range")
-        if self.polarity not in (1, -1):
-            raise ValueError("polarity must be +1 or -1")
 
     def advance_bits(self, n: int) -> None:
         """Move forward n bits, carrying through words, subframes, the week."""
@@ -413,20 +387,3 @@ def read_bitstream(path) -> np.ndarray:
         if version != _BITSTREAM_VERSION:
             raise DecodeError(f"unsupported bitstream version {version}")
         return unpack_bits(fh.read(), n)
-
-
-def to_hex_dump(bits: np.ndarray) -> str:
-    """Human-readable dump: a bit-count header, then 16 packed bytes per line."""
-    data = pack_bits(bits)
-    lines = [f"bits={len(bits)}"]
-    for i in range(0, len(data), 16):
-        lines.append(data[i : i + 16].hex())
-    return "\n".join(lines) + "\n"
-
-
-def from_hex_dump(text: str) -> np.ndarray:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("bits="):
-        raise DecodeError("missing bits= header")
-    n = int(lines[0][5:])
-    return unpack_bits(bytes.fromhex("".join(lines[1:])), n)

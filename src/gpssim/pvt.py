@@ -15,12 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import SPEED_OF_LIGHT_M_S
 from .rx_clock import GpsTime
-
-
-class CausalityError(ValueError):
-    """Reception before transmission."""
 
 
 class InsufficientSatellitesError(ValueError):
@@ -41,14 +36,6 @@ class PseudorangeMeasurement:
     def __post_init__(self) -> None:
         if not math.isfinite(self.rho_m) or self.rho_m < 0:
             raise ValueError("pseudorange must be finite and non-negative")
-
-
-def pseudorange(t_receive_gps: GpsTime, t_transmit_gps: GpsTime) -> float:
-    """Pseudorange in meters from receive and transmit times."""
-    dt = t_receive_gps.diff(t_transmit_gps)
-    if dt < 0:
-        raise CausalityError("reception precedes transmission")
-    return SPEED_OF_LIGHT_M_S * dt
 
 
 @dataclass(frozen=True)

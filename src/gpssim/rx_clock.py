@@ -49,13 +49,14 @@ class GpsTime:
     def __post_init__(self) -> None:
         carry = math.floor(self.second / WEEK_S)
         second = self.second - carry * WEEK_S
-        # The subtraction can round onto either side of the window edge.
+        # The subtraction can round onto either side of the window edge, and
+        # wrapping a tiny negative back into the week can round onto WEEK_S.
+        if second < 0.0:
+            second += WEEK_S
+            carry -= 1
         if second >= WEEK_S:
             second -= WEEK_S
             carry += 1
-        elif second < 0.0:
-            second += WEEK_S
-            carry -= 1
         if carry or second != self.second:
             object.__setattr__(self, "week", self.week + carry)
             object.__setattr__(self, "second", second)

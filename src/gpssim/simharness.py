@@ -14,15 +14,18 @@ the frame-sync path. The simulation is event driven and fully deterministic
 for a given scenario and seed.
 
 All internal times are seconds relative to the scenario start; week-scale
-absolute floats would quantize transmit times at millimeter level. The
-receive epoch of a fix is common to every channel, so its coarser precision
-is absorbed by the clock-bias unknown.
+absolute floats would quantize transmit times to about 7.45 ns (2.2 m) at
+week 100, and more coarsely in later weeks. The receive epoch of a fix is
+common to every channel, so its coarser precision is absorbed by the
+clock-bias unknown.
 """
 from __future__ import annotations
 
 import copy
 import heapq
+import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -91,6 +94,12 @@ class ScenarioConfig:
     estimation_mode: fs.EstimationMode = fs.EstimationMode.EXACT
 
     def validate(self) -> None:
+        numbers = list(vars(self).items())
+        numbers += [("user_pos_ecef", v) for v in self.user_pos_ecef]
+        numbers += [("user_vel_ecef", v) for v in self.user_vel_ecef]
+        for name, value in numbers:
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ScenarioError(f"{name} must be finite")
         if self.arms not in (ARM_ESTIMATOR, ARM_HOTSTART, "both"):
             raise ScenarioError(f"unknown arms selection {self.arms!r}")
         if self.off_duration_s < 0:
@@ -192,6 +201,11 @@ class _State:
     fixes: list[FixRecord] = field(default_factory=list)
 
 
+# Order of events queued for the same instant: lock stages first, samples
+# last, so a sample taken at a fix epoch already sees that fix.
+_PRIORITY = {"lock": 0, "label": 1, "boundary": 1, "fix": 2, "sample": 3, "off": 3}
+
+
 class _Engine:
     def __init__(self, config: ScenarioConfig):
         config.validate()
@@ -211,7 +225,8 @@ class _Engine:
         self._mask = math.radians(config.min_elevation_deg)
         self._check_geometry(0.0)
         self.diagnostics: dict[str, float] = {}
-        self._rco_trace: list[float] = []
+        self._queue: list[tuple[float, int, int, str, object]] = []
+        self._seq = itertools.count()
 
     # --- truth helpers ----------------------------------------------------
 
@@ -244,14 +259,8 @@ class _Engine:
 
     def _check_geometry(self, t_rel: float) -> None:
         user = self.user_pos(t_rel)
-        up = [
-            cst.propagate(e, self.t0_abs + t_rel).position
-            for e in self.sats
-            if cst.elevation_angle(
-                cst.propagate(e, self.t0_abs + t_rel).position, user
-            )
-            >= self._mask
-        ]
+        sats = [cst.propagate(e, self.t0_abs + t_rel).position for e in self.sats]
+        up = [p for p in sats if cst.elevation_angle(p, user) >= self._mask]
         if len(up) < 4:
             raise ScenarioError(
                 f"only {len(up)} satellites visible at t={t_rel:.0f} s"
@@ -276,6 +285,62 @@ class _Engine:
         if dt > 0:
             st.clock.advance(dt)
             st.t_rel += dt
+
+    # --- event scheduling -----------------------------------------------------
+
+    def _push(self, t_rel: float, kind: str, data: object = None) -> None:
+        heapq.heappush(
+            self._queue, (t_rel, _PRIORITY[kind], next(self._seq), kind, data)
+        )
+
+    def _run(self, st: _State, handlers: dict[str, Callable[[object], None]]) -> None:
+        """Dispatch queued events by kind in time order until none is left."""
+        while self._queue:
+            t_rel, _, _, kind, data = heapq.heappop(self._queue)
+            self.advance_to_t(st, t_rel)
+            handlers[kind](data)
+
+    def _queue_locks(self, st: _State) -> float:
+        """Queue code, carrier and bit lock from now; returns the bit-lock time."""
+        cfg = self.config
+        r = st.clock.elapsed_rx_s
+        for stage, latency in (
+            ("code", cfg.code_s),
+            ("carrier", cfg.carrier_s),
+            ("bit", cfg.bit_s),
+        ):
+            r += latency
+            self._push(self.t_of_r(r), "lock", stage)
+        return r
+
+    def _step_locks(self, st: _State, stage: str) -> None:
+        for _, ch in sorted(st.channels.items()):
+            ch.lock = ch.lock.step(rcv.LockEvent(stage, st.clock.elapsed_rx_s))
+
+    def _queue_labels(self, st: _State, r_bit: float) -> float:
+        """Queue each channel's preamble label one decode wait after r_bit.
+
+        Returns the fourth-shortest wait, the one that gates the first fix.
+        """
+        delays = []
+        for sid, ch in sorted(st.channels.items()):
+            _, _, word, bit, _ = self.decomp(self.tx_rel(ch.eph_true, st.t_rel))
+            delays.append(rcv.hotstart_frame_lock_delay(word, bit))
+            self._push(self.t_of_r(r_bit + delays[-1]), "label", sid)
+        return sorted(delays)[3]
+
+    def _label(self, st: _State, sid: int) -> int:
+        """Frame-lock one channel on its preamble; returns how many are labeled.
+
+        The first channel labeled becomes the clock-offset anchor.
+        """
+        ch = st.channels[sid]
+        ch.lock = ch.lock.step(rcv.LockEvent("preamble", st.clock.elapsed_rx_s))
+        ch.labeled = True
+        n = sum(c.labeled for c in st.channels.values())
+        if n == 1:
+            st.anchor = sid
+        return n
 
     # --- measurement and fixes ---------------------------------------------
 
@@ -312,7 +377,9 @@ class _Engine:
         )
         return st.rco.week * WEEK_S + st.rco.second - true_offset
 
-    def _fix(self, st: _State, t_since_wake: float | None, first: bool) -> FixRecord:
+    def _fix(self, st: _State, t_since_wake: float) -> FixRecord:
+        """Solve one fix now; the session's first uses the flat assumed delay."""
+        first = not st.fixes
         t = st.t_rel
         receive_rx = st.clock.receiver_time()
         receive_gps = to_gps_time(receive_rx, st.rco)
@@ -358,12 +425,11 @@ class _Engine:
                 float(np.linalg.norm(sat_at_tx - sol.position)) / SPEED_OF_LIGHT_M_S
             )
         self._refine_rco(st)
-        self._rco_trace.append(self.rco_error_s(st))
 
         truth = self.user_pos(t)
         e, n, _ = pvt.enu_errors(sol.position, truth)
         rec = FixRecord(
-            -1.0 if t_since_wake is None else t_since_wake,
+            t_since_wake,
             e,
             n,
             math.hypot(e, n),
@@ -389,98 +455,64 @@ class _Engine:
             t_rel=0.0,
             channels={e.sat_id: _Chan(e) for e in self.sats},
         )
-
-        latencies = rcv.LockLatencyConfig(cfg.code_s, cfg.carrier_s, cfg.bit_s)
-        r_bit = self._run_locks(st, 0.0, latencies)
-
-        heap: list[tuple[float, int, int, str, object]] = []
-        seq = 0
-
-        def push(t: float, prio: int, kind: str, data: object = None) -> None:
-            nonlocal seq
-            heapq.heappush(heap, (t, prio, seq, kind, data))
-            seq += 1
-
-        # Conventional frame lock: wait out the modeled preamble delay.
-        for sid, ch in sorted(st.channels.items()):
-            s = self.tx_rel(ch.eph_true, st.t_rel)
-            _, _, word, bit, _ = self.decomp(s)
-            delay = rcv.hotstart_frame_lock_delay(word, bit)
-            push(self.t_of_r(r_bit + delay), 0, "label", sid)
-
-        first_fix_r: float | None = None
-        off_r: float | None = None
+        r_bit = self._queue_locks(st)
+        off_r = 0.0
         snapshot: fs.PersistedSnapshot | None = None
+        rco_errors: list[float] = []
 
-        while heap:
-            t_ev, _, _, kind, data = heapq.heappop(heap)
-            self.advance_to_t(st, t_ev)
+        def lock(stage: str) -> None:
+            self._step_locks(st, stage)
+            if stage == "bit":
+                self._queue_labels(st, r_bit)
 
-            if kind == "label":
-                ch = st.channels[data]
-                ch.lock = ch.lock.step(rcv.LockEvent("preamble", st.clock.elapsed_rx_s))
-                ch.labeled = True
-                if st.anchor is None:
-                    st.anchor = data
-                    self._refine_rco(st)
-                    self.diagnostics["s1_rco_first_err_s"] = self.rco_error_s(st)
-                # The subframe in progress was only partially received; wait
-                # for the completion of the first one heard start to finish.
-                t_edge, _ = self._next_boundary_t(ch, st.t_rel)
-                push(self._next_boundary_t(ch, t_edge)[0], 0, "boundary", data)
+        def label(sid: int) -> None:
+            if self._label(st, sid) == 1:
+                self._refine_rco(st)
+                self.diagnostics["s1_rco_first_err_s"] = self.rco_error_s(st)
+            # The subframe in progress was only partially received; wait
+            # for the completion of the first one heard start to finish.
+            ch = st.channels[sid]
+            t_edge = self._next_boundary_t(ch, st.t_rel)
+            self._push(self._next_boundary_t(ch, t_edge), "boundary", sid)
 
-            elif kind == "boundary":
-                ch = st.channels[data]
-                self._deliver_subframe(ch, st.t_rel)
-                if ch.eph_rx is None:
-                    push(self._next_boundary_t(ch, st.t_rel)[0], 0, "boundary", data)
-                if (
-                    first_fix_r is None
-                    and st.rco is not None
-                    and all(c.labeled and c.eph_rx is not None for c in st.channels.values())
-                ):
-                    first_fix_r = math.floor(st.clock.elapsed_rx_s) + 1.0
-                    push(self.t_of_r(first_fix_r), 0, "fix", None)
+        def boundary(sid: int) -> None:
+            ch = st.channels[sid]
+            self._deliver_subframe(ch, st.t_rel)
+            if ch.eph_rx is None:
+                self._push(self._next_boundary_t(ch, st.t_rel), "boundary", sid)
+            elif all(c.labeled and c.eph_rx is not None for c in st.channels.values()):
+                # Only channels still missing ephemeris have a boundary queued,
+                # so this branch runs once: when the last ephemeris arrives.
+                self._push(self.t_of_r(math.floor(st.clock.elapsed_rx_s) + 1.0), "fix")
 
-            elif kind == "fix":
-                first = not st.fixes
-                self._fix(st, None, first)
-                r_now = st.clock.elapsed_rx_s
-                if first:
-                    off_r = r_now + cfg.session1_extra_s
-                    push(self.t_of_r(off_r), 1, "off", None)
-                if off_r is not None and r_now + 1.0 < off_r - 1e-9:
-                    push(self.t_of_r(r_now + 1.0), 0, "fix", None)
+        def fix(_: object) -> None:
+            nonlocal off_r
+            first = not st.fixes
+            self._fix(st, -1.0)
+            rco_errors.append(self.rco_error_s(st))
+            r_now = st.clock.elapsed_rx_s
+            if first:
+                off_r = r_now + cfg.session1_extra_s
+                self._push(self.t_of_r(off_r), "off")
+            if r_now + 1.0 < off_r - 1e-9:
+                self._push(self.t_of_r(r_now + 1.0), "fix")
 
-            elif kind == "off":
-                snapshot = self._take_snapshot(st)
-                break
+        def off(_: object) -> None:
+            nonlocal snapshot
+            snapshot = self._take_snapshot(st)
 
+        self._run(
+            st,
+            {"lock": lock, "label": label, "boundary": boundary, "fix": fix, "off": off},
+        )
         if snapshot is None:
             raise ScenarioError("session one never reached a snapshot")
         self.diagnostics["s1_rco_refined_err_s"] = self.rco_error_s(st)
-        if len(self._rco_trace) >= 2:
-            self.diagnostics["s1_rco_jitter_s"] = max(self._rco_trace) - min(
-                self._rco_trace
-            )
+        if len(rco_errors) >= 2:
+            self.diagnostics["s1_rco_jitter_s"] = max(rco_errors) - min(rco_errors)
         return st, snapshot
 
-    def _run_locks(
-        self, st: _State, r_start: float, latencies: rcv.LockLatencyConfig
-    ) -> float:
-        """Advance through code/carrier/bit lock; returns bit-lock time."""
-        stages = (
-            ("code", r_start + latencies.code_s),
-            ("carrier", r_start + latencies.code_s + latencies.carrier_s),
-            ("bit", r_start + latencies.total_s),
-        )
-        for kind, r in stages:
-            self.advance_to_t(st, self.t_of_r(r))
-            for _, ch in sorted(st.channels.items()):
-                ch.lock = ch.lock.step(rcv.LockEvent(kind, st.clock.elapsed_rx_s))
-        return r_start + latencies.total_s
-
-    def _next_boundary_t(self, ch: _Chan, t_rel: float) -> tuple[float, int]:
+    def _next_boundary_t(self, ch: _Chan, t_rel: float) -> float:
         """True time at which the channel's next subframe boundary arrives.
 
         The small bias keeps a call made exactly at a boundary from finding
@@ -492,7 +524,7 @@ class _Engine:
         t = t_rel + (target - s)
         for _ in range(2):
             t += target - self.tx_rel(ch.eph_true, t)
-        return t, k - 1
+        return t
 
     def _deliver_subframe(self, ch: _Chan, t_rel: float) -> None:
         """Generate, encode, decode and ingest the subframe just completed."""
@@ -570,110 +602,67 @@ class _Engine:
         self._check_geometry(st.t_rel)
 
         r_wake = st.clock.elapsed_rx_s
-
-        heap: list[tuple[float, int, int, str, object]] = []
-        seq = 0
-
-        def push(t: float, prio: int, kind: str, data: object = None) -> None:
-            nonlocal seq
-            heapq.heappush(heap, (t, prio, seq, kind, data))
-            seq += 1
-
-        push(self.t_of_r(r_wake + cfg.code_s), 0, "lock", "code")
-        push(self.t_of_r(r_wake + cfg.code_s + cfg.carrier_s), 0, "lock", "carrier")
-        push(self.t_of_r(r_wake + cfg.code_s + cfg.carrier_s + cfg.bit_s), 0, "lock", "bit")
+        self._queue_locks(st)
         n_samples = int(round(cfg.wake_run_s / cfg.sample_period_s))
         for k in range(n_samples + 1):
-            push(self.t_of_r(r_wake + k * cfg.sample_period_s), 3, "sample", k)
+            self._push(self.t_of_r(r_wake + k * cfg.sample_period_s), "sample", k)
 
         used_estimate = False
         label_shift_bits = 0
         hotstart_delay: float | None = None
-        labeled_count = 0
         samples: list[Sample] = []
         ttff: float | None = None
 
-        while heap:
-            t_ev, _, _, kind, data = heapq.heappop(heap)
-            self.advance_to_t(st, t_ev)
+        def lock(stage: str) -> None:
+            nonlocal used_estimate, label_shift_bits, hotstart_delay
+            self._step_locks(st, stage)
+            if stage != "bit":
+                return
             r_now = st.clock.elapsed_rx_s
+            if arm == ARM_ESTIMATOR:
+                snap = self._load_snapshot_maybe(snapshot)
+                if snap is not None:
+                    used_estimate, label_shift_bits = self._try_estimate(st, snap)
+            if used_estimate:
+                self._push(self.t_of_r(r_now + cfg.estimator_epsilon_s), "fix")
+            else:
+                hotstart_delay = self._queue_labels(st, r_now)
 
-            if kind == "lock":
-                for _, ch in sorted(st.channels.items()):
-                    ch.lock = ch.lock.step(rcv.LockEvent(data, r_now))
-                if data != "bit":
-                    continue
-                if arm == ARM_ESTIMATOR:
-                    snap = self._load_snapshot_maybe(snapshot)
-                    if snap is not None:
-                        used_estimate, label_shift_bits = self._try_estimate(st, snap)
-                if used_estimate:
-                    labeled_count = len(st.channels)
-                    push(
-                        self.t_of_r(r_now + cfg.estimator_epsilon_s),
-                        1,
-                        "first_fix",
-                        None,
-                    )
-                else:
-                    delays = []
-                    for sid, ch in sorted(st.channels.items()):
-                        s = self.tx_rel(ch.eph_true, st.t_rel)
-                        _, _, word, bit, _ = self.decomp(s)
-                        d = rcv.hotstart_frame_lock_delay(word, bit)
-                        delays.append(d)
-                        push(self.t_of_r(r_now + d), 1, "label", sid)
-                    hotstart_delay = sorted(delays)[3]
+        def label(sid: int) -> None:
+            if self._label(st, sid) == 4:
+                self._refine_rco(st)
+                self._push(st.t_rel, "fix")
 
-            elif kind == "label":
-                ch = st.channels[data]
-                ch.lock = ch.lock.step(rcv.LockEvent("preamble", r_now))
-                ch.labeled = True
-                labeled_count += 1
-                if labeled_count == 1:
-                    st.anchor = data
-                if labeled_count == 4:
-                    self._refine_rco(st)
-                    push(t_ev, 1, "first_fix", None)
-
-            elif kind == "first_fix":
-                self._fix(st, r_now - r_wake, first=True)
-                ttff = r_now - r_wake
-                k_next = math.floor((r_now - r_wake) / cfg.sample_period_s) + 1
-                if k_next <= n_samples:
-                    push(
-                        self.t_of_r(r_wake + k_next * cfg.sample_period_s),
-                        2,
-                        "fix",
-                        k_next,
-                    )
-
-            elif kind == "fix":
-                self._fix(st, r_now - r_wake, first=False)
-                if data + 1 <= n_samples:
-                    push(
-                        self.t_of_r(r_wake + (data + 1) * cfg.sample_period_s),
-                        2,
-                        "fix",
-                        data + 1,
-                    )
-
-            elif kind == "sample":
-                truth = self.user_pos(st.t_rel)
-                if st.last_known is not None:
-                    e, n, _ = pvt.enu_errors(st.last_known, truth)
-                else:
-                    e = n = float("nan")
-                samples.append(
-                    Sample(
-                        data * cfg.sample_period_s,
-                        bool(st.fixes),
-                        e,
-                        n,
-                        math.hypot(e, n),
-                    )
+        def fix(k: int | None) -> None:
+            nonlocal ttff
+            t_since = st.clock.elapsed_rx_s - r_wake
+            if not st.fixes:
+                # The first fix lands off the sample grid; later ones follow it.
+                ttff = t_since
+                k = math.floor(t_since / cfg.sample_period_s)
+            self._fix(st, t_since)
+            if k + 1 <= n_samples:
+                self._push(
+                    self.t_of_r(r_wake + (k + 1) * cfg.sample_period_s), "fix", k + 1
                 )
 
+        def sample(k: int) -> None:
+            truth = self.user_pos(st.t_rel)
+            if st.last_known is not None:
+                e, n, _ = pvt.enu_errors(st.last_known, truth)
+            else:
+                e = n = float("nan")
+            samples.append(
+                Sample(
+                    k * cfg.sample_period_s,
+                    bool(st.fixes),
+                    e,
+                    n,
+                    math.hypot(e, n),
+                )
+            )
+
+        self._run(st, {"lock": lock, "label": label, "fix": fix, "sample": sample})
         if ttff is None:
             raise ScenarioError("wake session produced no fix inside wake_run_s")
         valid_errors = [s.err_2d_m for s in samples if s.fix_valid]

@@ -72,6 +72,13 @@ def test_run_invalid_scenario_content(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+def test_run_non_finite_scenario_value(tmp_path, capsys):
+    bad = tmp_path / "bad.scn"
+    bad.write_text("[clock]\nrtc_ppm = inf\n")
+    assert cli.main(["run", str(bad)]) == cli.EXIT_INVALID
+    assert "rtc_ppm must be finite" in capsys.readouterr().err
+
+
 def test_budget_table(capsys):
     assert cli.main(["budget", "--ppm", "10"]) == cli.EXIT_OK
     lines = capsys.readouterr().out.strip().splitlines()

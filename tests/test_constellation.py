@@ -149,16 +149,6 @@ def test_doppler_envelope_over_full_orbits():
     assert worst <= 10_000.0
 
 
-def test_transmit_time_solution_is_self_consistent():
-    eph = _eph(inc=0.8, raan=1.0, phase=0.5)
-    t_rx = 2000.0
-    t_tx = con.transmit_time_for_reception(eph, USER, t_rx)
-    rng = con.geometric_range(con.propagate(eph, t_tx).position, USER)
-    assert t_rx - t_tx == pytest.approx(rng / SPEED_OF_LIGHT_M_S, abs=1e-12)
-    deep = con.transmit_time_for_reception(eph, USER, t_rx, iterations=10)
-    assert t_tx == pytest.approx(deep, abs=1e-12)
-
-
 def test_code_phase_wraps_every_millisecond():
     assert con.code_phase_chips(0.0) == 0.0
     assert con.code_phase_chips(0.5e-3) == pytest.approx(511.5)

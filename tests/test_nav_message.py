@@ -277,10 +277,3 @@ def test_bitstream_rejects_foreign_file(tmp_path):
     path.write_bytes(b"\x00" * 64)
     with pytest.raises(nav.DecodeError):
         nav.read_bitstream(path)
-
-
-def test_hex_dump_round_trip():
-    bits = _stream(n_subframes=1)
-    text = nav.to_hex_dump(bits)
-    assert text.startswith("bits=300")
-    assert np.array_equal(nav.from_hex_dump(text), bits)

@@ -2,7 +2,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gpssim import rx_clock as rxc
@@ -33,6 +33,7 @@ class TestGpsTime:
         week=st.integers(0, 2000),
         sec=st.floats(-2 * WEEK_S, 2 * WEEK_S, allow_nan=False),
     )
+    @example(week=0, sec=-5e-324)
     def test_always_normalized(self, week, sec):
         t = rxc.GpsTime(week, sec)
         assert 0.0 <= t.second < WEEK_S

@@ -1,13 +1,16 @@
 """Scenario engine tests: the full sleep/wake loop, parsing, and CSV export."""
 import csv
 import io
+import struct
+import zlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from gpssim import constellation as cst
 from gpssim import simharness as sh
-from gpssim.constants import CODE_TIME_QUANTUM_S
+from gpssim.constants import CODE_TIME_QUANTUM_S, SPEED_OF_LIGHT_M_S
 from gpssim.frame_sync import load_snapshot
 
 BASE = sh.ScenarioConfig(off_duration_s=60.0, noise_sigma_m=0.0, seed=3)
@@ -55,6 +58,8 @@ def test_default_config_is_valid():
         ("n_sats", 3),
         ("estimator_epsilon_s", -0.01),
         ("code_s", -0.1),
+        ("off_duration_s", float("nan")),
+        ("rtc_ppm", float("inf")),
     ],
 )
 def test_config_rejects_bad_values(field, value):
@@ -212,18 +217,34 @@ def test_snapshot_file_round_trip(tmp_path):
 
 
 def test_corrupt_snapshot_file_falls_back(tmp_path):
-    """A truncated snapshot on disk must be rejected and the wake must take
-    the conventional decode path instead of crashing."""
+    """A truncated snapshot on disk, or one whose checksum is valid but whose
+    word index is out of range, must be rejected and the wake must take the
+    conventional decode path instead of crashing."""
     path = tmp_path / "wake.fsnp"
     config = replace(BASE, snapshot_path=str(path))
     engine = sh._Engine(config)
     base, snapshot = engine.run_session_one()
-    path.write_bytes(path.read_bytes()[:10])
+    good = path.read_bytes()
+    body = bytearray(good[:-4])
+    body[6] = 0  # word_index
+    out_of_range = bytes(body) + struct.pack(">I", zlib.crc32(body))
     base.clock.advance(config.off_duration_s)
     base.t_rel += config.off_duration_s
-    arm = engine.run_wake(base, snapshot, sh.ARM_ESTIMATOR)
-    assert not arm.used_estimate
-    assert arm.fixes
+    for blob in (good[:10], out_of_range):
+        path.write_bytes(blob)
+        arm = engine.run_wake(base, snapshot, sh.ARM_ESTIMATOR)
+        assert not arm.used_estimate
+        assert arm.fixes
+
+
+def test_tx_rel_solution_is_self_consistent():
+    engine = sh._Engine(replace(BASE, user_vel_ecef=(10.0, -4.0, 3.0)))
+    eph = engine.sats[0]
+    t_rx = 2000.0
+    t_tx = engine.tx_rel(eph, t_rx)
+    sat = cst.propagate(eph, engine.t0_abs + t_tx).position
+    rng = cst.geometric_range(sat, engine.user_pos(t_rx))
+    assert t_rx - t_tx == pytest.approx(rng / SPEED_OF_LIGHT_M_S, abs=1e-12)
 
 
 # --- scenario text ------------------------------------------------------------------
