@@ -20,6 +20,7 @@ from .constants import (
 )
 from .constellation import (
     EphemerisRecord,
+    Orbits,
     SatState,
     StaleEphemerisError,
     carrier_doppler,
@@ -82,7 +83,6 @@ from .pvt import (
 )
 from .receiver import (
     LockEvent,
-    LockLatencyConfig,
     LockStage,
     LockState,
     ProtocolError,

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -95,6 +96,67 @@ def propagate(eph: EphemerisRecord, t: float) -> SatState:
     return SatState(pos, vel)
 
 
+@dataclass(frozen=True, eq=False)
+class Orbits:
+    """Several ephemerides as per-satellite arrays, evaluated all at once.
+
+    Build one with Orbits.of(records); index it with an integer or boolean
+    array to select satellites. positions() repeats propagate()'s
+    elementwise arithmetic in the same order, so each row is bitwise equal
+    to propagate(record, t).position.
+    """
+
+    sat_id: np.ndarray
+    epoch: np.ndarray
+    validity: np.ndarray
+    phase_at_epoch: np.ndarray
+    mean_motion: np.ndarray
+    orbit_radius: np.ndarray
+    cos_raan: np.ndarray
+    sin_raan: np.ndarray
+    cos_inc: np.ndarray
+    sin_inc: np.ndarray
+
+    @classmethod
+    def of(cls, ephemerides: Sequence[EphemerisRecord]) -> Orbits:
+        return cls(
+            np.array([e.sat_id for e in ephemerides]),
+            np.array([e.epoch for e in ephemerides]),
+            np.array([e.validity for e in ephemerides]),
+            np.array([e.phase_at_epoch for e in ephemerides]),
+            np.array([e.mean_motion for e in ephemerides]),
+            np.array([e.orbit_radius for e in ephemerides]),
+            np.array([math.cos(e.raan) for e in ephemerides]),
+            np.array([math.sin(e.raan) for e in ephemerides]),
+            np.array([math.cos(e.inclination) for e in ephemerides]),
+            np.array([math.sin(e.inclination) for e in ephemerides]),
+        )
+
+    def __getitem__(self, index) -> Orbits:
+        return Orbits(*(getattr(self, f.name)[index] for f in fields(self)))
+
+    def positions(self, t: float | np.ndarray) -> np.ndarray:
+        """(n, 3) ECI positions at absolute GPS time t, scalar or one per satellite."""
+        dt = t - self.epoch
+        stale = np.abs(dt) > self.validity
+        if stale.any():
+            i = int(np.argmax(stale))
+            raise StaleEphemerisError(
+                f"sat {self.sat_id[i]}: {dt[i]:+.0f} s from epoch exceeds "
+                f"{self.validity[i]:.0f} s validity"
+            )
+        u = self.phase_at_epoch + self.mean_motion * dt
+        cu, su = np.cos(u), np.sin(u)
+        co, so = self.cos_raan, self.sin_raan
+        ci, si = self.cos_inc, self.sin_inc
+        r = self.orbit_radius
+        pos = np.empty((len(u), 3))
+        pos[:, 0] = r * (co * cu - so * su * ci)
+        pos[:, 1] = r * (so * cu + co * su * ci)
+        pos[:, 2] = r * su * si
+        return pos
+
+
 def geometric_range(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(a, float) - np.asarray(b, float)))
 
@@ -125,12 +187,16 @@ def code_phase_chips(transmit_time: float) -> float:
     return (transmit_time % (CODE_LENGTH_CHIPS / CHIP_RATE_HZ)) * CHIP_RATE_HZ
 
 
-def elevation_angle(sat_pos: np.ndarray, user_pos: np.ndarray) -> float:
-    """Elevation of the satellite above the local (geocentric) horizon, rad."""
+def elevation_angle(sat_pos: np.ndarray, user_pos: np.ndarray) -> float | np.ndarray:
+    """Elevation above the local (geocentric) horizon, rad.
+
+    sat_pos is one position (3,) or one per row (n, 3); the result is a
+    float or n elevations, each row computed exactly as a single call would.
+    """
     user_pos = np.asarray(user_pos, float)
     up = user_pos / np.linalg.norm(user_pos)
     los = np.asarray(sat_pos, float) - user_pos
-    return math.asin(float(np.dot(los, up) / np.linalg.norm(los)))
+    return np.arcsin(np.vecdot(los, up) / np.sqrt(np.vecdot(los, los)))
 
 
 # --- ephemeris payload packing --------------------------------------------

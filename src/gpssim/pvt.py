@@ -134,13 +134,17 @@ def enu_basis(ref_ecef: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     """
     ref = np.asarray(ref_ecef, float)
     up = ref / np.linalg.norm(ref)
-    east = np.cross([0.0, 0.0, 1.0], up)
+    # Both cross products are written out in np.cross's component formula,
+    # zero terms included, so every bit (signed zeros too) matches it.
+    ux, uy, uz = up.tolist()
+    east = np.array([0.0 * uz - 1.0 * uy, 1.0 * ux - 0.0 * uz, 0.0 * uy - 0.0 * ux])
     n = np.linalg.norm(east)
     if n < 1e-12:  # polar reference: east is arbitrary, pick +x
         east = np.array([1.0, 0.0, 0.0])
     else:
         east = east / n
-    north = np.cross(up, east)
+    ex, ey, ez = east.tolist()
+    north = np.array([uy * ez - uz * ey, uz * ex - ux * ez, ux * ey - uy * ex])
     return east, north, up
 
 

@@ -69,19 +69,6 @@ class LockState:
         return self.history[idx - 1].t_rx_s
 
 
-@dataclass(frozen=True)
-class LockLatencyConfig:
-    """Nominal re-acquisition latencies after a wake, in seconds."""
-
-    code_s: float = 0.5
-    carrier_s: float = 0.3
-    bit_s: float = 0.4
-
-    @property
-    def total_s(self) -> float:
-        return self.code_s + self.carrier_s + self.bit_s
-
-
 def hotstart_frame_lock_delay(word_index: int, bit_index: int) -> float:
     """Seconds from bit lock to frame lock without a stored prediction.
 

@@ -64,6 +64,17 @@ ARM_HOTSTART = "hotstart"
 # Default truth site: mid-latitude, 1.6 km altitude.
 _DEFAULT_USER = (-1266643.136, -4727176.539, 4079014.032)
 
+# Upper bounds far past any real receiver. Beyond them a run leaves the
+# ephemeris validity window (RTC error, lock latencies) or draws
+# pseudoranges that are no longer finite or positive (noise).
+_UPPER_BOUNDS = {
+    "rtc_ppm": 1000.0,
+    "code_s": 60.0,
+    "carrier_s": 60.0,
+    "bit_s": 60.0,
+    "noise_sigma_m": 1000.0,
+}
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -100,6 +111,9 @@ class ScenarioConfig:
         for name, value in numbers:
             if isinstance(value, float) and not math.isfinite(value):
                 raise ScenarioError(f"{name} must be finite")
+        for name, bound in _UPPER_BOUNDS.items():
+            if getattr(self, name) > bound:
+                raise ScenarioError(f"{name} must not exceed {bound:g}")
         if self.arms not in (ARM_ESTIMATOR, ARM_HOTSTART, "both"):
             raise ScenarioError(f"unknown arms selection {self.arms!r}")
         if self.off_duration_s < 0:
@@ -122,6 +136,10 @@ class ScenarioConfig:
             raise ScenarioError("start_tow_s must lie within one week")
         if self.satellites is None and not 4 <= self.n_sats <= 32:
             raise ScenarioError("n_sats must be in 4..32")
+        if self.satellites is not None and len(
+            {e.sat_id for e in self.satellites}
+        ) != len(self.satellites):
+            raise ScenarioError("satellites repeat a sat_id")
         if self.estimator_epsilon_s < 0:
             raise ScenarioError("estimator_epsilon_s must be non-negative")
 
@@ -197,6 +215,7 @@ class _State:
     channels: dict[int, _Chan]
     rco: object | None = None
     anchor: int | None = None
+    rx_orbits: cst.Orbits | None = None
     last_known: np.ndarray | None = None
     fixes: list[FixRecord] = field(default_factory=list)
 
@@ -215,13 +234,15 @@ class _Engine:
         self.user0 = np.array(config.user_pos_ecef, float)
         self.user_vel = np.array(config.user_vel_ecef, float)
         if config.satellites is not None:
-            self.sats = list(config.satellites)
+            self.sats = sorted(config.satellites, key=lambda e: e.sat_id)
         else:
             self.sats = cst.default_constellation(
                 self.user0, self.t0_abs, config.n_sats
             )
         if len(self.sats) < 4:
             raise ScenarioError("need at least 4 satellites")
+        # Rows follow sorted(sat_id), the order of sorted(state.channels).
+        self.orbits = cst.Orbits.of(self.sats)
         self._mask = math.radians(config.min_elevation_deg)
         self._check_geometry(0.0)
         self.diagnostics: dict[str, float] = {}
@@ -233,14 +254,24 @@ class _Engine:
     def user_pos(self, t_rel: float) -> np.ndarray:
         return self.user0 + self.user_vel * t_rel
 
-    def tx_rel(self, eph: cst.EphemerisRecord, t_rel: float) -> float:
-        """Transmit time (relative seconds) of the signal received at t_rel."""
+    def tx_rel(
+        self, sats: cst.EphemerisRecord | cst.Orbits, t_rel: float
+    ) -> float | np.ndarray:
+        """Transmit time (relative seconds) of the signal received at t_rel.
+
+        One record gives one time; an Orbits gives one time per satellite.
+        """
+        if isinstance(sats, cst.Orbits):
+            position = sats.positions
+        else:
+            def position(t: float) -> np.ndarray:
+                return cst.propagate(sats, t).position
         user = self.user_pos(t_rel)
         t_tx = t_rel - DEFAULT_PROPAGATION_DELAY_S
         for _ in range(3):
-            sat = cst.propagate(eph, self.t0_abs + t_tx).position
-            t_tx = t_rel - float(np.linalg.norm(sat - user)) / SPEED_OF_LIGHT_M_S
-        return t_tx
+            d = position(self.t0_abs + t_tx) - user
+            t_tx = t_rel - np.sqrt(np.vecdot(d, d)) / SPEED_OF_LIGHT_M_S
+        return t_tx if isinstance(sats, cst.Orbits) else float(t_tx)
 
     def decomp(self, s_rel: float) -> tuple[int, int, int, int, float]:
         """(subframe_index, tow, word, bit, bit_fraction) of a signal time."""
@@ -253,19 +284,15 @@ class _Engine:
         frac = (in_word - bit * BIT_S) / BIT_S
         return k, (k + 1) % TOW_COUNT, word + 1, min(bit, 29), min(frac, 1.0 - 1e-12)
 
-    def visible(self, ch: _Chan, t_rel: float) -> bool:
-        sat = cst.propagate(ch.eph_true, self.t0_abs + t_rel).position
-        return cst.elevation_angle(sat, self.user_pos(t_rel)) >= self._mask
-
     def _check_geometry(self, t_rel: float) -> None:
         user = self.user_pos(t_rel)
-        sats = [cst.propagate(e, self.t0_abs + t_rel).position for e in self.sats]
-        up = [p for p in sats if cst.elevation_angle(p, user) >= self._mask]
+        sats = self.orbits.positions(self.t0_abs + t_rel)
+        up = sats[cst.elevation_angle(sats, user) >= self._mask]
         if len(up) < 4:
             raise ScenarioError(
                 f"only {len(up)} satellites visible at t={t_rel:.0f} s"
             )
-        jac = pvt.design_matrix(user, np.array(up))
+        jac = pvt.design_matrix(user, up)
         if np.linalg.cond(jac) > self.config.condition_cap:
             raise ScenarioError("degenerate satellite geometry")
 
@@ -323,8 +350,9 @@ class _Engine:
         Returns the fourth-shortest wait, the one that gates the first fix.
         """
         delays = []
-        for sid, ch in sorted(st.channels.items()):
-            _, _, word, bit, _ = self.decomp(self.tx_rel(ch.eph_true, st.t_rel))
+        s_true = self.tx_rel(self.orbits, st.t_rel).tolist()
+        for sid, s in zip(sorted(st.channels), s_true):
+            _, _, word, bit, _ = self.decomp(s)
             delays.append(rcv.hotstart_frame_lock_delay(word, bit))
             self._push(self.t_of_r(r_bit + delays[-1]), "label", sid)
         return sorted(delays)[3]
@@ -352,10 +380,14 @@ class _Engine:
         rng = np.random.default_rng((self.config.seed, key))
         return rng.normal(0.0, sigma, n)
 
-    def _refine_rco(self, st: _State) -> None:
-        """Recompute the clock offset from the anchor channel's counters."""
+    def _refine_rco(self, st: _State, s_bel: float | None = None) -> None:
+        """Recompute the clock offset from the anchor channel's counters.
+
+        s_bel is the anchor's believed transmit time now, if already known.
+        """
         ch = st.channels[st.anchor]
-        s_bel = self.tx_rel(ch.eph_true, st.t_rel) + ch.label_shift_s
+        if s_bel is None:
+            s_bel = self.tx_rel(ch.eph_true, st.t_rel) + ch.label_shift_s
         _, tow, word, bit, frac = self.decomp(s_bel)
         within = (word - 1) * WORD_S + bit * BIT_S + code_time_at_tic(frac)
         sync_tic = st.clock.tic_value + (SUBFRAME_S - within) / TIC_S
@@ -385,31 +417,34 @@ class _Engine:
         receive_gps = to_gps_time(receive_rx, st.rco)
         r_rel = receive_gps.diff(self.t0_gps)
 
-        chans = [
-            ch
-            for _, ch in sorted(st.channels.items())
-            if ch.labeled and ch.eph_rx is not None and self.visible(ch, t)
-        ]
-        if len(chans) < 4:
+        # Labeled channels, then those of them above the mask; every channel
+        # has its ephemeris by the first fix, so st.rx_orbits covers them all.
+        all_chans = [ch for _, ch in sorted(st.channels.items())]
+        idx = np.flatnonzero([ch.labeled for ch in all_chans])
+        up = self.orbits[idx].positions(self.t0_abs + t)
+        idx = idx[cst.elevation_angle(up, self.user_pos(t)) >= self._mask]
+        if len(idx) < 4:
             raise ScenarioError("fewer than 4 usable channels at a fix epoch")
-        noise = self._noise(st, len(chans))
+        chans = [all_chans[i] for i in idx]
+        true_orbits, rx_orbits = self.orbits[idx], st.rx_orbits[idx]
 
-        meas: list[pvt.PseudorangeMeasurement] = []
-        sat_pos = np.empty((len(chans), 3))
-        believed_tx: list[float] = []
-        for i, (ch, nz) in enumerate(zip(chans, noise)):
-            s_bel = self.tx_rel(ch.eph_true, t) + ch.label_shift_s
-            believed_tx.append(s_bel)
-            rho = SPEED_OF_LIGHT_M_S * (r_rel - s_bel) + nz
-            delay = ch.assumed_delay_s
-            if first or delay is None:
-                delay = DEFAULT_PROPAGATION_DELAY_S
-            sat_pos[i] = cst.propagate(ch.eph_rx, self.t0_abs + (r_rel - delay)).position
-            meas.append(
-                pvt.PseudorangeMeasurement(
-                    ch.sat_id, rho, self.t0_gps.add(s_bel), receive_rx
-                )
+        shift = np.array([ch.label_shift_s for ch in chans])
+        believed_tx = self.tx_rel(true_orbits, t) + shift
+        rho = SPEED_OF_LIGHT_M_S * (r_rel - believed_tx) + self._noise(st, len(idx))
+        delay = np.array([
+            DEFAULT_PROPAGATION_DELAY_S
+            if first or ch.assumed_delay_s is None
+            else ch.assumed_delay_s
+            for ch in chans
+        ])
+        sat_pos = rx_orbits.positions(self.t0_abs + (r_rel - delay))
+        s_bel = believed_tx.tolist()
+        meas = [
+            pvt.PseudorangeMeasurement(
+                ch.sat_id, rho_i, self.t0_gps.add(s), receive_rx
             )
+            for ch, rho_i, s in zip(chans, rho.tolist(), s_bel)
+        ]
 
         guess = np.zeros(4)
         if st.last_known is not None:
@@ -419,12 +454,13 @@ class _Engine:
         )
         st.last_known = sol.position
 
-        for ch, s_bel in zip(chans, believed_tx):
-            sat_at_tx = cst.propagate(ch.eph_rx, self.t0_abs + s_bel).position
-            ch.assumed_delay_s = (
-                float(np.linalg.norm(sat_at_tx - sol.position)) / SPEED_OF_LIGHT_M_S
-            )
-        self._refine_rco(st)
+        d = rx_orbits.positions(self.t0_abs + believed_tx) - sol.position
+        new_delay = np.sqrt(np.vecdot(d, d)) / SPEED_OF_LIGHT_M_S
+        for ch, delay_s in zip(chans, new_delay.tolist()):
+            ch.assumed_delay_s = delay_s
+        sids = [ch.sat_id for ch in chans]
+        anchor_s = s_bel[sids.index(st.anchor)] if st.anchor in sids else None
+        self._refine_rco(st, anchor_s)
 
         truth = self.user_pos(t)
         e, n, _ = pvt.enu_errors(sol.position, truth)
@@ -483,6 +519,9 @@ class _Engine:
             elif all(c.labeled and c.eph_rx is not None for c in st.channels.values()):
                 # Only channels still missing ephemeris have a boundary queued,
                 # so this branch runs once: when the last ephemeris arrives.
+                st.rx_orbits = cst.Orbits.of(
+                    [c.eph_rx for _, c in sorted(st.channels.items())]
+                )
                 self._push(self.t_of_r(math.floor(st.clock.elapsed_rx_s) + 1.0), "fix")
 
         def fix(_: object) -> None:
@@ -597,6 +636,7 @@ class _Engine:
             },
             rco=snapshot.rco,
             anchor=base.anchor,
+            rx_orbits=base.rx_orbits,
             last_known=None if base.last_known is None else base.last_known.copy(),
         )
         self._check_geometry(st.t_rel)
@@ -663,15 +703,16 @@ class _Engine:
             )
 
         self._run(st, {"lock": lock, "label": label, "fix": fix, "sample": sample})
-        if ttff is None:
-            raise ScenarioError("wake session produced no fix inside wake_run_s")
+        # The first fix may land after the last sample; then no sample saw it.
         valid_errors = [s.err_2d_m for s in samples if s.fix_valid]
+        if not valid_errors:
+            raise ScenarioError("wake session produced no fix inside wake_run_s")
         report = ArmReport(
             arm=arm,
             time_to_first_fix_s=ttff,
             samples=samples,
             fixes=st.fixes,
-            rms_2d_m=pvt.rms_2d(valid_errors) if valid_errors else float("nan"),
+            rms_2d_m=pvt.rms_2d(valid_errors),
             power_ratio=power_savings_ratio(
                 cfg.off_duration_s, ttff + cfg.sample_period_s
             ),

@@ -72,6 +72,13 @@ def test_run_invalid_scenario_content(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+def test_run_without_fix_inside_wake_run(tmp_path, capsys):
+    short = tmp_path / "short.scn"
+    short.write_text("[scenario]\nwake_run_s = 1\n")
+    assert cli.main(["run", str(short)]) == cli.EXIT_INVALID
+    assert "no fix inside wake_run_s" in capsys.readouterr().err
+
+
 def test_run_non_finite_scenario_value(tmp_path, capsys):
     bad = tmp_path / "bad.scn"
     bad.write_text("[clock]\nrtc_ppm = inf\n")

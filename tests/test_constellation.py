@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpssim import constellation as con
 from gpssim.constants import (
@@ -92,6 +94,70 @@ class TestPropagate:
             con.propagate(eph, 399.0)
 
 
+_ephemerides = st.builds(
+    con.EphemerisRecord,
+    sat_id=st.integers(1, 32),
+    inclination=st.floats(-math.pi, math.pi),
+    raan=st.floats(-math.pi, math.pi),
+    phase_at_epoch=st.floats(-10.0, 10.0),
+    epoch=st.floats(0.0, 1e9),
+    orbit_radius=st.floats(EARTH_RADIUS_M * 1.01, 5e7),
+    validity=st.floats(1.0, 1e5),
+)
+
+
+class TestOrbits:
+    """Orbits.positions must reproduce propagate() bit for bit."""
+
+    @given(
+        ephs=st.lists(_ephemerides, min_size=1, max_size=32),
+        t=st.floats(0.0, 1e9),
+        fracs=st.lists(st.floats(-0.999, 0.999), min_size=64, max_size=64),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_rows_equal_propagate(self, ephs, t, fracs):
+        # Scalar t: move each epoch so that t lies inside its validity window.
+        moved = [
+            dataclasses.replace(e, epoch=t + f * e.validity)
+            for e, f in zip(ephs, fracs)
+        ]
+        pos = con.Orbits.of(moved).positions(t)
+        assert pos.shape == (len(ephs), 3)
+        for row, eph in zip(pos, moved):
+            assert row.tobytes() == con.propagate(eph, t).position.tobytes()
+        # One time per satellite.
+        ts = [e.epoch + f * e.validity for e, f in zip(ephs, fracs[32:])]
+        pos = con.Orbits.of(ephs).positions(np.array(ts))
+        for row, eph, ti in zip(pos, ephs, ts):
+            assert row.tobytes() == con.propagate(eph, ti).position.tobytes()
+
+    def test_index_selects_rows(self):
+        ephs = con.default_constellation(USER, 0.0, 8)
+        orbits = con.Orbits.of(ephs)
+        pick = np.array([6, 1, 3])
+        assert orbits[pick].positions(900.0).tobytes() == (
+            orbits.positions(900.0)[pick].tobytes()
+        )
+        mask = np.arange(8) % 2 == 0
+        assert list(orbits[mask].sat_id) == [1, 3, 5, 7]
+
+    def test_stale_row_raises_naming_first_stale_satellite(self):
+        ephs = [
+            _eph(epoch=1000.0, validity=600.0),
+            dataclasses.replace(_eph(epoch=1000.0, validity=100.0), sat_id=5),
+            dataclasses.replace(_eph(epoch=1000.0, validity=200.0), sat_id=9),
+        ]
+        orbits = con.Orbits.of(ephs)
+        orbits.positions(1100.0)  # boundary is inclusive, as in propagate
+        with pytest.raises(con.StaleEphemerisError, match="sat 5: \\+101 s") as exc:
+            orbits.positions(1101.0)
+        with pytest.raises(con.StaleEphemerisError) as ref:
+            con.propagate(ephs[1], 1101.0)
+        assert str(exc.value) == str(ref.value)
+        with pytest.raises(con.StaleEphemerisError, match="sat 9"):
+            orbits.positions(np.array([1000.0, 1000.0, 1201.0]))
+
+
 def test_record_validation():
     with pytest.raises(ValueError):
         con.EphemerisRecord(0, 0.0, 0.0, 0.0, 0.0)
@@ -162,6 +228,16 @@ def test_elevation_angle_overhead_and_horizon():
     assert overhead == pytest.approx(math.pi / 2)
     level = con.elevation_angle(user + np.array([0, 1e7, 0]), user)
     assert level == pytest.approx(0.0, abs=1e-12)
+
+
+def test_elevation_angle_rows_equal_single_calls():
+    rng = np.random.default_rng(7)
+    for n in (1, 4, 8, 32):
+        sats = rng.normal(0.0, GPS_ORBIT_RADIUS_M, (n, 3))
+        batch = con.elevation_angle(sats, USER)
+        assert batch.shape == (n,)
+        for row, el in zip(sats, batch):
+            assert np.float64(con.elevation_angle(row, USER)).tobytes() == el.tobytes()
 
 
 # --- payload packing ------------------------------------------------------------

@@ -173,6 +173,24 @@ def test_enu_basis_is_orthonormal_and_right_handed():
     assert east[2] == 0.0  # east has no vertical component
 
 
+def _enu_basis_reference(ref):
+    up = ref / np.linalg.norm(ref)
+    east = np.cross([0.0, 0.0, 1.0], up)
+    n = np.linalg.norm(east)
+    east = np.array([1.0, 0.0, 0.0]) if n < 1e-12 else east / n
+    return east, np.cross(up, east), up
+
+
+def test_enu_basis_equals_cross_product_reference():
+    rng = np.random.default_rng(5)
+    refs = list(rng.normal(0.0, 6.4e6, (500, 3)))
+    refs += [TRUTH, np.array([0.0, 0.0, 6.4e6]), np.array([0.0, 0.0, -6.4e6]),
+             np.array([-6.4e6, -0.0, 0.0]), np.array([0.0, -6.4e6, 1.0])]
+    for ref in refs:
+        for got, want in zip(pvt.enu_basis(ref), _enu_basis_reference(ref)):
+            assert got.tobytes() == want.tobytes()  # signed zeros included
+
+
 def test_enu_errors_three_four_five():
     east, north, _ = pvt.enu_basis(TRUTH)
     pos = TRUTH + 3.0 * east + 4.0 * north

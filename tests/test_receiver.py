@@ -70,12 +70,6 @@ def test_states_are_immutable_values():
     assert len(base.history) == 1
 
 
-def test_latency_config_total():
-    cfg = rcv.LockLatencyConfig()
-    assert cfg.total_s == pytest.approx(1.2)
-    assert rcv.LockLatencyConfig(0.1, 0.2, 0.3).total_s == pytest.approx(0.6)
-
-
 class TestHotstartDelay:
     def test_subframe_start_pays_two_words(self):
         assert rcv.hotstart_frame_lock_delay(1, 0) == pytest.approx(1.2)

@@ -14,6 +14,7 @@ from gpssim.constants import CODE_TIME_QUANTUM_S, SPEED_OF_LIGHT_M_S
 from gpssim.frame_sync import load_snapshot
 
 BASE = sh.ScenarioConfig(off_duration_s=60.0, noise_sigma_m=0.0, seed=3)
+FOUR_SATS = tuple(cst.default_constellation(np.array(BASE.user_pos_ecef), 0.0, 4))
 
 
 def _run(**overrides):
@@ -60,6 +61,10 @@ def test_default_config_is_valid():
         ("code_s", -0.1),
         ("off_duration_s", float("nan")),
         ("rtc_ppm", float("inf")),
+        ("rtc_ppm", 1e300),
+        ("code_s", 1e300),
+        ("noise_sigma_m", 1e300),
+        ("satellites", FOUR_SATS + FOUR_SATS[:1]),
     ],
 )
 def test_config_rejects_bad_values(field, value):
@@ -235,6 +240,20 @@ def test_corrupt_snapshot_file_falls_back(tmp_path):
         arm = engine.run_wake(base, snapshot, sh.ARM_ESTIMATOR)
         assert not arm.used_estimate
         assert arm.fixes
+
+
+def test_no_fix_inside_wake_run_is_an_error():
+    # The first fix lands at 1.2 s, after the last sample of a 1 s wake.
+    with pytest.raises(sh.ScenarioError, match="no fix inside wake_run_s"):
+        sh.run_scenario(sh.ScenarioConfig(wake_run_s=1.0))
+
+
+def test_batched_tx_rel_equals_per_record():
+    engine = sh._Engine(replace(BASE, n_sats=12, user_vel_ecef=(10.0, -4.0, 3.0)))
+    for t_rx in (0.0, 61.25, 2000.0):
+        batch = engine.tx_rel(engine.orbits, t_rx)
+        single = [engine.tx_rel(eph, t_rx) for eph in engine.sats]
+        assert batch.tobytes() == np.array(single).tobytes()
 
 
 def test_tx_rel_solution_is_self_consistent():
