@@ -60,6 +60,7 @@ _TAP_MASKS = tuple(
 
 _DATA_MASK = (1 << WORD_DATA_BITS) - 1
 _PARITY_MASK = (1 << 6) - 1
+_WORD_MASK = (1 << WORD_BITS) - 1
 
 
 class ParityError(ValueError):
@@ -125,21 +126,24 @@ def solve_trailing_bits(data22: int, d29_prev: int, d30_prev: int) -> int:
     return top | (d23 << 1) | d24
 
 
+_BIT_SHIFTS = np.arange(WORD_BITS - 1, -1, -1)
+# Place values of a word's bits, first transmitted bit most significant.
+_BIT_WEIGHTS = 1 << _BIT_SHIFTS
+
+
 def word_to_bits(word30: int) -> np.ndarray:
-    """30-bit word to a bit array, first transmitted bit at index 0."""
-    return np.array(
-        [(word30 >> (WORD_BITS - 1 - i)) & 1 for i in range(WORD_BITS)],
-        dtype=np.uint8,
-    )
+    """30-bit word to a bit array, first transmitted bit at index 0.
+
+    A column of words gives one row of bits per word.
+    """
+    return ((word30 >> _BIT_SHIFTS) & 1).astype(np.uint8)
 
 
 def bits_to_word(bits: np.ndarray) -> int:
     if len(bits) != WORD_BITS:
         raise ValueError("expected 30 bits")
-    word = 0
-    for b in bits:
-        word = (word << 1) | int(b)
-    return word
+    # 30 bits pack into 4 bytes with two zero pad bits at the end.
+    return int.from_bytes(np.packbits(bits).tobytes(), "big") >> 2
 
 
 @dataclass(frozen=True)
@@ -212,7 +216,7 @@ def subframe_bits(sf: Subframe) -> np.ndarray:
     """Transmitted bit array (300 bits) of a built subframe."""
     if len(sf.words) != SUBFRAME_WORDS:
         raise ValueError("subframe has no encoded words")
-    return np.concatenate([word_to_bits(w) for w in sf.words])
+    return word_to_bits(np.array(sf.words)[:, None]).ravel()
 
 
 def decode_subframe(
@@ -290,38 +294,55 @@ class PreambleHit:
     inverted: bool
 
 
-def _candidate_ok(bits: np.ndarray, off: int, inverted: bool) -> bool:
-    """Validate a preamble candidate against the word-1/word-2 structure."""
-    if off + 2 * WORD_BITS > len(bits):
-        return False
-    window = bits[max(off - 2, 0) : off + 2 * WORD_BITS]
-    if inverted:
-        window = 1 - window
-    lead = off - max(off - 2, 0)
-    d29, d30 = (0, 0) if lead < 2 else (int(window[0]), int(window[1]))
-    w1 = bits_to_word(window[lead : lead + WORD_BITS])
-    w2 = bits_to_word(window[lead + WORD_BITS : lead + 2 * WORD_BITS])
-    try:
-        d1 = check_word(w1, d29, d30)
-        d2 = check_word(w2, (w1 >> 1) & 1, w1 & 1)
-    except ParityError:
-        return False
-    if d1 >> 16 != PREAMBLE or d1 & 0x3FF:
-        return False
-    if not 1 <= (d1 >> 10) & 0x3F <= 32:
-        return False
-    return (d2 >> 7) < TOW_COUNT and 1 <= (d2 >> 2) & 0x7 <= 5
+def _parity_array(data24: np.ndarray, d29: np.ndarray, d30: np.ndarray) -> np.ndarray:
+    """`parity_bits` applied elementwise to arrays of words and carry bits."""
+    carry = (d29, d30)
+    out = np.zeros_like(data24)
+    for mask, c in zip(_TAP_MASKS, _PARITY_CARRY):
+        out = (out << 1) | ((np.bitwise_count(data24 & mask) + carry[c]) & 1)
+    return out
 
 
-def _pattern_offsets(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    if len(bits) < PREAMBLE_BITS:
+def _valid_boundaries(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets (ascending) and polarities of every validated boundary.
+
+    A candidate carries the preamble pattern in either polarity and leaves
+    room for words 1 and 2. Both words must pass parity, chained from the
+    two bits before the candidate (taken as (0, 0) at offsets 0 and 1).
+    Word 1 needs zero TLM reserved bits and a sat_id in 1..32, word 2 a
+    plausible TOW and a subframe id in 1..5. A flipped candidate is read
+    with every bit inverted, carry bits included.
+    """
+    bits = np.asarray(bits, dtype=np.uint8)
+    n_offs = len(bits) - 2 * WORD_BITS + 1
+    if n_offs <= 0:
         empty = np.empty(0, dtype=np.intp)
-        return empty, empty
-    pattern = word_to_bits(PREAMBLE << 22)[:8]
-    windows = np.lib.stride_tricks.sliding_window_view(bits, 8)
-    normal = np.flatnonzero((windows == pattern).all(axis=1))
-    flipped = np.flatnonzero((windows == 1 - pattern).all(axis=1))
-    return normal, flipped
+        return empty, np.empty(0, dtype=bool)
+    head = bits[:n_offs].copy()
+    for k in range(1, PREAMBLE_BITS):
+        head = (head << 1) | bits[k : k + n_offs]
+    offs = np.flatnonzero((head == PREAMBLE) | (head == PREAMBLE ^ 0xFF))
+    inverted = head[offs] != PREAMBLE
+
+    flip = inverted.astype(np.int64)
+    words = np.lib.stride_tricks.sliding_window_view(bits, WORD_BITS)
+    w1 = (words[offs] @ _BIT_WEIGHTS) ^ (flip * _WORD_MASK)
+    w2 = (words[offs + WORD_BITS] @ _BIT_WEIGHTS) ^ (flip * _WORD_MASK)
+    has_carry = offs >= 2
+    d29 = np.where(has_carry, bits[offs - 2] ^ flip, 0)
+    d30 = np.where(has_carry, bits[offs - 1] ^ flip, 0)
+
+    d1 = (w1 >> 6) ^ (d30 * _DATA_MASK)
+    ok = _parity_array(d1, d29, d30) == w1 & _PARITY_MASK
+    w1_d29, w1_d30 = (w1 >> 1) & 1, w1 & 1
+    d2 = (w2 >> 6) ^ (w1_d30 * _DATA_MASK)
+    ok &= _parity_array(d2, w1_d29, w1_d30) == w2 & _PARITY_MASK
+    ok &= (d1 >> 16 == PREAMBLE) & (d1 & 0x3FF == 0)
+    sat_id = (d1 >> 10) & 0x3F
+    subframe_id = (d2 >> 2) & 0x7
+    ok &= (sat_id >= 1) & (sat_id <= 32)
+    ok &= (d2 >> 7 < TOW_COUNT) & (subframe_id >= 1) & (subframe_id <= 5)
+    return offs[ok], inverted[ok]
 
 
 def scan_for_preamble(bits: np.ndarray) -> PreambleHit | None:
@@ -331,32 +352,24 @@ def scan_for_preamble(bits: np.ndarray) -> PreambleHit | None:
     parity on words 1 and 2, have zero TLM reserved bits, a sat_id in 1..32,
     a plausible TOW and a subframe id in 1..5.
     """
-    normal, flipped = _pattern_offsets(bits)
-    hits = sorted(
-        [(int(o), False) for o in normal] + [(int(o), True) for o in flipped]
-    )
-    for off, inv in hits:
-        if _candidate_ok(bits, off, inv):
-            return PreambleHit(off, inv)
-    return None
+    offs, inverted = _valid_boundaries(bits)
+    if not len(offs):
+        return None
+    return PreambleHit(int(offs[0]), bool(inverted[0]))
 
 
 def find_subframe_boundaries(bits: np.ndarray) -> list[PreambleHit]:
-    """All validated subframe boundaries in the stream."""
-    normal, flipped = _pattern_offsets(bits)
-    out = [
-        PreambleHit(int(o), inv)
-        for offs, inv in ((normal, False), (flipped, True))
-        for o in offs
-        if _candidate_ok(bits, int(o), inv)
-    ]
-    return sorted(out, key=lambda h: h.offset)
+    """All validated subframe boundaries in the stream, by offset."""
+    offs, inverted = _valid_boundaries(bits)
+    return [PreambleHit(o, inv) for o, inv in zip(offs.tolist(), inverted.tolist())]
 
 
-# --- packed bitstream files and hex dumps ---------------------------------
+# --- packed bitstream files ----------------------------------------------
 
 _BITSTREAM_MAGIC = b"NAVB"
 _BITSTREAM_VERSION = 1
+# Version and bit count, after the magic.
+_HEADER = struct.Struct(">HQ")
 
 
 def pack_bits(bits: np.ndarray) -> bytes:
@@ -367,7 +380,7 @@ def pack_bits(bits: np.ndarray) -> bytes:
 def unpack_bits(data: bytes, n_bits: int) -> np.ndarray:
     bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
     if len(bits) < n_bits:
-        raise ValueError("not enough data for the declared bit count")
+        raise DecodeError("not enough data for the declared bit count")
     return bits[:n_bits]
 
 
@@ -375,15 +388,19 @@ def write_bitstream(path, bits: np.ndarray) -> None:
     """Write a packed stream: magic, version, big-endian bit count, bytes."""
     with open(path, "wb") as fh:
         fh.write(_BITSTREAM_MAGIC)
-        fh.write(struct.pack(">HQ", _BITSTREAM_VERSION, len(bits)))
+        fh.write(_HEADER.pack(_BITSTREAM_VERSION, len(bits)))
         fh.write(pack_bits(bits))
 
 
 def read_bitstream(path) -> np.ndarray:
+    """Read a stream written by `write_bitstream`; DecodeError if malformed."""
     with open(path, "rb") as fh:
         if fh.read(4) != _BITSTREAM_MAGIC:
             raise DecodeError("bad bitstream magic")
-        version, n = struct.unpack(">HQ", fh.read(10))
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise DecodeError("truncated bitstream header")
+        version, n = _HEADER.unpack(header)
         if version != _BITSTREAM_VERSION:
             raise DecodeError(f"unsupported bitstream version {version}")
         return unpack_bits(fh.read(), n)

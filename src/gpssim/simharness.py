@@ -74,6 +74,8 @@ _UPPER_BOUNDS = {
     "bit_s": 60.0,
     "noise_sigma_m": 1000.0,
 }
+# Each wake queues all of its sample events up front.
+_MAX_SAMPLES_PER_WAKE = 100_000
 
 
 @dataclass(frozen=True)
@@ -132,6 +134,11 @@ class ScenarioConfig:
             raise ScenarioError("bit_margin_ms must be positive")
         if self.wake_run_s < self.sample_period_s:
             raise ScenarioError("wake_run_s shorter than one sample period")
+        if self.wake_run_s / self.sample_period_s > _MAX_SAMPLES_PER_WAKE:
+            raise ScenarioError(
+                "wake_run_s / sample_period_s must not exceed "
+                f"{_MAX_SAMPLES_PER_WAKE:,} samples per wake"
+            )
         if not 0 <= self.start_tow_s < WEEK_S:
             raise ScenarioError("start_tow_s must lie within one week")
         if self.satellites is None and not 4 <= self.n_sats <= 32:

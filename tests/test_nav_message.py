@@ -3,6 +3,8 @@
 The parity reference below is an independent transcription of the (32,26)
 extended Hamming equations, evaluated bit by bit over lists, so the fast
 mask-based production code is checked against a second implementation.
+The bit packing and the preamble scan are checked the same way, against
+per-bit and per-candidate loops kept here as references.
 """
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpssim import nav_message as nav
-from gpssim.constants import PREAMBLE, SUBFRAME_BITS, TOW_COUNT
+from gpssim.constants import PREAMBLE, SUBFRAME_BITS, TOW_COUNT, WORD_BITS
 
 # d-bit numbers (1..24) feeding each parity bit, plus which carry bit
 # (D29* or D30*) seeds it. Transcribed independently of the module tables.
@@ -36,6 +38,61 @@ def ref_parity(data24: int, d29: int, d30: int) -> int:
     return out
 
 
+def ref_word_to_bits(word30: int) -> np.ndarray:
+    return np.array(
+        [(word30 >> (WORD_BITS - 1 - i)) & 1 for i in range(WORD_BITS)],
+        dtype=np.uint8,
+    )
+
+
+def ref_bits_to_word(bits) -> int:
+    word = 0
+    for b in bits:
+        word = (word << 1) | int(b)
+    return word
+
+
+def ref_subframe_bits(sf: nav.Subframe) -> np.ndarray:
+    return np.concatenate([ref_word_to_bits(w) for w in sf.words])
+
+
+def ref_candidate_ok(bits: np.ndarray, off: int, inverted: bool) -> bool:
+    """Validate one preamble candidate against the word-1/word-2 structure."""
+    if off + 2 * WORD_BITS > len(bits):
+        return False
+    window = bits[max(off - 2, 0) : off + 2 * WORD_BITS]
+    if inverted:
+        window = 1 - window
+    lead = off - max(off - 2, 0)
+    d29, d30 = (0, 0) if lead < 2 else (int(window[0]), int(window[1]))
+    w1 = ref_bits_to_word(window[lead : lead + WORD_BITS])
+    w2 = ref_bits_to_word(window[lead + WORD_BITS : lead + 2 * WORD_BITS])
+    try:
+        d1 = nav.check_word(w1, d29, d30)
+        d2 = nav.check_word(w2, (w1 >> 1) & 1, w1 & 1)
+    except nav.ParityError:
+        return False
+    if d1 >> 16 != PREAMBLE or d1 & 0x3FF:
+        return False
+    if not 1 <= (d1 >> 10) & 0x3F <= 32:
+        return False
+    return (d2 >> 7) < TOW_COUNT and 1 <= (d2 >> 2) & 0x7 <= 5
+
+
+def ref_boundaries(bits) -> list[nav.PreambleHit]:
+    """Every offset carrying the preamble in either polarity, each checked
+    on its own by `ref_candidate_ok`."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    pattern = [(PREAMBLE >> (7 - i)) & 1 for i in range(8)]
+    hits = []
+    for off in range(len(bits) - 7):
+        head = bits[off : off + 8].tolist()
+        for inverted, want in ((False, pattern), (True, [1 - b for b in pattern])):
+            if head == want and ref_candidate_ok(bits, off, inverted):
+                hits.append(nav.PreambleHit(off, inverted))
+    return hits
+
+
 def test_zero_word_zero_carries_has_zero_parity():
     assert nav.parity_bits(0, 0, 0) == 0
     assert nav.encode_word(0, 0, 0) == 0
@@ -47,6 +104,29 @@ def test_parity_matches_reference_implementation(d29, d30):
     for _ in range(300):
         data = int(rng.integers(0, 1 << 24))
         assert nav.parity_bits(data, d29, d30) == ref_parity(data, d29, d30)
+
+
+@pytest.mark.parametrize("d29,d30", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_array_parity_equals_scalar_parity(d29, d30):
+    rng = np.random.default_rng(17)
+    edges = [0, nav._DATA_MASK] + [1 << k for k in range(24)]
+    data = np.concatenate([edges, rng.integers(0, 1 << 24, 4000)]).astype(np.int64)
+    carry = np.ones_like(data)
+    got = nav._parity_array(data, d29 * carry, d30 * carry)
+    assert got.tolist() == [nav.parity_bits(int(d), d29, d30) for d in data]
+
+
+@given(
+    rows=st.lists(
+        st.tuples(st.integers(0, (1 << 24) - 1), st.integers(0, 1), st.integers(0, 1)),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_array_parity_with_mixed_carries(rows):
+    data, d29, d30 = (np.array(col, dtype=np.int64) for col in zip(*rows))
+    got = nav._parity_array(data, d29, d30)
+    assert got.tolist() == [nav.parity_bits(*row) for row in rows]
 
 
 def test_encode_complements_data_when_d30_set():
@@ -110,6 +190,22 @@ def test_inverted_stream_decodes_to_same_data():
         assert nav.check_word(inverted, 1, 1) == data
 
 
+@given(word=st.integers(0, (1 << WORD_BITS) - 1))
+def test_word_bit_conversions_equal_reference_loops(word):
+    bits = nav.word_to_bits(word)
+    assert bits.dtype == np.uint8
+    assert np.array_equal(bits, ref_word_to_bits(word))
+    assert nav.bits_to_word(bits) == ref_bits_to_word(bits) == word
+    assert nav.bits_to_word(bits.tolist()) == word
+    assert nav.bits_to_word(bits.astype(bool)) == word
+
+
+@pytest.mark.parametrize("n", [0, 29, 31, 60])
+def test_bits_to_word_rejects_wrong_length(n):
+    with pytest.raises(ValueError):
+        nav.bits_to_word(np.zeros(n, dtype=np.uint8))
+
+
 # --- subframes ----------------------------------------------------------------
 
 
@@ -164,6 +260,22 @@ def test_build_decode_round_trip_property(sat_id, sfid, tow, week, payload):
     assert out.tow == tow
     assert out.week_number == week
     assert out.payload == payload.ljust(20, b"\x00")
+
+
+@given(
+    sat_id=st.integers(1, 32),
+    sfid=st.integers(1, 5),
+    tow=st.integers(0, TOW_COUNT - 1),
+    week=st.integers(0, 8191),
+    payload=st.binary(min_size=0, max_size=20),
+    d29=st.integers(0, 1),
+    d30=st.integers(0, 1),
+)
+def test_subframe_bits_equal_reference_loop(sat_id, sfid, tow, week, payload, d29, d30):
+    sf = nav.build_subframe(sat_id, sfid, tow, week, payload, d29_prev=d29, d30_prev=d30)
+    bits = nav.subframe_bits(sf)
+    assert bits.dtype == np.uint8
+    assert np.array_equal(bits, ref_subframe_bits(sf))
 
 
 def test_build_rejects_out_of_range_fields():
@@ -254,6 +366,116 @@ def test_boundary_listing_reports_every_subframe():
 def test_scanner_handles_short_streams():
     assert nav.scan_for_preamble(np.array([], dtype=np.uint8)) is None
     assert nav.scan_for_preamble(np.array([1, 0, 0], dtype=np.uint8)) is None
+    rng = np.random.default_rng(5)
+    for n in (0, 1, 7, 8, 59, 60, 61):
+        for bits in (
+            np.zeros(n, np.uint8),
+            rng.integers(0, 2, n, dtype=np.uint8),
+            _stream(n_subframes=1)[:n],
+        ):
+            want = ref_boundaries(bits)
+            assert nav.find_subframe_boundaries(bits) == want
+            assert nav.find_subframe_boundaries(list(bits)) == want
+            assert nav.scan_for_preamble(bits) == (want[0] if want else None)
+
+
+def _embed(segments, rng):
+    """Junk bits with subframes embedded in either polarity. Each subframe
+    chains its parity from the two stream bits before it, as read in its
+    own polarity, so most embedded subframes are real boundaries."""
+    out = np.empty(0, dtype=np.uint8)
+    for junk, sat_id, sfid, tow, invert, truncate in segments:
+        out = np.concatenate([out, rng.integers(0, 2, junk, dtype=np.uint8)])
+        prev = out[-2:].tolist() if len(out) >= 2 else [0, 0]
+        if invert:
+            prev = [1 - b for b in prev]
+        sf = nav.build_subframe(
+            sat_id, sfid, tow, 77, b"\x5a" * 20, d29_prev=prev[0], d30_prev=prev[1]
+        )
+        bits = nav.subframe_bits(sf)
+        if invert:
+            bits = 1 - bits
+        out = np.concatenate([out, bits[: SUBFRAME_BITS - truncate]])
+    return out
+
+
+_segments = st.lists(
+    st.tuples(
+        st.one_of(st.integers(0, 3), st.integers(0, 400)),  # junk before it
+        st.integers(1, 32),
+        st.integers(1, 5),
+        st.integers(0, TOW_COUNT - 1),
+        st.booleans(),  # inverted
+        st.one_of(st.just(0), st.integers(200, 300)),  # bits cut from its end
+    ),
+    max_size=6,
+)
+
+
+@given(segments=_segments, tail=st.integers(0, 200), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_scanners_equal_per_candidate_reference(segments, tail, seed):
+    rng = np.random.default_rng(seed)
+    bits = _embed(segments, rng)
+    bits = np.concatenate([bits, rng.integers(0, 2, tail, dtype=np.uint8)])
+    want = ref_boundaries(bits)
+    assert nav.find_subframe_boundaries(bits) == want
+    assert nav.find_subframe_boundaries(bits.tolist()) == want
+    assert nav.scan_for_preamble(bits) == (want[0] if want else None)
+    assert nav.scan_for_preamble(bits.tolist()) == (want[0] if want else None)
+
+
+@pytest.mark.parametrize("lead", [0, 1, 2])
+@pytest.mark.parametrize("invert", [False, True])
+def test_scanners_equal_reference_at_stream_start(lead, invert):
+    """Offsets 0 and 1 chain from an assumed (0, 0) carry; from offset 2 on
+    the carry is the two stream bits before the candidate."""
+    for carry in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        sf = nav.build_subframe(3, 2, 900, 77, b"", d29_prev=carry[0], d30_prev=carry[1])
+        prefix = np.array(carry[2 - lead :], dtype=np.uint8)
+        bits = np.concatenate([prefix, nav.subframe_bits(sf)])
+        if invert:
+            bits = 1 - bits
+        want = ref_boundaries(bits)
+        assert nav.find_subframe_boundaries(bits) == want
+        assert nav.scan_for_preamble(bits) == (want[0] if want else None)
+        if lead == 2 or carry == (0, 0):
+            assert want[0] == nav.PreambleHit(lead, invert ^ carry[1])
+
+
+@pytest.mark.parametrize(
+    "sat_id,reserved,tow,sfid,valid",
+    [
+        (1, 0, 0, 1, True),
+        (32, 0, TOW_COUNT - 1, 5, True),
+        (0, 0, 0, 1, False),
+        (33, 0, 0, 1, False),
+        (5, 1, 0, 1, False),
+        (5, 0x200, 0, 1, False),
+        (5, 0, TOW_COUNT, 1, False),
+        (5, 0, (1 << 17) - 1, 1, False),
+        (5, 0, 0, 0, False),
+        (5, 0, 0, 6, False),
+    ],
+)
+def test_scanners_check_word_one_and_two_fields(sat_id, reserved, tow, sfid, valid):
+    """Words 1 and 2 that pass parity still need plausible fields."""
+    w1 = nav.encode_word((PREAMBLE << 16) | (sat_id << 10) | reserved, 1, 1)
+    w2 = nav.encode_word((tow << 7) | (sfid << 2), (w1 >> 1) & 1, w1 & 1)
+    body = np.concatenate([[1, 1], nav.word_to_bits(w1), nav.word_to_bits(w2)])
+    for bits in (body, 1 - body):
+        want = ref_boundaries(bits)
+        assert [h.offset for h in want] == ([2] if valid else [])
+        assert nav.find_subframe_boundaries(bits) == want
+        assert nav.scan_for_preamble(bits) == (want[0] if want else None)
+
+
+@pytest.mark.parametrize("cut", [0, 1, 2, 30, 59, 60, 61, 240])
+def test_scanners_drop_candidates_running_past_the_end(cut):
+    stream = _stream(n_subframes=2)[: 300 + 60 + 60 - cut]
+    want = ref_boundaries(stream)
+    assert [h.offset for h in want] == ([0, 300] if cut <= 60 else [0])
+    assert nav.find_subframe_boundaries(stream) == want
 
 
 # --- bitstream files ----------------------------------------------------------
@@ -274,6 +496,11 @@ def test_bitstream_file_round_trip(tmp_path):
 
 def test_bitstream_rejects_foreign_file(tmp_path):
     path = tmp_path / "noise.bin"
-    path.write_bytes(b"\x00" * 64)
-    with pytest.raises(nav.DecodeError):
-        nav.read_bitstream(path)
+    for blob in (
+        b"\x00" * 64,
+        b"NAVB\x00\x01",  # shorter than its 14-byte header
+        b"NAVB\x00\x01" + (1000).to_bytes(8, "big") + b"\xff" * 2,  # short payload
+    ):
+        path.write_bytes(blob)
+        with pytest.raises(nav.DecodeError):
+            nav.read_bitstream(path)

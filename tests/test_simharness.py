@@ -65,6 +65,8 @@ def test_default_config_is_valid():
         ("code_s", 1e300),
         ("noise_sigma_m", 1e300),
         ("satellites", FOUR_SATS + FOUR_SATS[:1]),
+        ("wake_run_s", 1e9),  # each wake would queue 1e9 sample events
+        ("sample_period_s", 1e-6),
     ],
 )
 def test_config_rejects_bad_values(field, value):
