@@ -58,6 +58,28 @@ _TAP_MASKS = tuple(
     sum(1 << (WORD_DATA_BITS - i) for i in taps) for taps in _PARITY_TAPS
 )
 
+# The parity bits are linear over GF(2) in the data and carry bits, so they
+# are the XOR of what each data byte and the carry pair contribute alone.
+# One table per data byte (high, middle, low), each indexed by the byte:
+_BYTE_PARITY = tuple(
+    tuple(
+        sum((((v << shift) & mask).bit_count() & 1) << (5 - j)
+            for j, mask in enumerate(_TAP_MASKS))
+        for v in range(256)
+    )
+    for shift in (16, 8, 0)
+)
+_HI_PARITY, _MID_PARITY, _LO_PARITY = _BYTE_PARITY
+# ...and one indexed by the carry pair as 2 * D29* + D30*.
+_CARRY_PARITY = tuple(
+    sum(((c >> (1 - k)) & 1) << (5 - j) for j, k in enumerate(_PARITY_CARRY))
+    for c in range(4)
+)
+# Array copies of the same four tables, for `_parity_array`.
+_PARITY_TABLES = tuple(
+    np.array(t, dtype=np.int64) for t in (*_BYTE_PARITY, _CARRY_PARITY)
+)
+
 _DATA_MASK = (1 << WORD_DATA_BITS) - 1
 _PARITY_MASK = (1 << 6) - 1
 _WORD_MASK = (1 << WORD_BITS) - 1
@@ -72,12 +94,16 @@ class DecodeError(ValueError):
 
 
 def parity_bits(data24: int, d29_prev: int, d30_prev: int) -> int:
-    """Six parity bits for 24 source data bits and the previous word's tail."""
-    carry = (d29_prev, d30_prev)
-    out = 0
-    for mask, c in zip(_TAP_MASKS, _PARITY_CARRY):
-        out = (out << 1) | (((data24 & mask).bit_count() + carry[c]) & 1)
-    return out
+    """Six parity bits for 24 source data bits and the previous word's tail.
+
+    Only the low 24 bits of data24 and the low bit of each carry count.
+    """
+    return (
+        _HI_PARITY[(data24 >> 16) & 0xFF]
+        ^ _MID_PARITY[(data24 >> 8) & 0xFF]
+        ^ _LO_PARITY[data24 & 0xFF]
+        ^ _CARRY_PARITY[2 * (d29_prev & 1) + (d30_prev & 1)]
+    )
 
 
 def encode_word(data24: int, d29_prev: int = 0, d30_prev: int = 0) -> int:
@@ -139,7 +165,22 @@ def word_to_bits(word30: int) -> np.ndarray:
     return ((word30 >> _BIT_SHIFTS) & 1).astype(np.uint8)
 
 
-def bits_to_word(bits: np.ndarray) -> int:
+def bits_to_word(bits: np.ndarray) -> int | list[int]:
+    """30 bits to a word, first transmitted bit most significant.
+
+    An (n, 30) array of rows gives the n words as a list.
+    """
+    bits = np.asarray(bits)
+    if bits.ndim == 2:
+        n, width = bits.shape
+        if width != WORD_BITS:
+            raise ValueError("expected rows of 30 bits")
+        # One integer of n * 30 bits, first row most significant, padded
+        # with zero bits up to whole bytes.
+        pad = -n * WORD_BITS % 8
+        packed = int.from_bytes(np.packbits(bits).tobytes(), "big") >> pad
+        last = WORD_BITS * (n - 1)
+        return [(packed >> k) & _WORD_MASK for k in range(last, -1, -WORD_BITS)]
     if len(bits) != WORD_BITS:
         raise ValueError("expected 30 bits")
     # 30 bits pack into 4 bytes with two zero pad bits at the end.
@@ -225,7 +266,7 @@ def decode_subframe(
     """Decode 300 bits into a Subframe, verifying every word's parity."""
     if len(bits) != SUBFRAME_BITS:
         raise ValueError("expected 300 bits")
-    words = [bits_to_word(bits[30 * i : 30 * i + 30]) for i in range(SUBFRAME_WORDS)]
+    words = bits_to_word(np.asarray(bits).reshape(SUBFRAME_WORDS, WORD_BITS))
     data: list[int] = []
     d29, d30 = d29_prev, d30_prev
     for i, w in enumerate(words):
@@ -241,11 +282,10 @@ def decode_subframe(
     tow = data[1] >> 7
     subframe_id = (data[1] >> 2) & 0x7
     week_number = data[2] >> 11
-    pay = bytearray()
-    for d in data[3:9]:
-        pay += bytes(((d >> 16) & 0xFF, (d >> 8) & 0xFF, d & 0xFF))
-    pay += bytes((data[9] >> 16, (data[9] >> 8) & 0xFF))
-    return Subframe(sat_id, subframe_id, tow, week_number, bytes(pay), tuple(words))
+    # Words 4..9 carry three payload bytes each, word 10 the last two.
+    pay = b"".join([d.to_bytes(3, "big") for d in data[3:9]])
+    pay += (data[9] >> 8).to_bytes(2, "big")
+    return Subframe(sat_id, subframe_id, tow, week_number, pay, tuple(words))
 
 
 def extract_handover(sf: Subframe) -> tuple[int, int]:
@@ -296,11 +336,13 @@ class PreambleHit:
 
 def _parity_array(data24: np.ndarray, d29: np.ndarray, d30: np.ndarray) -> np.ndarray:
     """`parity_bits` applied elementwise to arrays of words and carry bits."""
-    carry = (d29, d30)
-    out = np.zeros_like(data24)
-    for mask, c in zip(_TAP_MASKS, _PARITY_CARRY):
-        out = (out << 1) | ((np.bitwise_count(data24 & mask) + carry[c]) & 1)
-    return out
+    hi, mid, lo, carry = _PARITY_TABLES
+    return (
+        hi[(data24 >> 16) & 0xFF]
+        ^ mid[(data24 >> 8) & 0xFF]
+        ^ lo[data24 & 0xFF]
+        ^ carry[2 * (d29 & 1) + (d30 & 1)]
+    )
 
 
 def _valid_boundaries(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

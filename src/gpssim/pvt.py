@@ -28,10 +28,15 @@ class GeometryError(ValueError):
 
 @dataclass(frozen=True)
 class PseudorangeMeasurement:
+    """One satellite's pseudorange; `solve` reads only `rho_m`.
+
+    The transmit and receive times are optional bookkeeping.
+    """
+
     sat_id: int
     rho_m: float
-    t_transmit: GpsTime
-    t_receive_rx: GpsTime
+    t_transmit: GpsTime | None = None
+    t_receive_rx: GpsTime | None = None
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.rho_m) or self.rho_m < 0:

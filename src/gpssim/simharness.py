@@ -395,7 +395,7 @@ class _Engine:
         ch = st.channels[st.anchor]
         if s_bel is None:
             s_bel = self.tx_rel(ch.eph_true, st.t_rel) + ch.label_shift_s
-        _, tow, word, bit, frac = self.decomp(s_bel)
+        k, tow, word, bit, frac = self.decomp(s_bel)
         within = (word - 1) * WORD_S + bit * BIT_S + code_time_at_tic(frac)
         sync_tic = st.clock.tic_value + (SUBFRAME_S - within) / TIC_S
         delay = ch.assumed_delay_s
@@ -403,7 +403,8 @@ class _Engine:
             delay = DEFAULT_PROPAGATION_DELAY_S
         st.rco = compute_rco(
             st.clock.zt,
-            self.config.start_week,
+            # tow is k + 1 wrapped at the week end; count the wraps as weeks.
+            self.config.start_week + (k + 1) // TOW_COUNT,
             sync_tic,
             tow,
             propagation_delay_s=delay,
@@ -420,8 +421,7 @@ class _Engine:
         """Solve one fix now; the session's first uses the flat assumed delay."""
         first = not st.fixes
         t = st.t_rel
-        receive_rx = st.clock.receiver_time()
-        receive_gps = to_gps_time(receive_rx, st.rco)
+        receive_gps = to_gps_time(st.clock.receiver_time(), st.rco)
         r_rel = receive_gps.diff(self.t0_gps)
 
         # Labeled channels, then those of them above the mask; every channel
@@ -447,10 +447,8 @@ class _Engine:
         sat_pos = rx_orbits.positions(self.t0_abs + (r_rel - delay))
         s_bel = believed_tx.tolist()
         meas = [
-            pvt.PseudorangeMeasurement(
-                ch.sat_id, rho_i, self.t0_gps.add(s), receive_rx
-            )
-            for ch, rho_i, s in zip(chans, rho.tolist(), s_bel)
+            pvt.PseudorangeMeasurement(ch.sat_id, rho_i)
+            for ch, rho_i in zip(chans, rho.tolist())
         ]
 
         guess = np.zeros(4)
@@ -773,7 +771,10 @@ class _Engine:
         )
         anchor = st.channels[st.anchor]
         true_week_s = self.config.start_tow_s + self.tx_rel(anchor.eph_true, st.t_rel)
-        n_err = round((est_week_s - true_week_s) / BIT_S)
+        # est_week_s wraps at the week end and true_week_s does not.
+        err_s = est_week_s - true_week_s
+        err_s -= WEEK_S * round(err_s / WEEK_S)
+        n_err = round(err_s / BIT_S)
         shift = n_err * BIT_S
         r_now = st.clock.elapsed_rx_s
         for _, ch in sorted(st.channels.items()):
@@ -782,9 +783,12 @@ class _Engine:
             ch.label_shift_s = shift
         # The estimate stands in for a decoded handover word, so the clock
         # offset is rebuilt from its sync TIC with the flat assumed delay.
-        st.rco = compute_rco(
-            st.clock.zt, self.config.start_week, est.sync_tic, est.tow
+        # Its tow belongs to the week that puts it nearest the believed time.
+        believed = to_gps_time(st.clock.receiver_time(), snap.rco)
+        week = believed.week + round(
+            (believed.second - est.tow * SUBFRAME_S) / WEEK_S
         )
+        st.rco = compute_rco(st.clock.zt, week, est.sync_tic, est.tow)
         return True, n_err
 
 

@@ -3,8 +3,9 @@
 The parity reference below is an independent transcription of the (32,26)
 extended Hamming equations, evaluated bit by bit over lists, so the fast
 mask-based production code is checked against a second implementation.
-The bit packing and the preamble scan are checked the same way, against
-per-bit and per-candidate loops kept here as references.
+The table-driven parity, the bit packing, the subframe decode and the
+preamble scan are checked the same way, against the per-tap, per-bit,
+per-word and per-candidate loops kept here as references.
 """
 import numpy as np
 import pytest
@@ -38,6 +39,15 @@ def ref_parity(data24: int, d29: int, d30: int) -> int:
     return out
 
 
+def ref_parity_bits(data24: int, d29_prev: int, d30_prev: int) -> int:
+    """Parity as one masked bit count per tap equation."""
+    carry = (d29_prev, d30_prev)
+    out = 0
+    for mask, c in zip(nav._TAP_MASKS, nav._PARITY_CARRY):
+        out = (out << 1) | (((data24 & mask).bit_count() + carry[c]) & 1)
+    return out
+
+
 def ref_word_to_bits(word30: int) -> np.ndarray:
     return np.array(
         [(word30 >> (WORD_BITS - 1 - i)) & 1 for i in range(WORD_BITS)],
@@ -54,6 +64,35 @@ def ref_bits_to_word(bits) -> int:
 
 def ref_subframe_bits(sf: nav.Subframe) -> np.ndarray:
     return np.concatenate([ref_word_to_bits(w) for w in sf.words])
+
+
+def ref_decode_subframe(bits, *, d29_prev: int = 0, d30_prev: int = 0) -> nav.Subframe:
+    """Decode word by word: pack each word on its own, then check it."""
+    if len(bits) != SUBFRAME_BITS:
+        raise ValueError("expected 300 bits")
+    words = [ref_bits_to_word(bits[30 * i : 30 * i + 30]) for i in range(10)]
+    data = []
+    d29, d30 = d29_prev, d30_prev
+    for i, w in enumerate(words):
+        try:
+            data.append(nav.check_word(w, d29, d30))
+        except nav.ParityError as exc:
+            raise nav.ParityError(f"word {i + 1}: {exc}") from exc
+        d29, d30 = (w >> 1) & 1, w & 1
+    if data[0] >> 16 != PREAMBLE:
+        raise nav.DecodeError("missing preamble")
+    pay = bytearray()
+    for d in data[3:9]:
+        pay += bytes(((d >> 16) & 0xFF, (d >> 8) & 0xFF, d & 0xFF))
+    pay += bytes((data[9] >> 16, (data[9] >> 8) & 0xFF))
+    return nav.Subframe(
+        (data[0] >> 10) & 0x3F,
+        (data[1] >> 2) & 0x7,
+        data[1] >> 7,
+        data[2] >> 11,
+        bytes(pay),
+        tuple(words),
+    )
 
 
 def ref_candidate_ok(bits: np.ndarray, off: int, inverted: bool) -> bool:
@@ -127,6 +166,37 @@ def test_array_parity_with_mixed_carries(rows):
     data, d29, d30 = (np.array(col, dtype=np.int64) for col in zip(*rows))
     got = nav._parity_array(data, d29, d30)
     assert got.tolist() == [nav.parity_bits(*row) for row in rows]
+
+
+_CARRIES = [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+@pytest.mark.parametrize("shift", [16, 8, 0])
+@pytest.mark.parametrize("d29,d30", _CARRIES)
+def test_table_parity_equals_per_tap_loop_on_every_byte(shift, d29, d30):
+    """Parity is linear over GF(2), so every byte value in every byte
+    position with every carry pair covers all inputs."""
+    data = [v << shift for v in range(256)]
+    want = [ref_parity_bits(d, d29, d30) for d in data]
+    assert [nav.parity_bits(d, d29, d30) for d in data] == want
+    n = len(data)
+    got = nav._parity_array(
+        np.array(data, dtype=np.int64),
+        np.full(n, d29, dtype=np.int64),
+        np.full(n, d30, dtype=np.int64),
+    )
+    assert got.tolist() == want
+
+
+@given(
+    data=st.integers(0, (1 << 24) - 1) | st.integers(-(1 << 40), 1 << 40),
+    d29=st.integers(0, 1) | st.integers(-3, 3),
+    d30=st.integers(0, 1) | st.integers(-3, 3),
+)
+def test_table_parity_equals_per_tap_loop(data, d29, d30):
+    """Also outside the domain: both read only the low 24 data bits and the
+    low bit of each carry."""
+    assert nav.parity_bits(data, d29, d30) == ref_parity_bits(data, d29, d30)
 
 
 def test_encode_complements_data_when_d30_set():
@@ -206,6 +276,25 @@ def test_bits_to_word_rejects_wrong_length(n):
         nav.bits_to_word(np.zeros(n, dtype=np.uint8))
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_bits_to_word_rows_equal_row_by_row(n):
+    rng = np.random.default_rng(n)
+    rows = rng.integers(0, 2, (n, WORD_BITS), dtype=np.uint8)
+    rows[0] = 1  # an all-ones word and random ones
+    want = [nav.bits_to_word(row) for row in rows]
+    assert want == [ref_bits_to_word(row) for row in rows]
+    got = nav.bits_to_word(rows)
+    assert isinstance(got, list) and got == want
+    assert nav.bits_to_word(rows.tolist()) == want
+    assert nav.bits_to_word(rows.astype(bool)) == want
+
+
+@pytest.mark.parametrize("width", [0, 29, 31, 60])
+def test_bits_to_word_rejects_wrong_row_width(width):
+    with pytest.raises(ValueError):
+        nav.bits_to_word(np.zeros((3, width), dtype=np.uint8))
+
+
 # --- subframes ----------------------------------------------------------------
 
 
@@ -276,6 +365,53 @@ def test_subframe_bits_equal_reference_loop(sat_id, sfid, tow, week, payload, d2
     bits = nav.subframe_bits(sf)
     assert bits.dtype == np.uint8
     assert np.array_equal(bits, ref_subframe_bits(sf))
+
+
+def _decode_outcome(decode, bits, d29, d30):
+    """Fields and words of a decode, or its exception's type and message."""
+    try:
+        sf = decode(bits, d29_prev=d29, d30_prev=d30)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return sf, sf.words
+
+
+@pytest.mark.parametrize("d29,d30", _CARRIES)
+def test_decode_equals_per_word_reference_for_every_bit_flip(d29, d30):
+    sf = nav.build_subframe(
+        17, 3, 2679, 901, bytes(range(20)), d29_prev=d29, d30_prev=d30
+    )
+    bits = nav.subframe_bits(sf)
+    assert _decode_outcome(nav.decode_subframe, bits, d29, d30) == (sf, sf.words)
+    for k in range(SUBFRAME_BITS):
+        flipped = bits.copy()
+        flipped[k] ^= 1
+        want = _decode_outcome(ref_decode_subframe, flipped, d29, d30)
+        assert want[0] is nav.ParityError
+        assert _decode_outcome(nav.decode_subframe, flipped, d29, d30) == want
+
+
+@given(
+    data=st.lists(st.integers(0, (1 << 24) - 1), min_size=10, max_size=10),
+    preamble=st.booleans(),
+    d29=st.integers(0, 1),
+    d30=st.integers(0, 1),
+    as_list=st.booleans(),
+)
+@settings(max_examples=200)
+def test_decode_equals_per_word_reference_on_arbitrary_words(data, preamble, d29, d30, as_list):
+    """Words with valid parity but arbitrary fields reach every DecodeError."""
+    if preamble:
+        data[0] = (PREAMBLE << 16) | (data[0] & 0xFFFF)
+    words, c29, c30 = [], d29, d30
+    for d in data:
+        words.append(nav.encode_word(d, c29, c30))
+        c29, c30 = (words[-1] >> 1) & 1, words[-1] & 1
+    bits = np.concatenate([ref_word_to_bits(w) for w in words])
+    if as_list:
+        bits = bits.tolist()
+    want = _decode_outcome(ref_decode_subframe, bits, d29, d30)
+    assert _decode_outcome(nav.decode_subframe, bits, d29, d30) == want
 
 
 def test_build_rejects_out_of_range_fields():

@@ -52,6 +52,14 @@ def test_negative_pseudorange_rejected():
         pvt.PseudorangeMeasurement(1, -5.0, t, t)
 
 
+def test_measurement_times_do_not_change_the_solution():
+    sats = _sat_positions(6)
+    four = _measurements(sats, bias_m=1234.5, noise=np.linspace(-3.0, 3.0, 6))
+    two = [pvt.PseudorangeMeasurement(m.sat_id, m.rho_m) for m in four]
+    assert two[0].t_transmit is None and two[0].t_receive_rx is None
+    assert pvt.solve(two, sats) == pvt.solve(four, sats)
+
+
 class TestSolve:
     def test_four_satellites_exact_recovery(self):
         sats = _sat_positions(4)

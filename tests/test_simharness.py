@@ -250,6 +250,26 @@ def test_no_fix_inside_wake_run_is_an_error():
         sh.run_scenario(sh.ScenarioConfig(wake_run_s=1.0))
 
 
+@pytest.mark.parametrize("start_tow_s,sleep_s", [(604600.0, 600.0), (604700.0, 300.0)])
+def test_wake_across_the_week_end_matches_one_day_earlier(start_tow_s, sleep_s):
+    """A day is a whole number of subframes, so the same scenario started a
+    day earlier differs only in not crossing the week end."""
+    cfg = sh.ScenarioConfig(start_tow_s=start_tow_s, off_duration_s=sleep_s)
+    across = sh.run_scenario(cfg)
+    before = sh.run_scenario(replace(cfg, start_tow_s=start_tow_s - 86400.0))
+    assert across.arms["estimator"].used_estimate
+    assert [k for k in across.diagnostics] == [k for k in before.diagnostics]
+    rco_keys = [k for k in before.diagnostics if "rco" in k]
+    assert len(rco_keys) == 5
+    for key in rco_keys:
+        assert across.diagnostics[key] == pytest.approx(before.diagnostics[key], abs=1e-6)
+    for name, arm in before.arms.items():
+        assert across.arms[name].used_estimate == arm.used_estimate
+        assert across.arms[name].time_to_first_fix_s == pytest.approx(
+            arm.time_to_first_fix_s, abs=1e-6
+        )
+
+
 def test_batched_tx_rel_equals_per_record():
     engine = sh._Engine(replace(BASE, n_sats=12, user_vel_ecef=(10.0, -4.0, 3.0)))
     for t_rx in (0.0, 61.25, 2000.0):
