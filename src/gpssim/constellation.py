@@ -10,6 +10,7 @@ import math
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -55,9 +56,20 @@ class EphemerisRecord:
         if self.validity <= 0:
             raise ValueError("validity must be positive")
 
-    @property
+    # Computed once per record: the orbit formula reads them on every call.
+    @cached_property
     def mean_motion(self) -> float:
         return math.sqrt(GM_EARTH_M3_S2 / self.orbit_radius**3)
+
+    @cached_property
+    def plane(self) -> tuple[float, float, float, float]:
+        """cos and sin of the RAAN, then cos and sin of the inclination."""
+        return (
+            math.cos(self.raan),
+            math.sin(self.raan),
+            math.cos(self.inclination),
+            math.sin(self.inclination),
+        )
 
 
 @dataclass(frozen=True)
@@ -66,34 +78,56 @@ class SatState:
     velocity: np.ndarray
 
 
+def _stale_error(sat_id: int, dt: float, validity: float) -> StaleEphemerisError:
+    return StaleEphemerisError(
+        f"sat {sat_id}: {dt:+.0f} s from epoch exceeds {validity:.0f} s validity"
+    )
+
+
+def _orbit_point(
+    eph: EphemerisRecord, t: float
+) -> tuple[float, float, float, float, float]:
+    """cos u, sin u and the ECI position (x, y, z) at absolute GPS time t.
+
+    The one scalar copy of the orbit formula; Orbits.evaluate repeats it
+    elementwise in the same order.
+    """
+    if abs(t - eph.epoch) > eph.validity:
+        raise _stale_error(eph.sat_id, t - eph.epoch, eph.validity)
+    u = eph.phase_at_epoch + eph.mean_motion * (t - eph.epoch)
+    cu, su = math.cos(u), math.sin(u)
+    co, so, ci, si = eph.plane
+    r = eph.orbit_radius
+    return (
+        cu,
+        su,
+        r * (co * cu - so * su * ci),
+        r * (so * cu + co * su * ci),
+        r * su * si,
+    )
+
+
+def position(eph: EphemerisRecord, t: float) -> tuple[float, float, float]:
+    """Satellite ECI position at absolute GPS time t, as three floats.
+
+    Bitwise equal to propagate(eph, t).position, without the velocity.
+    """
+    return _orbit_point(eph, t)[2:]
+
+
 def propagate(eph: EphemerisRecord, t: float) -> SatState:
     """Satellite ECI state at absolute GPS time t."""
-    if abs(t - eph.epoch) > eph.validity:
-        raise StaleEphemerisError(
-            f"sat {eph.sat_id}: {t - eph.epoch:+.0f} s from epoch exceeds "
-            f"{eph.validity:.0f} s validity"
-        )
-    n = eph.mean_motion
-    u = eph.phase_at_epoch + n * (t - eph.epoch)
-    cu, su = math.cos(u), math.sin(u)
-    co, so = math.cos(eph.raan), math.sin(eph.raan)
-    ci, si = math.cos(eph.inclination), math.sin(eph.inclination)
-    r = eph.orbit_radius
-    pos = np.array(
-        [
-            r * (co * cu - so * su * ci),
-            r * (so * cu + co * su * ci),
-            r * su * si,
-        ]
-    )
+    cu, su, x, y, z = _orbit_point(eph, t)
+    co, so, ci, si = eph.plane
+    rn = eph.orbit_radius * eph.mean_motion
     vel = np.array(
         [
-            r * n * (-co * su - so * cu * ci),
-            r * n * (-so * su + co * cu * ci),
-            r * n * cu * si,
+            rn * (-co * su - so * cu * ci),
+            rn * (-so * su + co * cu * ci),
+            rn * cu * si,
         ]
     )
-    return SatState(pos, vel)
+    return SatState(np.array([x, y, z]), vel)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,9 +135,9 @@ class Orbits:
     """Several ephemerides as per-satellite arrays, evaluated all at once.
 
     Build one with Orbits.of(records); index it with an integer or boolean
-    array to select satellites. positions() repeats propagate()'s
-    elementwise arithmetic in the same order, so each row is bitwise equal
-    to propagate(record, t).position.
+    array to select satellites. evaluate() repeats the scalar orbit
+    formula's elementwise arithmetic in the same order, so each row is
+    bitwise equal to propagate(record, t).position.
     """
 
     sat_id: np.ndarray
@@ -119,6 +153,7 @@ class Orbits:
 
     @classmethod
     def of(cls, ephemerides: Sequence[EphemerisRecord]) -> Orbits:
+        planes = np.array([e.plane for e in ephemerides]).reshape(-1, 4).T.copy()
         return cls(
             np.array([e.sat_id for e in ephemerides]),
             np.array([e.epoch for e in ephemerides]),
@@ -126,35 +161,47 @@ class Orbits:
             np.array([e.phase_at_epoch for e in ephemerides]),
             np.array([e.mean_motion for e in ephemerides]),
             np.array([e.orbit_radius for e in ephemerides]),
-            np.array([math.cos(e.raan) for e in ephemerides]),
-            np.array([math.sin(e.raan) for e in ephemerides]),
-            np.array([math.cos(e.inclination) for e in ephemerides]),
-            np.array([math.sin(e.inclination) for e in ephemerides]),
+            *planes,
         )
 
     def __getitem__(self, index) -> Orbits:
         return Orbits(*(getattr(self, f.name)[index] for f in fields(self)))
 
-    def positions(self, t: float | np.ndarray) -> np.ndarray:
-        """(n, 3) ECI positions at absolute GPS time t, scalar or one per satellite."""
+    def evaluate(self, t: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """ECI positions at absolute GPS times t, and which of them are stale.
+
+        t broadcasts against the satellites: a scalar or one time per
+        satellite gives (n, 3) positions, an (m, 1) column of times an
+        (m, n, 3) grid. Every cell is bitwise equal to the same time
+        evaluated alone. The mask (t's broadcast shape) marks cells outside
+        their satellite's validity window; those hold the formula's value
+        and nothing raises.
+        """
         dt = t - self.epoch
         stale = np.abs(dt) > self.validity
-        if stale.any():
-            i = int(np.argmax(stale))
-            raise StaleEphemerisError(
-                f"sat {self.sat_id[i]}: {dt[i]:+.0f} s from epoch exceeds "
-                f"{self.validity[i]:.0f} s validity"
-            )
         u = self.phase_at_epoch + self.mean_motion * dt
         cu, su = np.cos(u), np.sin(u)
         co, so = self.cos_raan, self.sin_raan
         ci, si = self.cos_inc, self.sin_inc
         r = self.orbit_radius
-        pos = np.empty((len(u), 3))
-        pos[:, 0] = r * (co * cu - so * su * ci)
-        pos[:, 1] = r * (so * cu + co * su * ci)
-        pos[:, 2] = r * su * si
+        pos = np.empty(u.shape + (3,))
+        pos[..., 0] = r * (co * cu - so * su * ci)
+        pos[..., 1] = r * (so * cu + co * su * ci)
+        pos[..., 2] = r * su * si
+        return pos, stale
+
+    def positions(self, t: float | np.ndarray) -> np.ndarray:
+        """Positions as evaluate() gives them; raises StaleEphemerisError
+        naming the first stale satellite, in row-major order of the cells."""
+        pos, stale = self.evaluate(t)
+        if stale.any():
+            cell = np.unravel_index(np.argmax(stale), stale.shape)
+            raise self.stale_error(np.broadcast_to(t, stale.shape)[cell], cell[-1])
         return pos
+
+    def stale_error(self, t: float, i: int) -> StaleEphemerisError:
+        """The error for satellite row i evaluated at absolute GPS time t."""
+        return _stale_error(self.sat_id[i], t - self.epoch[i], self.validity[i])
 
 
 def geometric_range(a: np.ndarray, b: np.ndarray) -> float:
@@ -190,11 +237,13 @@ def code_phase_chips(transmit_time: float) -> float:
 def elevation_angle(sat_pos: np.ndarray, user_pos: np.ndarray) -> float | np.ndarray:
     """Elevation above the local (geocentric) horizon, rad.
 
-    sat_pos is one position (3,) or one per row (n, 3); the result is a
-    float or n elevations, each row computed exactly as a single call would.
+    sat_pos is one position (3,) or one per row (n, 3), and user_pos one
+    position (3,); both may carry leading axes that broadcast, such as
+    (m, n, 3) against (m, 1, 3). Every element is computed exactly as a
+    single call would compute it.
     """
     user_pos = np.asarray(user_pos, float)
-    up = user_pos / np.linalg.norm(user_pos)
+    up = user_pos / np.sqrt(np.vecdot(user_pos, user_pos))[..., None]
     los = np.asarray(sat_pos, float) - user_pos
     return np.arcsin(np.vecdot(los, up) / np.sqrt(np.vecdot(los, los)))
 

@@ -114,7 +114,7 @@ def encode_word(data24: int, d29_prev: int = 0, d30_prev: int = 0) -> int:
     """
     if not 0 <= data24 <= _DATA_MASK:
         raise ValueError(f"data24 out of range: {data24:#x}")
-    tx24 = data24 ^ (_DATA_MASK if d30_prev else 0)
+    tx24 = data24 ^ (_DATA_MASK if d30_prev & 1 else 0)
     return (tx24 << 6) | parity_bits(data24, d29_prev, d30_prev)
 
 
@@ -127,7 +127,7 @@ def check_word(word30: int, d29_prev: int = 0, d30_prev: int = 0) -> int:
     """
     if not 0 <= word30 < (1 << WORD_BITS):
         raise ValueError(f"word out of range: {word30:#x}")
-    data24 = (word30 >> 6) ^ (_DATA_MASK if d30_prev else 0)
+    data24 = (word30 >> 6) ^ (_DATA_MASK if d30_prev & 1 else 0)
     if parity_bits(data24, d29_prev, d30_prev) != word30 & _PARITY_MASK:
         raise ParityError("parity mismatch")
     return data24

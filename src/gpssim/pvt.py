@@ -58,18 +58,37 @@ class PvtSolution:
         return np.array([self.x_u, self.y_u, self.z_u])
 
 
-def design_matrix(position: np.ndarray, sat_positions: np.ndarray) -> np.ndarray:
+def _line_of_sight(
+    position: np.ndarray, sat_positions: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vectors from position to each satellite, and their lengths.
+
+    The lengths are what np.linalg.norm(los, axis=1) computes.
+    """
+    los = sat_positions - position
+    return los, np.sqrt(np.add.reduce(los * los, axis=1))
+
+
+def design_matrix(
+    position: np.ndarray,
+    sat_positions: np.ndarray,
+    *,
+    line_of_sight: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
     """Jacobian of the measurement model at a linearization point.
 
     Row i is [-(unit vector to satellite i), 1]: the partial derivatives of
-    |s_i - x| + b with respect to (x, b).
+    |s_i - x| + b with respect to (x, b). line_of_sight is the pair
+    _line_of_sight(position, sat_positions) when the caller already has it.
     """
-    sat_positions = np.asarray(sat_positions, float)
-    los = sat_positions - np.asarray(position, float)
-    ranges = np.linalg.norm(los, axis=1)
-    if np.any(ranges == 0):
+    if line_of_sight is None:
+        line_of_sight = _line_of_sight(
+            np.asarray(position, float), np.asarray(sat_positions, float)
+        )
+    los, ranges = line_of_sight
+    if not ranges.all():
         raise GeometryError("linearization point coincides with a satellite")
-    jac = np.empty((len(sat_positions), 4))
+    jac = np.empty((len(los), 4))
     jac[:, :3] = -los / ranges[:, None]
     jac[:, 3] = 1.0
     return jac
@@ -106,17 +125,26 @@ def solve(
 
     iterations = 0
     converged = False
-    residual = rho - np.linalg.norm(sat_positions - state[:3], axis=1) - state[3]
+    # Each iterate's line of sight serves its residual and its Jacobian.
+    sight = _line_of_sight(state[:3], sat_positions)
+    residual = rho - sight[1] - state[3]
     for iterations in range(1, max_iterations + 1):
-        jac = design_matrix(state[:3], sat_positions)
-        if iterations == 1 and np.linalg.cond(jac) > condition_cap:
-            raise GeometryError("design matrix condition number exceeds cap")
+        jac = design_matrix(state[:3], sat_positions, line_of_sight=sight)
+        if iterations == 1:
+            # np.linalg.cond(jac): the ratio of extreme singular values,
+            # infinite for a singular matrix.
+            s = np.linalg.svd(jac, compute_uv=False).tolist()
+            cond = s[0] / s[-1] if s[-1] else math.inf
+            if cond > condition_cap:
+                raise GeometryError("design matrix condition number exceeds cap")
         step, _, rank, _ = np.linalg.lstsq(jac, residual, rcond=None)
         if rank < 4:
             raise GeometryError("rank-deficient geometry")
         state += step
-        residual = rho - np.linalg.norm(sat_positions - state[:3], axis=1) - state[3]
-        if np.linalg.norm(step[:3]) < tol_m:
+        sight = _line_of_sight(state[:3], sat_positions)
+        residual = rho - sight[1] - state[3]
+        # Both norms are np.linalg.norm's own formula for a vector.
+        if math.sqrt(step[:3].dot(step[:3])) < tol_m:
             converged = True
             break
 
@@ -126,7 +154,7 @@ def solve(
         state[2],
         state[3],
         iterations,
-        float(np.linalg.norm(residual)),
+        math.sqrt(residual.dot(residual)),
         converged,
     )
 

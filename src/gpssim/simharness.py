@@ -58,6 +58,12 @@ class ScenarioError(ValueError):
     """Scenario configuration is invalid or produces unusable geometry."""
 
 
+def _expired(exc: cst.StaleEphemerisError, t_rel: float) -> ScenarioError:
+    """A stale ephemeris met while simulating time t_rel (relative seconds);
+    exc names the satellite and the offset from its epoch."""
+    return ScenarioError(f"stale ephemeris while simulating t={t_rel:.3f} s: {exc}")
+
+
 ARM_ESTIMATOR = "estimator"
 ARM_HOTSTART = "hotstart"
 
@@ -225,7 +231,30 @@ class _State:
     rx_orbits: cst.Orbits | None = None
     last_known: np.ndarray | None = None
     fixes: list[FixRecord] = field(default_factory=list)
+    truth: _Truth | None = None
+    # rx_orbits rows selected by each channel set a fix has used.
+    rx_selected: dict[bytes, cst.Orbits] = field(default_factory=dict)
 
+
+@dataclass(frozen=True)
+class _Truth:
+    """Truth at receive times (rows) for every true satellite (columns).
+
+    Each row is bitwise equal to the same quantities computed at that one
+    time. Stale cells hold values outside the validity window; a fix that
+    selects one raises instead of reading it.
+    """
+
+    rows: dict[float, int]  # receive time (relative seconds) -> row
+    user: np.ndarray  # (m, 3) true user position
+    elevation: np.ndarray  # (m, n) rad
+    tx: np.ndarray  # (m, n) true transmit time, relative seconds
+    stale_rx: np.ndarray  # (m, n) ephemeris stale at the receive time
+    stale_tx: np.ndarray  # (m, n) stale at some light-time iterate
+
+
+# Rows of truth a wake evaluates at once: bounds the table's memory.
+_TRUTH_ROWS = 1024
 
 # Order of events queued for the same instant: lock stages first, samples
 # last, so a sample taken at a fix epoch already sees that fix.
@@ -261,24 +290,40 @@ class _Engine:
     def user_pos(self, t_rel: float) -> np.ndarray:
         return self.user0 + self.user_vel * t_rel
 
-    def tx_rel(
-        self, sats: cst.EphemerisRecord | cst.Orbits, t_rel: float
-    ) -> float | np.ndarray:
-        """Transmit time (relative seconds) of the signal received at t_rel.
-
-        One record gives one time; an Orbits gives one time per satellite.
-        """
-        if isinstance(sats, cst.Orbits):
-            position = sats.positions
-        else:
-            def position(t: float) -> np.ndarray:
-                return cst.propagate(sats, t).position
+    def tx_rel(self, eph: cst.EphemerisRecord, t_rel: float) -> float:
+        """Transmit time (relative seconds) of one satellite's signal received
+        at t_rel, bitwise equal to the one _truth gives."""
         user = self.user_pos(t_rel)
         t_tx = t_rel - DEFAULT_PROPAGATION_DELAY_S
         for _ in range(3):
-            d = position(self.t0_abs + t_tx) - user
-            t_tx = t_rel - np.sqrt(np.vecdot(d, d)) / SPEED_OF_LIGHT_M_S
-        return t_tx if isinstance(sats, cst.Orbits) else float(t_tx)
+            d = np.subtract(cst.position(eph, self.t0_abs + t_tx), user)
+            # d.dot(d) is bitwise equal to _truth's np.vecdot(d, d);
+            # x*x + y*y + z*z is not (it differs in about a fifth of inputs).
+            t_tx = t_rel - math.sqrt(d.dot(d)) / SPEED_OF_LIGHT_M_S
+        return t_tx
+
+    def _truth(self, times: list[float]) -> _Truth:
+        """Truth for every satellite at each receive time, in one array pass."""
+        t = np.array(times)[:, None]
+        user = self.user_pos(t)
+        user_b = user[:, None, :]
+        pos, stale_rx = self.orbits.evaluate(self.t0_abs + t)
+        elevation = cst.elevation_angle(pos, user_b)
+        stale_tx = np.zeros_like(stale_rx)
+        t_tx = t - DEFAULT_PROPAGATION_DELAY_S
+        for _ in range(3):
+            pos, stale = self.orbits.evaluate(self.t0_abs + t_tx)
+            stale_tx |= stale
+            d = pos - user_b
+            t_tx = t - np.sqrt(np.vecdot(d, d)) / SPEED_OF_LIGHT_M_S
+        rows = {v: i for i, v in enumerate(times)}
+        return _Truth(rows, user, elevation, t_tx, stale_rx, stale_tx)
+
+    def _check_fresh(self, stale: np.ndarray, idx: np.ndarray, t_rel: float) -> None:
+        """Raise for the first satellite of idx whose truth cell is stale."""
+        bad = idx[stale[idx]]
+        if len(bad):
+            raise self.orbits.stale_error(self.t0_abs + t_rel, bad[0])
 
     def decomp(self, s_rel: float) -> tuple[int, int, int, int, float]:
         """(subframe_index, tow, word, bit, bit_fraction) of a signal time."""
@@ -293,7 +338,10 @@ class _Engine:
 
     def _check_geometry(self, t_rel: float) -> None:
         user = self.user_pos(t_rel)
-        sats = self.orbits.positions(self.t0_abs + t_rel)
+        try:
+            sats = self.orbits.positions(self.t0_abs + t_rel)
+        except cst.StaleEphemerisError as exc:
+            raise _expired(exc, t_rel) from exc
         up = sats[cst.elevation_angle(sats, user) >= self._mask]
         if len(up) < 4:
             raise ScenarioError(
@@ -329,10 +377,13 @@ class _Engine:
 
     def _run(self, st: _State, handlers: dict[str, Callable[[object], None]]) -> None:
         """Dispatch queued events by kind in time order until none is left."""
-        while self._queue:
-            t_rel, _, _, kind, data = heapq.heappop(self._queue)
-            self.advance_to_t(st, t_rel)
-            handlers[kind](data)
+        try:
+            while self._queue:
+                t_rel, _, _, kind, data = heapq.heappop(self._queue)
+                self.advance_to_t(st, t_rel)
+                handlers[kind](data)
+        except cst.StaleEphemerisError as exc:
+            raise _expired(exc, st.t_rel) from exc
 
     def _queue_locks(self, st: _State) -> float:
         """Queue code, carrier and bit lock from now; returns the bit-lock time."""
@@ -357,8 +408,9 @@ class _Engine:
         Returns the fourth-shortest wait, the one that gates the first fix.
         """
         delays = []
-        s_true = self.tx_rel(self.orbits, st.t_rel).tolist()
-        for sid, s in zip(sorted(st.channels), s_true):
+        truth = self._truth([st.t_rel])
+        self._check_fresh(truth.stale_tx[0], np.arange(len(self.sats)), st.t_rel)
+        for sid, s in zip(sorted(st.channels), truth.tx[0].tolist()):
             _, _, word, bit, _ = self.decomp(s)
             delays.append(rcv.hotstart_frame_lock_delay(word, bit))
             self._push(self.t_of_r(r_bit + delays[-1]), "label", sid)
@@ -424,19 +476,31 @@ class _Engine:
         receive_gps = to_gps_time(st.clock.receiver_time(), st.rco)
         r_rel = receive_gps.diff(self.t0_gps)
 
+        # A wake tabulates its truth at the first fix; a fix off that grid
+        # (advance_to_t can land an ulp away) gets a one-row table.
+        truth, row = st.truth, None
+        if truth is not None:
+            row = truth.rows.get(t)
+        if row is None:
+            truth, row = self._truth([t]), 0
+
         # Labeled channels, then those of them above the mask; every channel
         # has its ephemeris by the first fix, so st.rx_orbits covers them all.
         all_chans = [ch for _, ch in sorted(st.channels.items())]
         idx = np.flatnonzero([ch.labeled for ch in all_chans])
-        up = self.orbits[idx].positions(self.t0_abs + t)
-        idx = idx[cst.elevation_angle(up, self.user_pos(t)) >= self._mask]
+        self._check_fresh(truth.stale_rx[row], idx, t)
+        idx = idx[truth.elevation[row, idx] >= self._mask]
         if len(idx) < 4:
             raise ScenarioError("fewer than 4 usable channels at a fix epoch")
+        self._check_fresh(truth.stale_tx[row], idx, t)
         chans = [all_chans[i] for i in idx]
-        true_orbits, rx_orbits = self.orbits[idx], st.rx_orbits[idx]
+        key = idx.tobytes()
+        rx_orbits = st.rx_selected.get(key)
+        if rx_orbits is None:
+            rx_orbits = st.rx_selected[key] = st.rx_orbits[idx]
 
         shift = np.array([ch.label_shift_s for ch in chans])
-        believed_tx = self.tx_rel(true_orbits, t) + shift
+        believed_tx = truth.tx[row, idx] + shift
         rho = SPEED_OF_LIGHT_M_S * (r_rel - believed_tx) + self._noise(st, len(idx))
         delay = np.array([
             DEFAULT_PROPAGATION_DELAY_S
@@ -467,8 +531,7 @@ class _Engine:
         anchor_s = s_bel[sids.index(st.anchor)] if st.anchor in sids else None
         self._refine_rco(st, anchor_s)
 
-        truth = self.user_pos(t)
-        e, n, _ = pvt.enu_errors(sol.position, truth)
+        e, n, _ = pvt.enu_errors(sol.position, truth.user[row])
         rec = FixRecord(
             t_since_wake,
             e,
@@ -518,9 +581,10 @@ class _Engine:
 
         def boundary(sid: int) -> None:
             ch = st.channels[sid]
-            self._deliver_subframe(ch, st.t_rel)
+            s = self.tx_rel(ch.eph_true, st.t_rel)
+            self._deliver_subframe(ch, s)
             if ch.eph_rx is None:
-                self._push(self._next_boundary_t(ch, st.t_rel), "boundary", sid)
+                self._push(self._next_boundary_t(ch, st.t_rel, s), "boundary", sid)
             elif all(c.labeled and c.eph_rx is not None for c in st.channels.values()):
                 # Only channels still missing ephemeris have a boundary queued,
                 # so this branch runs once: when the last ephemeris arrives.
@@ -556,13 +620,15 @@ class _Engine:
             self.diagnostics["s1_rco_jitter_s"] = max(rco_errors) - min(rco_errors)
         return st, snapshot
 
-    def _next_boundary_t(self, ch: _Chan, t_rel: float) -> float:
+    def _next_boundary_t(self, ch: _Chan, t_rel: float, s: float | None = None) -> float:
         """True time at which the channel's next subframe boundary arrives.
 
+        s is the channel's true transmit time at t_rel, if already known.
         The small bias keeps a call made exactly at a boundary from finding
         that same boundary again.
         """
-        s = self.tx_rel(ch.eph_true, t_rel)
+        if s is None:
+            s = self.tx_rel(ch.eph_true, t_rel)
         k = int((self.config.start_tow_s + s + 1e-6) // SUBFRAME_S) + 1
         target = k * SUBFRAME_S - self.config.start_tow_s
         t = t_rel + (target - s)
@@ -570,9 +636,9 @@ class _Engine:
             t += target - self.tx_rel(ch.eph_true, t)
         return t
 
-    def _deliver_subframe(self, ch: _Chan, t_rel: float) -> None:
-        """Generate, encode, decode and ingest the subframe just completed."""
-        s = self.tx_rel(ch.eph_true, t_rel)
+    def _deliver_subframe(self, ch: _Chan, s: float) -> None:
+        """Generate, encode, decode and ingest the subframe whose end the
+        channel receives now; s is its true transmit time now."""
         k = int(round((self.config.start_tow_s + s) / SUBFRAME_S)) - 1
         sfid = k % 5 + 1
         payload = b""
@@ -582,7 +648,8 @@ class _Engine:
             ch.sat_id,
             sfid,
             (k + 1) % TOW_COUNT,
-            self.config.start_week,
+            # The TOW count wraps at the week end; count the wraps as weeks.
+            self.config.start_week + (k + 1) // TOW_COUNT,
             payload,
         )
         decoded = nav.decode_subframe(nav.subframe_bits(sf))
@@ -649,8 +716,9 @@ class _Engine:
         r_wake = st.clock.elapsed_rx_s
         self._queue_locks(st)
         n_samples = int(round(cfg.wake_run_s / cfg.sample_period_s))
-        for k in range(n_samples + 1):
-            self._push(self.t_of_r(r_wake + k * cfg.sample_period_s), "sample", k)
+        grid = [self.t_of_r(r_wake + k * cfg.sample_period_s) for k in range(n_samples + 1)]
+        for k, t in enumerate(grid):
+            self._push(t, "sample", k)
 
         used_estimate = False
         label_shift_bits = 0
@@ -685,11 +753,13 @@ class _Engine:
                 # The first fix lands off the sample grid; later ones follow it.
                 ttff = t_since
                 k = math.floor(t_since / cfg.sample_period_s)
+                later = grid[k + 1 : k + _TRUTH_ROWS]
+                st.truth = self._truth([st.t_rel] + later)
+            elif grid[k] not in st.truth.rows:
+                st.truth = self._truth(grid[k : k + _TRUTH_ROWS])
             self._fix(st, t_since)
             if k + 1 <= n_samples:
-                self._push(
-                    self.t_of_r(r_wake + (k + 1) * cfg.sample_period_s), "fix", k + 1
-                )
+                self._push(grid[k + 1], "fix", k + 1)
 
         def sample(k: int) -> None:
             truth = self.user_pos(st.t_rel)

@@ -131,6 +131,44 @@ class TestOrbits:
         for row, eph, ti in zip(pos, ephs, ts):
             assert row.tobytes() == con.propagate(eph, ti).position.tobytes()
 
+    @given(
+        ephs=st.lists(_ephemerides, min_size=1, max_size=12),
+        fracs=st.lists(st.floats(-1.5, 1.5), min_size=12, max_size=12),
+        m=st.integers(1, 9),
+        dt=st.floats(0.0, 5e4),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_time_grid_rows_equal_per_row_calls(self, ephs, fracs, m, dt):
+        """An (m, 1) column of times gives (m, n, 3); each row equals the
+        scalar call and each valid cell equals position(), stale cells
+        included (their mask marks them and nothing raises)."""
+        moved = [
+            dataclasses.replace(e, epoch=1e6 + f * e.validity)
+            for e, f in zip(ephs, fracs)
+        ]
+        orbits = con.Orbits.of(moved)
+        times = 1e6 + np.linspace(0.0, dt, m)
+        pos, stale = orbits.evaluate(times[:, None])
+        assert pos.shape == (m, len(ephs), 3) and stale.shape == (m, len(ephs))
+        for row, t in enumerate(times.tolist()):
+            single, single_stale = orbits.evaluate(t)
+            assert pos[row].tobytes() == single.tobytes()
+            assert stale[row].tolist() == single_stale.tolist()
+            for eph, cell, cell_stale in zip(moved, pos[row], stale[row]):
+                assert cell_stale == (abs(t - eph.epoch) > eph.validity)
+                if not cell_stale:
+                    assert np.array(con.position(eph, t)).tobytes() == cell.tobytes()
+
+    def test_grid_raises_for_first_stale_cell_in_row_major_order(self):
+        ephs = [
+            _eph(epoch=1000.0, validity=600.0),
+            dataclasses.replace(_eph(epoch=1000.0, validity=100.0), sat_id=5),
+            dataclasses.replace(_eph(epoch=1000.0, validity=50.0), sat_id=9),
+        ]
+        times = np.array([[1000.0], [1060.0], [1200.0]])
+        with pytest.raises(con.StaleEphemerisError, match="sat 9: \\+60 s"):
+            con.Orbits.of(ephs).positions(times)
+
     def test_index_selects_rows(self):
         ephs = con.default_constellation(USER, 0.0, 8)
         orbits = con.Orbits.of(ephs)
@@ -156,6 +194,24 @@ class TestOrbits:
         assert str(exc.value) == str(ref.value)
         with pytest.raises(con.StaleEphemerisError, match="sat 9"):
             orbits.positions(np.array([1000.0, 1000.0, 1201.0]))
+
+
+@given(eph=_ephemerides, frac=st.floats(-1.0, 1.0))
+@settings(max_examples=200, deadline=None)
+def test_position_equals_propagate(eph, frac):
+    t = eph.epoch + frac * eph.validity
+    assert np.array(con.position(eph, t)).tobytes() == (
+        con.propagate(eph, t).position.tobytes()
+    )
+
+
+def test_position_raises_like_propagate():
+    eph = _eph(epoch=1000.0, validity=600.0)
+    with pytest.raises(con.StaleEphemerisError) as exc:
+        con.position(eph, 1601.0)
+    with pytest.raises(con.StaleEphemerisError) as ref:
+        con.propagate(eph, 1601.0)
+    assert str(exc.value) == str(ref.value)
 
 
 def test_record_validation():
@@ -228,6 +284,31 @@ def test_elevation_angle_overhead_and_horizon():
     assert overhead == pytest.approx(math.pi / 2)
     level = con.elevation_angle(user + np.array([0, 1e7, 0]), user)
     assert level == pytest.approx(0.0, abs=1e-12)
+
+
+def ref_elevation_angle(sat_pos, user_pos):
+    """elevation_angle as it was before it broadcast over user positions."""
+    user_pos = np.asarray(user_pos, float)
+    up = user_pos / np.linalg.norm(user_pos)
+    los = np.asarray(sat_pos, float) - user_pos
+    return np.arcsin(np.vecdot(los, up) / np.sqrt(np.vecdot(los, los)))
+
+
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 6), n=st.integers(1, 12))
+@settings(max_examples=150, deadline=None)
+def test_elevation_angle_grid_rows_equal_reference_calls(seed, m, n):
+    """(m, n, 3) satellites against (m, 1, 3) users: each row equals the
+    one-user call of the reference, and each element a single call."""
+    rng = np.random.default_rng(seed)
+    users = USER + rng.normal(0.0, 5e4, (m, 3))
+    sats = rng.normal(0.0, GPS_ORBIT_RADIUS_M, (m, n, 3))
+    grid = con.elevation_angle(sats, users[:, None, :])
+    assert grid.shape == (m, n)
+    for row in range(m):
+        assert grid[row].tobytes() == ref_elevation_angle(sats[row], users[row]).tobytes()
+        for i in range(n):
+            one = con.elevation_angle(sats[row, i], users[row])
+            assert np.float64(one).tobytes() == grid[row, i].tobytes()
 
 
 def test_elevation_angle_rows_equal_single_calls():

@@ -237,6 +237,19 @@ def test_encode_check_round_trip(data, d29, d30):
     assert nav.check_word(nav.encode_word(data, d29, d30), d29, d30) == data
 
 
+@pytest.mark.parametrize("d29", [0, 1, 2, 3])
+@pytest.mark.parametrize("d30", [2, 3])
+def test_word_codec_reads_only_the_low_carry_bit(d29, d30):
+    """Like parity_bits, encode_word and check_word read only bit 0 of each
+    carry, so carries 2 and 3 act as 0 and 1."""
+    rng = np.random.default_rng(d29 * 4 + d30)
+    for data in [0, 0xFFFFFF, *rng.integers(0, 1 << 24, 200).tolist()]:
+        word = nav.encode_word(data, d29, d30)
+        assert word == nav.encode_word(data, d29 & 1, d30 & 1)
+        assert nav.check_word(word, d29, d30) == data
+        assert nav.check_word(word, d29 & 1, d30 & 1) == data
+
+
 @given(
     data22=st.integers(0, (1 << 22) - 1),
     d29=st.integers(0, 1),

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpssim import pvt
 from gpssim.constants import GPS_ORBIT_RADIUS_M
@@ -167,6 +169,141 @@ def test_design_matrix_matches_finite_differences():
 def test_design_matrix_rejects_colocated_satellite():
     with pytest.raises(pvt.GeometryError):
         pvt.design_matrix(TRUTH, np.array([TRUTH]))
+
+
+# --- the solver against its earlier form ---------------------------------------------
+# ref_design_matrix and ref_solve are the solver as it was before each iterate
+# computed its line of sight once and the condition number came from one SVD.
+
+
+def ref_design_matrix(position, sat_positions):
+    sat_positions = np.asarray(sat_positions, float)
+    los = sat_positions - np.asarray(position, float)
+    ranges = np.linalg.norm(los, axis=1)
+    if np.any(ranges == 0):
+        raise pvt.GeometryError("linearization point coincides with a satellite")
+    jac = np.empty((len(sat_positions), 4))
+    jac[:, :3] = -los / ranges[:, None]
+    jac[:, 3] = 1.0
+    return jac
+
+
+def ref_solve(
+    measurements,
+    sat_positions,
+    initial_guess=None,
+    *,
+    tol_m=1e-4,
+    max_iterations=20,
+    condition_cap=1e8,
+):
+    if len(measurements) < 4:
+        raise pvt.InsufficientSatellitesError(
+            f"{len(measurements)} measurements; need at least 4"
+        )
+    sat_positions = np.asarray(sat_positions, float)
+    if sat_positions.shape != (len(measurements), 3):
+        raise ValueError("sat_positions must be (n, 3) matching measurements")
+    rho = np.array([m.rho_m for m in measurements])
+    state = np.zeros(4)
+    if initial_guess is not None:
+        guess = np.asarray(initial_guess, float).ravel()
+        state[: len(guess)] = guess
+    iterations = 0
+    converged = False
+    residual = rho - np.linalg.norm(sat_positions - state[:3], axis=1) - state[3]
+    for iterations in range(1, max_iterations + 1):
+        jac = ref_design_matrix(state[:3], sat_positions)
+        if iterations == 1 and np.linalg.cond(jac) > condition_cap:
+            raise pvt.GeometryError("design matrix condition number exceeds cap")
+        step, _, rank, _ = np.linalg.lstsq(jac, residual, rcond=None)
+        if rank < 4:
+            raise pvt.GeometryError("rank-deficient geometry")
+        state += step
+        residual = rho - np.linalg.norm(sat_positions - state[:3], axis=1) - state[3]
+        if np.linalg.norm(step[:3]) < tol_m:
+            converged = True
+            break
+    return pvt.PvtSolution(
+        state[0], state[1], state[2], state[3], iterations,
+        float(np.linalg.norm(residual)), converged,
+    )
+
+
+def _outcome(fn, *args, **kwargs):
+    """repr of the result (exact for every float), or the exception raised."""
+    try:
+        return repr(fn(*args, **kwargs))
+    except Exception as exc:  # compared by type and message
+        return (type(exc), str(exc))
+
+
+def _geometry(n, seed, kind):
+    """Satellite rows: spread, repeated (singular), nearly collinear, or one
+    satellite placed on the initial guess."""
+    sats = _sat_positions(n, seed=seed)
+    if kind == "repeated":
+        sats[1:] = sats[0]
+    elif kind == "collinear":
+        base = TRUTH * (GPS_ORBIT_RADIUS_M / np.linalg.norm(TRUTH))
+        sats = np.array([base * (1 + 1e-4 * k) for k in range(n)])
+    elif kind == "two_planes":
+        sats[n // 2 :] = sats[0] + (sats[n // 2 :] - sats[0]) * 1e-9
+    return sats
+
+
+@given(
+    n=st.integers(4, 12),
+    seed=st.integers(0, 2**16),
+    kind=st.sampled_from(["spread", "spread", "repeated", "collinear", "two_planes", "on_guess"]),
+    offset=st.tuples(*[st.floats(-3e5, 3e5)] * 3),
+    bias=st.floats(-3e5, 3e5),
+    noise=st.floats(0.0, 50.0),
+    guess=st.sampled_from(["none", "origin", "truth3", "truth4"]),
+    max_iterations=st.integers(1, 20),
+    condition_cap=st.sampled_from([1e8, 1e8, 1e8, 1e3, 10.0]),
+    tol_m=st.sampled_from([1e-4, 1e-4, 1.0, 0.0]),
+)
+@settings(max_examples=300, deadline=None)
+def test_solve_equals_reference(
+    n, seed, kind, offset, bias, noise, guess, max_iterations, condition_cap, tol_m
+):
+    """Bit-identical PvtSolution, or the same GeometryError, as ref_solve."""
+    sats = _geometry(n, seed, kind)
+    truth = TRUTH + np.array(offset)
+    rng = np.random.default_rng(seed)
+    meas = _measurements(sats, truth, bias, rng.normal(0.0, noise + 1e-300, n))
+    initial = {
+        "none": None,
+        "origin": np.zeros(4),
+        "truth3": TRUTH.copy(),
+        "truth4": np.append(TRUTH, bias),
+    }[guess]
+    if kind == "on_guess":
+        sats[0] = np.zeros(3) if guess in ("none", "origin") else TRUTH
+    kwargs = dict(max_iterations=max_iterations, condition_cap=condition_cap, tol_m=tol_m)
+    expected = _outcome(ref_solve, meas, sats, initial, **kwargs)
+    assert _outcome(pvt.solve, meas, sats, initial, **kwargs) == expected
+
+
+@pytest.mark.parametrize("kind", ["repeated", "collinear", "on_guess"])
+def test_singular_geometry_raises_geometry_error_like_reference(kind):
+    sats = _geometry(6, 1, "spread" if kind == "on_guess" else kind)
+    if kind == "on_guess":
+        sats[2] = TRUTH
+    meas = _measurements(_sat_positions(6))
+    expected = _outcome(ref_solve, meas, sats, TRUTH)
+    assert expected[0] is pvt.GeometryError
+    assert _outcome(pvt.solve, meas, sats, TRUTH) == expected
+
+
+@given(seed=st.integers(0, 2**16), n=st.integers(1, 12), scale=st.floats(1e-3, 1e8))
+@settings(max_examples=100, deadline=None)
+def test_design_matrix_equals_reference(seed, n, scale):
+    rng = np.random.default_rng(seed)
+    sats = rng.normal(size=(n, 3)) * scale
+    x = rng.normal(size=3) * scale
+    assert pvt.design_matrix(x, sats).tobytes() == ref_design_matrix(x, sats).tobytes()
 
 
 # --- error frames ------------------------------------------------------------------

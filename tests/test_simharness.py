@@ -1,16 +1,25 @@
 """Scenario engine tests: the full sleep/wake loop, parsing, and CSV export."""
 import csv
 import io
+import re
 import struct
 import zlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpssim import constellation as cst
+from gpssim import nav_message as nav
 from gpssim import simharness as sh
-from gpssim.constants import CODE_TIME_QUANTUM_S, SPEED_OF_LIGHT_M_S
+from gpssim.constants import (
+    CODE_TIME_QUANTUM_S,
+    DEFAULT_PROPAGATION_DELAY_S,
+    SPEED_OF_LIGHT_M_S,
+    TOW_COUNT,
+)
 from gpssim.frame_sync import load_snapshot
 
 BASE = sh.ScenarioConfig(off_duration_s=60.0, noise_sigma_m=0.0, seed=3)
@@ -250,6 +259,50 @@ def test_no_fix_inside_wake_run_is_an_error():
         sh.run_scenario(sh.ScenarioConfig(wake_run_s=1.0))
 
 
+@pytest.mark.parametrize("sleep_s", [14500.0, 20000.0])
+def test_sleep_past_ephemeris_validity_is_a_scenario_error(sleep_s):
+    with pytest.raises(sh.ScenarioError, match=r"^stale ephemeris while simulating t=.* s: sat 1: ") as exc:
+        sh.run_scenario(sh.ScenarioConfig(off_duration_s=sleep_s))
+    assert isinstance(exc.value.__cause__, cst.StaleEphemerisError)
+
+
+def test_satellite_expiring_mid_wake_fails_at_the_same_fix(monkeypatch):
+    """Satellite 3's ephemeris runs out 5.5 s into the first wake. The run
+    fails at the ninth fix (6 s after the wake), as when each fix
+    evaluated its own truth, and the truth tabulated ahead of it does not
+    raise early."""
+    t0 = sh.GpsTime(100, 86400.0).total_seconds()
+    sats = cst.default_constellation(np.array(BASE.user_pos_ecef), t0, 8)
+    sats = tuple(replace(e, validity=951.5) if e.sat_id == 3 else e for e in sats)
+    fixes = []
+    fix = sh._Engine._fix
+
+    def counting_fix(self, state, t_since_wake):
+        fixes.append(t_since_wake)
+        return fix(self, state, t_since_wake)
+
+    monkeypatch.setattr(sh._Engine, "_fix", counting_fix)
+    with pytest.raises(sh.ScenarioError, match=r"t=951\.999 s: sat 3: \+952 s from epoch"):
+        sh.run_scenario(sh.ScenarioConfig(satellites=sats))
+    assert len(fixes) == 9 and fixes[-1] == 6.0
+
+
+def test_subframes_after_the_week_end_carry_the_next_week(monkeypatch):
+    sent = []
+    build = nav.build_subframe
+
+    def recording_build(sat_id, subframe_id, tow, week, payload=b""):
+        sent.append((tow, week))
+        return build(sat_id, subframe_id, tow, week, payload)
+
+    monkeypatch.setattr(nav, "build_subframe", recording_build)
+    sh.run_scenario(sh.ScenarioConfig(start_tow_s=604780.0, off_duration_s=60.0))
+    after = [week for tow, week in sent if tow < 100]
+    before = [week for tow, week in sent if tow > TOW_COUNT - 100]
+    assert len(after) > 20 and set(after) == {101}
+    assert set(before) <= {100}
+
+
 @pytest.mark.parametrize("start_tow_s,sleep_s", [(604600.0, 600.0), (604700.0, 300.0)])
 def test_wake_across_the_week_end_matches_one_day_earlier(start_tow_s, sleep_s):
     """A day is a whole number of subframes, so the same scenario started a
@@ -271,11 +324,112 @@ def test_wake_across_the_week_end_matches_one_day_earlier(start_tow_s, sleep_s):
 
 
 def test_batched_tx_rel_equals_per_record():
+    """The truth table's light time equals the one-satellite solve."""
     engine = sh._Engine(replace(BASE, n_sats=12, user_vel_ecef=(10.0, -4.0, 3.0)))
-    for t_rx in (0.0, 61.25, 2000.0):
-        batch = engine.tx_rel(engine.orbits, t_rx)
+    times = [0.0, 61.25, 2000.0]
+    truth = engine._truth(times)
+    for row, t_rx in enumerate(times):
         single = [engine.tx_rel(eph, t_rx) for eph in engine.sats]
-        assert batch.tobytes() == np.array(single).tobytes()
+        assert truth.tx[row].tobytes() == np.array(single).tobytes()
+
+
+# --- truth against its earlier, per-fix form ------------------------------------
+# ref_tx_rel is the light-time solve as it was: propagate() (or Orbits.positions
+# for several satellites) per iterate and the range as sqrt(vecdot(d, d)).
+
+
+def ref_tx_rel(engine, sats, t_rel):
+    if isinstance(sats, cst.Orbits):
+        position = sats.positions
+    else:
+        def position(t):
+            return cst.propagate(sats, t).position
+    user = engine.user_pos(t_rel)
+    t_tx = t_rel - DEFAULT_PROPAGATION_DELAY_S
+    for _ in range(3):
+        d = position(engine.t0_abs + t_tx) - user
+        t_tx = t_rel - np.sqrt(np.vecdot(d, d)) / SPEED_OF_LIGHT_M_S
+    return t_tx if isinstance(sats, cst.Orbits) else float(t_tx)
+
+
+def ref_fix_truth(engine, idx, t):
+    """Elevations and transmit times of satellites idx as a fix computed them."""
+    up = engine.orbits[idx].positions(engine.t0_abs + t)
+    elevation = cst.elevation_angle(up, engine.user_pos(t))
+    return elevation, ref_tx_rel(engine, engine.orbits[idx], t)
+
+
+@given(
+    n_sats=st.integers(4, 32),
+    vel=st.tuples(*[st.floats(-300.0, 300.0)] * 3),
+    t_rx=st.floats(-1.0, 14500.0),
+)
+@settings(max_examples=150, deadline=None)
+def test_one_satellite_light_time_equals_propagate_reference(n_sats, vel, t_rx):
+    engine = sh._Engine(replace(BASE, n_sats=n_sats, user_vel_ecef=vel))
+    for eph in engine.sats:
+        try:
+            expected = ref_tx_rel(engine, eph, t_rx)
+        except cst.StaleEphemerisError as exc:
+            with pytest.raises(cst.StaleEphemerisError, match=f"^{re.escape(str(exc))}$"):
+                engine.tx_rel(eph, t_rx)
+            continue
+        got = engine.tx_rel(eph, t_rx)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+
+def _varied_validity_sats(n):
+    """Default orbits whose validity windows end at different times."""
+    t0 = sh.GpsTime(BASE.start_week, BASE.start_tow_s).total_seconds()
+    sats = cst.default_constellation(np.array(BASE.user_pos_ecef), t0, n)
+    return tuple(
+        replace(e, validity=900.0 + 0.04 * k) if k % 3 == 0 else e
+        for k, e in enumerate(sats)
+    )
+
+
+@given(
+    n_sats=st.integers(4, 16),
+    vel=st.tuples(*[st.floats(-300.0, 300.0)] * 3),
+    start=st.floats(880.0, 905.0),
+    period=st.floats(0.01, 3.0),
+    m=st.integers(1, 12),
+)
+@settings(max_examples=60, deadline=None)
+def test_truth_rows_equal_per_fix_truth(n_sats, vel, start, period, m):
+    """Every valid cell equals the per-fix computation bit for bit, the
+    stale masks mark exactly the satellites for which it raised, and row
+    lookup is by exact receive time."""
+    cfg = replace(BASE, satellites=_varied_validity_sats(n_sats), user_vel_ecef=vel)
+    engine = sh._Engine(cfg)
+    times = [start + k * period for k in range(m)]
+    truth = engine._truth(times)
+    assert truth.rows == {t: k for k, t in enumerate(times)}
+    for row, t in enumerate(times):
+        assert truth.user[row].tobytes() == engine.user_pos(t).tobytes()
+        fresh = []
+        for i in range(n_sats):
+            one = np.array([i])
+            try:
+                engine.orbits[one].positions(engine.t0_abs + t)
+                rx_stale = False
+            except cst.StaleEphemerisError:
+                rx_stale = True
+            try:
+                ref_tx_rel(engine, engine.orbits[one], t)
+                tx_stale = False
+            except cst.StaleEphemerisError:
+                tx_stale = True
+            assert truth.stale_rx[row, i] == rx_stale
+            assert truth.stale_tx[row, i] == tx_stale
+            if not (rx_stale or tx_stale):
+                fresh.append(i)
+        if fresh:
+            idx = np.array(fresh)
+            elevation, tx = ref_fix_truth(engine, idx, t)
+            assert truth.elevation[row, idx].tobytes() == elevation.tobytes()
+            assert truth.tx[row, idx].tobytes() == tx.tobytes()
 
 
 def test_tx_rel_solution_is_self_consistent():
