@@ -37,7 +37,7 @@ cursor = BitstreamCursor(word_index=WORD, bit_index=BIT, tow_current=TOW)
 tracking = fs.TrackingStatus(
     bit_locked=True, have_fix=True, carrier_doppler_hz=1200.0, code_phase_chips=401.25
 )
-snap = fs.take_snapshot(cursor, clock, tracking, Rco(0, BIAS_S), rtc_count=RTC_LATCH)
+snap = fs.take_snapshot(cursor, tracking, Rco(0, BIAS_S), rtc_count=RTC_LATCH)
 print("snapshot taken:")
 print(fs.dump_snapshot_text(snap))
 

@@ -27,10 +27,8 @@ from .constellation import (
     code_phase_chips,
     default_constellation,
     elevation_angle,
-    geometric_range,
     pack_ephemeris,
     propagate,
-    propagation_delay,
     unpack_ephemeris,
 )
 from .frame_sync import (
@@ -41,12 +39,10 @@ from .frame_sync import (
     SnapshotUnavailableError,
     TrackingStatus,
     code_doppler_from_carrier,
-    compensate_code_phase,
     drift_budget,
     elapsed_ms_from_rtc,
     estimate_frame_state,
     load_snapshot,
-    predict_code_phase,
     save_snapshot,
     take_snapshot,
     tick_frame_state,
@@ -61,11 +57,9 @@ from .nav_message import (
     check_word,
     decode_subframe,
     encode_word,
-    extract_handover,
     find_subframe_boundaries,
     parity_bits,
     read_bitstream,
-    scan_for_preamble,
     solve_trailing_bits,
     subframe_bits,
     write_bitstream,

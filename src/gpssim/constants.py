@@ -6,7 +6,6 @@ SPEED_OF_LIGHT_M_S = 299_792_458.0
 L1_CARRIER_HZ = 1_575_420_000.0
 CHIP_RATE_HZ = 1_023_000.0
 CODE_LENGTH_CHIPS = 1023
-CODE_PERIOD_S = CODE_LENGTH_CHIPS / CHIP_RATE_HZ  # 1 ms
 # Ratio applied to carrier Doppler to get code-rate Doppler.
 CODE_DOPPLER_RATIO = CHIP_RATE_HZ / L1_CARRIER_HZ
 
@@ -21,10 +20,10 @@ SUBFRAME_S = SUBFRAME_WORDS * WORD_S  # 6 s
 WEEK_S = 604_800.0
 # Number of 6 s handover units in one week; TOW counts live in [0, TOW_COUNT).
 TOW_COUNT = 100_800
+# The message's 13-bit week number counts weeks in [0, WEEK_COUNT).
+WEEK_COUNT = 1 << 13
 
 TIC_S = 0.1
-# One code chip of time; the finest time the receiver hardware resolves.
-CODE_TIME_QUANTUM_S = 1.0 / CHIP_RATE_HZ
 
 PREAMBLE = 0b10001011
 PREAMBLE_BITS = 8

@@ -1,4 +1,4 @@
-"""Circular-orbit satellite truth: positions, velocities, delays, Doppler.
+"""Circular-orbit satellite truth: positions, velocities, Doppler.
 
 Satellites fly unperturbed circular orbits around an inertial Earth. There is
 no Sagnac correction and no satellite clock error anywhere in the simulator,
@@ -26,6 +26,8 @@ from .constants import (
 from .nav_message import PAYLOAD_BYTES
 
 DEFAULT_VALIDITY_S = 4 * 3600.0
+# Far past any navigation orbit; keeps mean_motion's radius**3 in range.
+_MAX_ORBIT_RADIUS_M = 1e9
 
 
 class StaleEphemerisError(ValueError):
@@ -51,8 +53,14 @@ class EphemerisRecord:
     def __post_init__(self) -> None:
         if not 1 <= self.sat_id <= 32:
             raise ValueError("sat_id out of range")
+        values = (self.inclination, self.raan, self.phase_at_epoch, self.epoch,
+                  self.orbit_radius, self.validity)
+        if not all(map(math.isfinite, values)):
+            raise ValueError("orbit values must be finite")
         if self.orbit_radius <= EARTH_RADIUS_M:
             raise ValueError("orbit radius must clear the Earth's surface")
+        if self.orbit_radius > _MAX_ORBIT_RADIUS_M:
+            raise ValueError(f"orbit radius must not exceed {_MAX_ORBIT_RADIUS_M:g} m")
         if self.validity <= 0:
             raise ValueError("validity must be positive")
 
@@ -204,17 +212,6 @@ class Orbits:
         return _stale_error(self.sat_id[i], t - self.epoch[i], self.validity[i])
 
 
-def geometric_range(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(a, float) - np.asarray(b, float)))
-
-
-def propagation_delay(range_m: float) -> float:
-    """One-way light time for a geometric range."""
-    if range_m < 0:
-        raise ValueError("range must be non-negative")
-    return range_m / SPEED_OF_LIGHT_M_S
-
-
 def carrier_doppler(
     sat: SatState, user_pos: np.ndarray, user_vel: np.ndarray | None = None
 ) -> float:
@@ -289,25 +286,20 @@ def unpack_ephemeris(sat_id: int, payloads: tuple[bytes, bytes, bytes]) -> Ephem
 # Elevation slots (degrees) cycled over the constellation. All are well
 # above typical masks so satellites stay visible for the length of a run.
 _SLOT_ELEVATIONS_DEG = (70.0, 45.0, 30.0, 55.0, 35.0, 60.0, 25.0, 50.0)
+_INCLINATION = math.radians(55.0)
 
 
 def default_constellation(
-    user_pos: np.ndarray,
-    t0: float,
-    n_sats: int = 8,
-    *,
-    orbit_radius: float = GPS_ORBIT_RADIUS_M,
-    inclination: float = math.radians(55.0),
-    min_elevation: float = math.radians(15.0),
-    validity: float = DEFAULT_VALIDITY_S,
+    user_pos: np.ndarray, t0: float, n_sats: int = 8
 ) -> list[EphemerisRecord]:
     """Deterministic constellation visible from user_pos at epoch t0.
 
     Satellites are assigned azimuth/elevation slots spread around the local
-    sky; each orbit plane is then solved so the satellite sits exactly on
-    its slot at t0. Slots near the pole raise the plane inclination just
-    enough to reach them. Alternate satellites fly the descending branch so
-    velocity directions vary across the sky.
+    sky; each orbit plane (GPS radius, 55 degrees inclination, default
+    validity) is then solved so the satellite sits exactly on its slot at
+    t0. Slots near the pole raise the plane inclination just enough to
+    reach them. Alternate satellites fly the descending branch so velocity
+    directions vary across the sky.
     """
     if not 1 <= n_sats <= 32:
         raise ValueError("n_sats out of range")
@@ -323,18 +315,17 @@ def default_constellation(
     for k in range(n_sats):
         az = 2 * math.pi * k / n_sats + 0.2
         el = math.radians(_SLOT_ELEVATIONS_DEG[k % len(_SLOT_ELEVATIONS_DEG)])
-        el = max(el, min_elevation + math.radians(5.0))
         los = (
             math.cos(el) * (math.sin(az) * east + math.cos(az) * north)
             + math.sin(el) * up
         )
         # Distance along the line of sight to the orbit sphere.
         b = float(user @ los)
-        d = -b + math.sqrt(b * b + orbit_radius**2 - float(user @ user))
-        point = (user + d * los) / orbit_radius
+        d = -b + math.sqrt(b * b + GPS_ORBIT_RADIUS_M**2 - float(user @ user))
+        point = (user + d * los) / GPS_ORBIT_RADIUS_M
         lat = math.asin(max(-1.0, min(1.0, point[2])))
         lon = math.atan2(point[1], point[0])
-        inc = max(inclination, min(abs(lat) + 0.03, math.pi / 2))
+        inc = max(_INCLINATION, min(abs(lat) + 0.03, math.pi / 2))
         # Argument of latitude whose orbit position has that latitude.
         u_arg = math.asin(max(-1.0, min(1.0, math.sin(lat) / math.sin(inc))))
         if k % 2:
@@ -347,8 +338,6 @@ def default_constellation(
                 lon - node_offset,
                 phase_at_epoch=u_arg,
                 epoch=t0,
-                orbit_radius=orbit_radius,
-                validity=validity,
             )
         )
     return sats

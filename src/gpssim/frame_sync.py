@@ -27,6 +27,7 @@ estimate stays within half a bit as long as
 """
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -40,10 +41,11 @@ from .constants import (
     SUBFRAME_WORDS,
     TIC_S,
     TOW_COUNT,
+    WEEK_S,
     WORD_BITS,
 )
 from .nav_message import BitstreamCursor
-from .rx_clock import ClockBackwardsError, Rco, ReceiverClockState
+from .rx_clock import ClockBackwardsError, Rco
 
 _MS_PER_BIT = 20.0
 _MS_PER_WORD = 600.0
@@ -97,6 +99,12 @@ class PersistedSnapshot:
             raise ValueError("rtc_count must be non-negative")
         if not 0 <= self.code_phase_chips < CODE_LENGTH_CHIPS:
             raise ValueError("code_phase_chips out of range")
+        if not math.isfinite(self.carrier_doppler_hz):
+            raise ValueError("carrier_doppler_hz must be finite")
+        # The offset's second is receiver minus GPS second-of-week, not
+        # normalized: within a week of zero, plus the session's length.
+        if not abs(self.rco.second) <= 2 * WEEK_S:
+            raise ValueError("rco.second must be finite and within two weeks")
 
 
 @dataclass(frozen=True)
@@ -112,19 +120,16 @@ class EstimatedFrameState:
 
 def take_snapshot(
     cursor: BitstreamCursor,
-    clock: ReceiverClockState,
     tracking: TrackingStatus,
     rco: Rco | None,
     ephemeris_ids: tuple[tuple[int, float], ...] = (),
     *,
-    rtc_count: int | None = None,
+    rtc_count: int,
 ) -> PersistedSnapshot:
     """Capture the state needed to predict frame sync after a power-off.
 
-    The stored RTC count must be the one latched at the edge of the bit the
-    cursor points at; pass rtc_count when the caller has that latch, else
-    the clock's current count is used and the pairing is only as coherent
-    as the caller's timing.
+    rtc_count is the RTC count latched at the edge of the bit the cursor
+    points at, so the stored counter pair is coherent.
     """
     if not tracking.bit_locked:
         raise SnapshotUnavailableError("channel is not bit locked")
@@ -134,7 +139,7 @@ def take_snapshot(
         cursor.word_index,
         cursor.bit_index,
         cursor.tow_current,
-        clock.rtc_count if rtc_count is None else rtc_count,
+        rtc_count,
         tracking.carrier_doppler_hz,
         tracking.code_phase_chips,
         rco,
@@ -219,10 +224,11 @@ def tick_frame_state(
 
 def drift_budget(rtc_ppm: float, bit_margin_ms: float = 10.0) -> float:
     """Longest sleep (ms) that keeps RTC drift within the bit margin."""
-    if rtc_ppm < 0:
+    # Written so that NaN fails too.
+    if not rtc_ppm >= 0:
         raise ValueError("rtc_ppm must be non-negative")
-    if bit_margin_ms <= 0:
-        raise ValueError("bit_margin_ms must be positive")
+    if not 0 < bit_margin_ms < math.inf:
+        raise ValueError("bit_margin_ms must be positive and finite")
     if rtc_ppm == 0:
         return float("inf")
     return bit_margin_ms * 1e6 / rtc_ppm
@@ -233,38 +239,13 @@ def code_doppler_from_carrier(carrier_doppler_hz: float) -> float:
     return carrier_doppler_hz * CODE_DOPPLER_RATIO
 
 
-def compensate_code_phase(
-    snapshot: PersistedSnapshot, current_carrier_doppler_hz: float, elapsed_s: float
-) -> float:
-    """Doppler-induced code-phase drift in chips over a sleep interval.
-
-    Uses the mean of the stored and current carrier Doppler, scaled to code
-    rate; the result is wrapped into one code period and is signed via the
-    wrap (a negative drift comes back near 1023).
-    """
-    if elapsed_s < 0:
-        raise ValueError("elapsed_s must be non-negative")
-    mean_doppler = 0.5 * (snapshot.carrier_doppler_hz + current_carrier_doppler_hz)
-    return code_doppler_from_carrier(mean_doppler) * elapsed_s % CODE_LENGTH_CHIPS
-
-
-def predict_code_phase(
-    snapshot: PersistedSnapshot, current_carrier_doppler_hz: float, elapsed_s: float
-) -> float:
-    """Predicted code phase (chips) after sleeping elapsed_s seconds."""
-    from .constants import CHIP_RATE_HZ
-
-    drift = compensate_code_phase(snapshot, current_carrier_doppler_hz, elapsed_s)
-    return (snapshot.code_phase_chips + elapsed_s * CHIP_RATE_HZ + drift) % CODE_LENGTH_CHIPS
-
-
 # --- snapshot persistence ---------------------------------------------------
 # Binary layout (big-endian), fields in declaration order:
 #   magic 'FSNP' | version u16 | word u8 | bit u8 | tow u32 | rtc u64
 #   | carrier_doppler f64 | code_phase f64 | rco_week i32 | rco_second f64
 #   | n_ephemeris u16 | n * (sat_id u16, epoch f64) | crc32 u32
-# The CRC covers every byte before it. A text sidecar (same path + '.txt')
-# mirrors the fields for eyeballing.
+# The CRC covers every byte before it. dump_snapshot_text renders the
+# fields as text for eyeballing (the CLI's snapshot-dump).
 
 _SNAPSHOT_MAGIC = b"FSNP"
 _SNAPSHOT_VERSION = 1
@@ -290,7 +271,7 @@ def dump_snapshot_text(snapshot: PersistedSnapshot) -> str:
 
 
 def save_snapshot(snapshot: PersistedSnapshot, path) -> None:
-    """Write the checksummed binary record plus its text sidecar."""
+    """Write the checksummed binary record."""
     blob = _HEAD.pack(_SNAPSHOT_MAGIC, _SNAPSHOT_VERSION)
     blob += _BODY.pack(
         snapshot.word_index,
@@ -306,9 +287,7 @@ def save_snapshot(snapshot: PersistedSnapshot, path) -> None:
     for sat_id, epoch in snapshot.ephemeris_ids:
         blob += _EPH.pack(sat_id, epoch)
     blob += _CRC.pack(zlib.crc32(blob))
-    path = Path(path)
-    path.write_bytes(blob)
-    path.with_name(path.name + ".txt").write_text(dump_snapshot_text(snapshot))
+    Path(path).write_bytes(blob)
 
 
 def load_snapshot(path) -> PersistedSnapshot:

@@ -36,6 +36,7 @@ from .constants import (
     SUBFRAME_BITS,
     SUBFRAME_WORDS,
     TOW_COUNT,
+    WEEK_COUNT,
     WORD_BITS,
     WORD_DATA_BITS,
 )
@@ -210,7 +211,7 @@ class Subframe:
             raise DecodeError(f"subframe_id out of range: {self.subframe_id}")
         if not 0 <= self.tow < TOW_COUNT:
             raise DecodeError(f"tow out of range: {self.tow}")
-        if not 0 <= self.week_number < (1 << 13):
+        if not 0 <= self.week_number < WEEK_COUNT:
             raise DecodeError(f"week_number out of range: {self.week_number}")
         if len(self.payload) > PAYLOAD_BYTES:
             raise DecodeError("payload longer than 20 bytes")
@@ -288,17 +289,6 @@ def decode_subframe(
     return Subframe(sat_id, subframe_id, tow, week_number, pay, tuple(words))
 
 
-def extract_handover(sf: Subframe) -> tuple[int, int]:
-    """(tow, week_number) from a subframe, re-verifying words 2 and 3."""
-    if len(sf.words) >= 3:
-        d29, d30 = (sf.words[0] >> 1) & 1, sf.words[0] & 1
-        data2 = check_word(sf.words[1], d29, d30)
-        check_word(sf.words[2], (sf.words[1] >> 1) & 1, sf.words[1] & 1)
-        if data2 >> 7 != sf.tow:
-            raise DecodeError("handover word disagrees with decoded tow")
-    return sf.tow, sf.week_number
-
-
 @dataclass
 class BitstreamCursor:
     """Receiver-side position in the message stream.
@@ -316,16 +306,6 @@ class BitstreamCursor:
             raise ValueError("word_index out of range")
         if not 0 <= self.bit_index < WORD_BITS:
             raise ValueError("bit_index out of range")
-
-    def advance_bits(self, n: int) -> None:
-        """Move forward n bits, carrying through words, subframes, the week."""
-        if n < 0:
-            raise ValueError("cannot advance backwards")
-        pos = (self.word_index - 1) * WORD_BITS + self.bit_index + n
-        self.tow_current = (self.tow_current + pos // SUBFRAME_BITS) % TOW_COUNT
-        pos %= SUBFRAME_BITS
-        self.word_index = pos // WORD_BITS + 1
-        self.bit_index = pos % WORD_BITS
 
 
 @dataclass(frozen=True)
@@ -345,21 +325,21 @@ def _parity_array(data24: np.ndarray, d29: np.ndarray, d30: np.ndarray) -> np.nd
     )
 
 
-def _valid_boundaries(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets (ascending) and polarities of every validated boundary.
+def find_subframe_boundaries(bits: np.ndarray) -> list[PreambleHit]:
+    """All validated subframe boundaries in the stream, by offset.
 
-    A candidate carries the preamble pattern in either polarity and leaves
-    room for words 1 and 2. Both words must pass parity, chained from the
-    two bits before the candidate (taken as (0, 0) at offsets 0 and 1).
-    Word 1 needs zero TLM reserved bits and a sat_id in 1..32, word 2 a
-    plausible TOW and a subframe id in 1..5. A flipped candidate is read
-    with every bit inverted, carry bits included.
+    Every candidate is validated in one array pass. A candidate carries
+    the preamble pattern in either polarity and leaves room for words 1
+    and 2. Both words must pass parity, chained from the two bits before
+    the candidate (taken as (0, 0) at offsets 0 and 1). Word 1 needs zero
+    TLM reserved bits and a sat_id in 1..32, word 2 a plausible TOW and a
+    subframe id in 1..5. A flipped candidate is read with every bit
+    inverted, carry bits included.
     """
     bits = np.asarray(bits, dtype=np.uint8)
     n_offs = len(bits) - 2 * WORD_BITS + 1
     if n_offs <= 0:
-        empty = np.empty(0, dtype=np.intp)
-        return empty, np.empty(0, dtype=bool)
+        return []
     head = bits[:n_offs].copy()
     for k in range(1, PREAMBLE_BITS):
         head = (head << 1) | bits[k : k + n_offs]
@@ -384,26 +364,8 @@ def _valid_boundaries(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     subframe_id = (d2 >> 2) & 0x7
     ok &= (sat_id >= 1) & (sat_id <= 32)
     ok &= (d2 >> 7 < TOW_COUNT) & (subframe_id >= 1) & (subframe_id <= 5)
-    return offs[ok], inverted[ok]
-
-
-def scan_for_preamble(bits: np.ndarray) -> PreambleHit | None:
-    """First validated subframe boundary in the stream, or None.
-
-    A candidate must carry the preamble pattern (either polarity), pass
-    parity on words 1 and 2, have zero TLM reserved bits, a sat_id in 1..32,
-    a plausible TOW and a subframe id in 1..5.
-    """
-    offs, inverted = _valid_boundaries(bits)
-    if not len(offs):
-        return None
-    return PreambleHit(int(offs[0]), bool(inverted[0]))
-
-
-def find_subframe_boundaries(bits: np.ndarray) -> list[PreambleHit]:
-    """All validated subframe boundaries in the stream, by offset."""
-    offs, inverted = _valid_boundaries(bits)
-    return [PreambleHit(o, inv) for o, inv in zip(offs.tolist(), inverted.tolist())]
+    offs, inverted = offs[ok].tolist(), inverted[ok].tolist()
+    return [PreambleHit(o, inv) for o, inv in zip(offs, inverted)]
 
 
 # --- packed bitstream files ----------------------------------------------

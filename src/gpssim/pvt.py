@@ -18,6 +18,11 @@ import numpy as np
 from .rx_clock import GpsTime
 
 
+# Largest design-matrix condition number a solve accepts; the scenario
+# harness rejects geometry past the same cap up front.
+CONDITION_CAP = 1e8
+
+
 class InsufficientSatellitesError(ValueError):
     """Fewer measurements than unknowns."""
 
@@ -101,7 +106,7 @@ def solve(
     *,
     tol_m: float = 1e-4,
     max_iterations: int = 20,
-    condition_cap: float = 1e8,
+    condition_cap: float = CONDITION_CAP,
 ) -> PvtSolution:
     """Gauss-Newton position/bias solution from pseudoranges.
 

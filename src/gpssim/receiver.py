@@ -60,14 +60,6 @@ class LockState:
             raise ProtocolError("lock event timestamps must not decrease")
         return replace(self, stage=dst, history=self.history + (event,))
 
-    def time_of(self, stage: LockStage) -> float:
-        """Receiver time at which a stage was entered."""
-        order = list(LockStage)
-        idx = order.index(stage)
-        if idx == 0 or order.index(self.stage) < idx:
-            raise ValueError(f"stage {stage.value} not reached")
-        return self.history[idx - 1].t_rx_s
-
 
 def hotstart_frame_lock_delay(word_index: int, bit_index: int) -> float:
     """Seconds from bit lock to frame lock without a stored prediction.

@@ -30,8 +30,9 @@ from .constants import (
     WEEK_S,
 )
 
-# Slop applied before flooring accumulated counters, to keep exact-boundary
-# accumulations (e.g. ten 0.1 s steps) from losing a count to float error.
+# Slop applied before flooring the accumulated RTC count, to keep an
+# exact-boundary accumulation (e.g. six 1/6 s steps) from losing a count
+# to float error.
 _FLOOR_EPS = 1e-9
 
 
@@ -79,9 +80,6 @@ class Rco:
     week: int
     second: float
 
-    def total_seconds(self) -> float:
-        return self.week * WEEK_S + self.second
-
 
 @dataclass
 class ReceiverClockState:
@@ -92,7 +90,6 @@ class ReceiverClockState:
     rtc_ppm_error: float = 0.0
     clock_bias_s: float = 0.0
     elapsed_rx_s: float = field(default=0.0, init=False)
-    elapsed_true_s: float = field(default=0.0, init=False)
     _rtc_accum: float = field(default=0.0, init=False)
 
     def advance(self, dt_true_s: float) -> None:
@@ -101,12 +98,7 @@ class ReceiverClockState:
             raise ClockBackwardsError("negative time step")
         scale = 1.0 + self.rtc_ppm_error * 1e-6
         self.elapsed_rx_s += dt_true_s * scale
-        self.elapsed_true_s += dt_true_s
         self._rtc_accum += self.rtc_nominal_hz * scale * dt_true_s
-
-    @property
-    def tic_count(self) -> int:
-        return math.floor(self.elapsed_rx_s / TIC_S + _FLOOR_EPS)
 
     @property
     def tic_value(self) -> float:

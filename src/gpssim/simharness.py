@@ -38,10 +38,12 @@ from . import receiver as rcv
 from .constants import (
     BIT_S,
     DEFAULT_PROPAGATION_DELAY_S,
+    EARTH_RADIUS_M,
     SPEED_OF_LIGHT_M_S,
     SUBFRAME_S,
     TIC_S,
     TOW_COUNT,
+    WEEK_COUNT,
     WEEK_S,
     WORD_S,
 )
@@ -70,18 +72,31 @@ ARM_HOTSTART = "hotstart"
 # Default truth site: mid-latitude, 1.6 km altitude.
 _DEFAULT_USER = (-1266643.136, -4727176.539, 4079014.032)
 
-# Upper bounds far past any real receiver. Beyond them a run leaves the
-# ephemeris validity window (RTC error, lock latencies) or draws
-# pseudoranges that are no longer finite or positive (noise).
+# Magnitude bounds far past any real receiver. Beyond them a run leaves the
+# ephemeris validity window (RTC error, latencies, session one's 1 Hz
+# fixes), draws pseudoranges that are no longer finite or positive (noise),
+# or overflows a snapshot field (the RTC rate its 64-bit count, the clock
+# bias its 32-bit offset week).
 _UPPER_BOUNDS = {
     "rtc_ppm": 1000.0,
+    "clock_bias_s": 60.0,
+    "rtc_nominal_hz": 1e9,
     "code_s": 60.0,
     "carrier_s": 60.0,
     "bit_s": 60.0,
+    "estimator_epsilon_s": 60.0,
+    "session1_extra_s": cst.DEFAULT_VALIDITY_S,
     "noise_sigma_m": 1000.0,
 }
 # Each wake queues all of its sample events up front.
 _MAX_SAMPLES_PER_WAKE = 100_000
+_NON_NEGATIVE = (
+    "seed", "code_s", "carrier_s", "bit_s", "rtc_ppm", "off_duration_s",
+    "noise_sigma_m", "session1_extra_s", "estimator_epsilon_s",
+)
+# Ground and air users: near the Earth, well inside the satellite orbits.
+_USER_RADIUS_M = (0.5 * EARTH_RADIUS_M, 2.0 * EARTH_RADIUS_M)
+_MAX_SPEED_M_S = 1000.0
 
 
 @dataclass(frozen=True)
@@ -109,7 +124,6 @@ class ScenarioConfig:
     estimator_epsilon_s: float = 0.0
     snapshot_path: str | None = None
     min_elevation_deg: float = 5.0
-    condition_cap: float = 1e8
     estimation_mode: fs.EstimationMode = fs.EstimationMode.EXACT
 
     def validate(self) -> None:
@@ -120,24 +134,16 @@ class ScenarioConfig:
             if isinstance(value, float) and not math.isfinite(value):
                 raise ScenarioError(f"{name} must be finite")
         for name, bound in _UPPER_BOUNDS.items():
-            if getattr(self, name) > bound:
-                raise ScenarioError(f"{name} must not exceed {bound:g}")
+            if abs(getattr(self, name)) > bound:
+                raise ScenarioError(f"|{name}| must not exceed {bound:g}")
         if self.arms not in (ARM_ESTIMATOR, ARM_HOTSTART, "both"):
             raise ScenarioError(f"unknown arms selection {self.arms!r}")
-        if self.off_duration_s < 0:
-            raise ScenarioError("off_duration_s must be non-negative")
-        if self.noise_sigma_m < 0:
-            raise ScenarioError("noise_sigma_m must be non-negative")
-        if self.sample_period_s <= 0:
-            raise ScenarioError("sample_period_s must be positive")
-        if min(self.code_s, self.carrier_s, self.bit_s) < 0:
-            raise ScenarioError("lock latencies must be non-negative")
-        if self.rtc_nominal_hz <= 0:
-            raise ScenarioError("rtc_nominal_hz must be positive")
-        if self.rtc_ppm < 0:
-            raise ScenarioError("rtc_ppm must be non-negative")
-        if self.bit_margin_ms <= 0:
-            raise ScenarioError("bit_margin_ms must be positive")
+        for name in _NON_NEGATIVE:
+            if getattr(self, name) < 0:
+                raise ScenarioError(f"{name} must be non-negative")
+        for name in ("sample_period_s", "rtc_nominal_hz", "bit_margin_ms"):
+            if getattr(self, name) <= 0:
+                raise ScenarioError(f"{name} must be positive")
         if self.wake_run_s < self.sample_period_s:
             raise ScenarioError("wake_run_s shorter than one sample period")
         if self.wake_run_s / self.sample_period_s > _MAX_SAMPLES_PER_WAKE:
@@ -145,16 +151,23 @@ class ScenarioConfig:
                 "wake_run_s / sample_period_s must not exceed "
                 f"{_MAX_SAMPLES_PER_WAKE:,} samples per wake"
             )
+        if not 0 <= self.start_week < WEEK_COUNT:
+            raise ScenarioError(f"start_week must be in 0..{WEEK_COUNT - 1}")
         if not 0 <= self.start_tow_s < WEEK_S:
             raise ScenarioError("start_tow_s must lie within one week")
+        low, high = _USER_RADIUS_M
+        if not low <= math.hypot(*self.user_pos_ecef) <= high:
+            raise ScenarioError(
+                "user_pos_ecef must lie 0.5 to 2 Earth radii from the Earth's centre"
+            )
+        if math.hypot(*self.user_vel_ecef) > _MAX_SPEED_M_S:
+            raise ScenarioError(f"user_vel_ecef must not exceed {_MAX_SPEED_M_S:g} m/s")
         if self.satellites is None and not 4 <= self.n_sats <= 32:
             raise ScenarioError("n_sats must be in 4..32")
         if self.satellites is not None and len(
             {e.sat_id for e in self.satellites}
         ) != len(self.satellites):
             raise ScenarioError("satellites repeat a sat_id")
-        if self.estimator_epsilon_s < 0:
-            raise ScenarioError("estimator_epsilon_s must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -348,7 +361,7 @@ class _Engine:
                 f"only {len(up)} satellites visible at t={t_rel:.0f} s"
             )
         jac = pvt.design_matrix(user, up)
-        if np.linalg.cond(jac) > self.config.condition_cap:
+        if np.linalg.cond(jac) > pvt.CONDITION_CAP:
             raise ScenarioError("degenerate satellite geometry")
 
     # --- time bookkeeping ---------------------------------------------------
@@ -518,9 +531,7 @@ class _Engine:
         guess = np.zeros(4)
         if st.last_known is not None:
             guess[:3] = st.last_known
-        sol = pvt.solve(
-            meas, sat_pos, guess, condition_cap=self.config.condition_cap
-        )
+        sol = pvt.solve(meas, sat_pos, guess)
         st.last_known = sol.position
 
         d = rx_orbits.positions(self.t0_abs + believed_tx) - sol.position
@@ -640,6 +651,13 @@ class _Engine:
         """Generate, encode, decode and ingest the subframe whose end the
         channel receives now; s is its true transmit time now."""
         k = int(round((self.config.start_tow_s + s) / SUBFRAME_S)) - 1
+        # The TOW count wraps at the week end; count the wraps as weeks.
+        week = self.config.start_week + (k + 1) // TOW_COUNT
+        if week >= WEEK_COUNT:
+            raise ScenarioError(
+                f"start_week {self.config.start_week}: session one reaches week "
+                f"{week}, past the 13-bit week number"
+            )
         sfid = k % 5 + 1
         payload = b""
         if sfid <= cst.EPHEMERIS_SUBFRAMES:
@@ -648,8 +666,7 @@ class _Engine:
             ch.sat_id,
             sfid,
             (k + 1) % TOW_COUNT,
-            # The TOW count wraps at the week end; count the wraps as weeks.
-            self.config.start_week + (k + 1) // TOW_COUNT,
+            week,
             payload,
         )
         decoded = nav.decode_subframe(nav.subframe_bits(sf))
@@ -686,9 +703,7 @@ class _Engine:
             for _, c in sorted(st.channels.items())
             if c.eph_rx is not None
         )
-        snapshot = fs.take_snapshot(
-            cursor, st.clock, tracking, st.rco, eph_ids, rtc_count=rtc_edge
-        )
+        snapshot = fs.take_snapshot(cursor, tracking, st.rco, eph_ids, rtc_count=rtc_edge)
         if self.config.snapshot_path:
             fs.save_snapshot(snapshot, self.config.snapshot_path)
         return snapshot
@@ -816,6 +831,9 @@ class _Engine:
         """Run the acceptance gate and, if it passes, label every channel."""
         cfg = self.config
         rtc_now = st.clock.rtc_count
+        # A stored count ahead of the RTC cannot come from this sleep.
+        if rtc_now < snap.rtc_count:
+            return False, 0
         elapsed_ms = fs.elapsed_ms_from_rtc(rtc_now, snap.rtc_count, cfg.rtc_nominal_hz)
         budget = fs.drift_budget(cfg.rtc_ppm, cfg.bit_margin_ms)
         if elapsed_ms > budget:
@@ -922,7 +940,7 @@ _SCALAR_KEYS = {
 def parse_scenario(text: str) -> ScenarioConfig:
     """Parse the scenario text format into a validated ScenarioConfig."""
     fields: dict[str, object] = {}
-    sats: list[tuple[float, ...]] = []
+    sats: list[tuple[int, list[float]]] = []
     section = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -950,7 +968,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
                 parts = [float(v) for v in value.split()]
                 if not 4 <= len(parts) <= 6:
                     raise ValueError("expected: id incl raan phase [radius [validity]]")
-                sats.append(tuple(parts))
+                sats.append((lineno, parts))
             elif (section, key) in _SCALAR_KEYS:
                 name, conv = _SCALAR_KEYS[(section, key)]
                 fields[name] = conv(value)
@@ -963,20 +981,26 @@ def parse_scenario(text: str) -> ScenarioConfig:
 
     config = ScenarioConfig(**fields)  # type: ignore[arg-type]
     if sats:
+        # The records' epoch is the start time, so check that first.
+        replace(config, satellites=()).validate()
         t0 = GpsTime(config.start_week, config.start_tow_s).total_seconds()
-        records = tuple(
-            cst.EphemerisRecord(
-                int(p[0]),
-                math.radians(p[1]),
-                math.radians(p[2]),
-                phase_at_epoch=math.radians(p[3]),
-                epoch=t0,
-                orbit_radius=p[4] if len(p) > 4 else cst.GPS_ORBIT_RADIUS_M,
-                validity=p[5] if len(p) > 5 else cst.DEFAULT_VALIDITY_S,
-            )
-            for p in sats
-        )
-        config = replace(config, satellites=records)
+        records = []
+        for lineno, p in sats:
+            try:
+                records.append(
+                    cst.EphemerisRecord(
+                        int(p[0]),
+                        math.radians(p[1]),
+                        math.radians(p[2]),
+                        phase_at_epoch=math.radians(p[3]),
+                        epoch=t0,
+                        orbit_radius=p[4] if len(p) > 4 else cst.GPS_ORBIT_RADIUS_M,
+                        validity=p[5] if len(p) > 5 else cst.DEFAULT_VALIDITY_S,
+                    )
+                )
+            except (ValueError, OverflowError) as exc:
+                raise ScenarioError(f"line {lineno}: sat: {exc}") from exc
+        config = replace(config, satellites=tuple(records))
     config.validate()
     return config
 

@@ -199,10 +199,16 @@ class TestOrbits:
 @given(eph=_ephemerides, frac=st.floats(-1.0, 1.0))
 @settings(max_examples=200, deadline=None)
 def test_position_equals_propagate(eph, frac):
+    # epoch + validity can round past the window edge; then both must raise.
     t = eph.epoch + frac * eph.validity
-    assert np.array(con.position(eph, t)).tobytes() == (
-        con.propagate(eph, t).position.tobytes()
-    )
+    try:
+        want = con.propagate(eph, t).position.tobytes()
+    except con.StaleEphemerisError as exc:
+        with pytest.raises(con.StaleEphemerisError) as got:
+            con.position(eph, t)
+        assert str(got.value) == str(exc)
+        return
+    assert np.array(con.position(eph, t)).tobytes() == want
 
 
 def test_position_raises_like_propagate():
@@ -223,18 +229,7 @@ def test_record_validation():
         _eph(validity=0.0)
 
 
-# --- ranges, delays, doppler ---------------------------------------------------
-
-
-def test_geometric_range_three_four_five():
-    assert con.geometric_range([3e6, 0, 0], [0, 4e6, 0]) == pytest.approx(5e6)
-
-
-def test_propagation_delay_worked_value():
-    assert con.propagation_delay(22_484_434.35) == pytest.approx(0.075, abs=1e-15)
-    assert con.propagation_delay(0.0) == 0.0
-    with pytest.raises(ValueError):
-        con.propagation_delay(-1.0)
+# --- doppler -------------------------------------------------------------------
 
 
 def test_doppler_sign_and_worked_value():

@@ -16,15 +16,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpssim import frame_sync as fs
-from gpssim.constants import (
-    CHIP_RATE_HZ,
-    CODE_DOPPLER_RATIO,
-    SUBFRAME_S,
-    TIC_S,
-    TOW_COUNT,
-)
+from gpssim.constants import SUBFRAME_S, TIC_S, TOW_COUNT
 from gpssim.nav_message import BitstreamCursor
-from gpssim.rx_clock import ClockBackwardsError, GpsTime, Rco, ReceiverClockState
+from gpssim.rx_clock import ClockBackwardsError, Rco
+
+
+def _resealed(blob: bytes, offset: int, fmt: str, value) -> bytes:
+    """Snapshot bytes with one field overwritten and the CRC recomputed."""
+    body = bytearray(blob[:-4])
+    struct.pack_into(fmt, body, offset, value)
+    return bytes(body) + struct.pack(">I", zlib.crc32(body))
 
 
 def _snapshot(word=6, bit=19, tow=2679, rtc=17362, doppler=0.0, phase=0.0, **kw):
@@ -138,60 +139,13 @@ def test_drift_budget_validation():
         fs.drift_budget(10.0, 0.0)
 
 
-# --- code phase ------------------------------------------------------------------
+# --- code Doppler ----------------------------------------------------------------
 
 
 def test_code_doppler_scaling():
     assert fs.code_doppler_from_carrier(10_000.0) == pytest.approx(6.4935064935)
     assert fs.code_doppler_from_carrier(0.0) == 0.0
     assert fs.code_doppler_from_carrier(-10_000.0) == pytest.approx(-6.4935064935)
-
-
-def test_compensation_is_zero_without_doppler():
-    assert fs.compensate_code_phase(_snapshot(doppler=0.0), 0.0, 100.0) == 0.0
-
-
-def test_compensation_worked_value():
-    drift = fs.compensate_code_phase(_snapshot(doppler=10_000.0), 10_000.0, 100.0)
-    assert drift == pytest.approx(649.35064935)
-
-
-def test_compensation_uses_mean_doppler_and_wraps():
-    drift = fs.compensate_code_phase(_snapshot(doppler=10_000.0), 0.0, 100.0)
-    assert drift == pytest.approx(649.35064935 / 2)
-    negative = fs.compensate_code_phase(_snapshot(doppler=-10_000.0), -10_000.0, 100.0)
-    assert negative == pytest.approx(1023.0 - 649.35064935)
-    with pytest.raises(ValueError):
-        fs.compensate_code_phase(_snapshot(), 0.0, -1.0)
-
-
-def test_predicted_phase_tracks_constant_doppler_truth():
-    """Generator truth: with constant Doppler the received code phase
-    advances at the chip rate plus the code-rate Doppler. The prediction
-    must stay within half a chip out to the full drift budget."""
-    f_d = 4000.0
-    phase0 = 123.25
-    snap = _snapshot(doppler=f_d, phase=phase0)
-    for elapsed in (0.0, 1.0, 60.0, 500.0, 1000.0):
-        truth = (phase0 + (CHIP_RATE_HZ + f_d * CODE_DOPPLER_RATIO) * elapsed) % 1023
-        got = fs.predict_code_phase(snap, f_d, elapsed)
-        miss = abs(got - truth)
-        assert min(miss, 1023 - miss) < 0.5
-
-
-def test_predicted_phase_tracks_linear_doppler_ramp():
-    # With a linear ramp the trapezoid mean is exact, so the only error is
-    # floating point.
-    f0, rate, phase0 = 2000.0, -1.5, 800.0
-    snap = _snapshot(doppler=f0, phase=phase0)
-    t = 200.0
-    f_now = f0 + rate * t
-    truth = (
-        phase0 + CHIP_RATE_HZ * t + CODE_DOPPLER_RATIO * (f0 * t + 0.5 * rate * t * t)
-    ) % 1023
-    got = fs.predict_code_phase(snap, f_now, t)
-    miss = abs(got - truth)
-    assert min(miss, 1023 - miss) < 1e-6
 
 
 # --- snapshot capture ------------------------------------------------------------
@@ -203,9 +157,7 @@ def _tracking(bit_locked=True, have_fix=True, doppler=-1234.5, phase=511.0):
 
 def test_snapshot_copies_live_counters():
     cursor = BitstreamCursor(6, 19, 2679)
-    clock = ReceiverClockState(GpsTime(100, 0.0))
-    clock.advance(17362 / 32000.0)
-    snap = fs.take_snapshot(cursor, clock, _tracking(), Rco(0, 0.001))
+    snap = fs.take_snapshot(cursor, _tracking(), Rco(0, 0.001), rtc_count=17362)
     assert (snap.word_index, snap.bit_index, snap.tow) == (6, 19, 2679)
     assert snap.rtc_count == 17362
     assert snap.rco == Rco(0, 0.001)
@@ -213,22 +165,22 @@ def test_snapshot_copies_live_counters():
 
 
 def test_snapshot_honours_explicit_rtc_latch():
+    """The latched count is required: no live counter stands in for it."""
     cursor = BitstreamCursor(1, 0, 7)
-    clock = ReceiverClockState(GpsTime(0, 0.0))
-    clock.advance(2.0)
-    snap = fs.take_snapshot(cursor, clock, _tracking(), Rco(0, 0.0), rtc_count=63999)
+    snap = fs.take_snapshot(cursor, _tracking(), Rco(0, 0.0), rtc_count=63999)
     assert snap.rtc_count == 63999
+    with pytest.raises(TypeError):
+        fs.take_snapshot(cursor, _tracking(), Rco(0, 0.0))
 
 
 def test_snapshot_requires_bit_lock_and_fix():
     cursor = BitstreamCursor(1, 0, 0)
-    clock = ReceiverClockState(GpsTime(0, 0.0))
     with pytest.raises(fs.SnapshotUnavailableError):
-        fs.take_snapshot(cursor, clock, _tracking(bit_locked=False), Rco(0, 0.0))
+        fs.take_snapshot(cursor, _tracking(bit_locked=False), Rco(0, 0.0), rtc_count=0)
     with pytest.raises(fs.SnapshotUnavailableError):
-        fs.take_snapshot(cursor, clock, _tracking(have_fix=False), Rco(0, 0.0))
+        fs.take_snapshot(cursor, _tracking(have_fix=False), Rco(0, 0.0), rtc_count=0)
     with pytest.raises(fs.SnapshotUnavailableError):
-        fs.take_snapshot(cursor, clock, _tracking(), None)
+        fs.take_snapshot(cursor, _tracking(), None, rtc_count=0)
 
 
 def test_snapshot_field_validation():
@@ -242,6 +194,11 @@ def test_snapshot_field_validation():
         _snapshot(rtc=-1)
     with pytest.raises(ValueError):
         _snapshot(phase=1023.0)
+    with pytest.raises(ValueError, match="carrier_doppler_hz"):
+        _snapshot(doppler=float("nan"))
+    for second in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="rco.second"):
+            fs.PersistedSnapshot(6, 19, 2679, 17362, 0.0, 0.0, Rco(0, second))
 
 
 # --- persistence -----------------------------------------------------------------
@@ -261,13 +218,15 @@ def test_save_load_round_trip(tmp_path):
     assert path.read_bytes() == blob
 
 
-def test_save_writes_text_sidecar(tmp_path):
+def test_save_writes_no_sidecar(tmp_path):
+    """Saving writes the binary record only; the text form is rendered on
+    demand (the CLI's snapshot-dump)."""
     snap = _snapshot()
     fs.save_snapshot(snap, tmp_path / "state.fsnp")
-    sidecar = (tmp_path / "state.fsnp.txt").read_text()
-    assert "word_index: 6" in sidecar
-    assert "tow: 2679" in sidecar
-    assert sidecar == fs.dump_snapshot_text(snap)
+    assert [p.name for p in tmp_path.iterdir()] == ["state.fsnp"]
+    text = fs.dump_snapshot_text(snap)
+    assert "word_index: 6" in text
+    assert "tow: 2679" in text
 
 
 def test_load_rejects_corruption(tmp_path):
@@ -279,13 +238,19 @@ def test_load_rejects_corruption(tmp_path):
     with pytest.raises(fs.SnapshotFormatError):
         fs.load_snapshot(path)
 
-    # A valid checksum does not make an out-of-range field (word 0) loadable.
+    # A valid checksum does not make an out-of-range field loadable: word 0,
+    # a non-finite carrier Doppler or a non-finite clock-offset second.
     fs.save_snapshot(_snapshot(), path)
-    body = bytearray(path.read_bytes()[:-4])
-    body[6] = 0
-    path.write_bytes(bytes(body) + struct.pack(">I", zlib.crc32(body)))
-    with pytest.raises(fs.SnapshotFormatError, match="word_index"):
-        fs.load_snapshot(path)
+    good = path.read_bytes()
+    for offset, fmt, value, field in (
+        (6, ">B", 0, "word_index"),
+        (20, ">d", float("nan"), "carrier_doppler_hz"),
+        (40, ">d", float("nan"), "rco.second"),
+        (40, ">d", float("inf"), "rco.second"),
+    ):
+        path.write_bytes(_resealed(good, offset, fmt, value))
+        with pytest.raises(fs.SnapshotFormatError, match=field):
+            fs.load_snapshot(path)
 
 
 def test_load_rejects_wrong_magic_version_and_truncation(tmp_path):

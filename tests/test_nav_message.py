@@ -329,8 +329,8 @@ def test_subframe_round_trip_preserves_fields():
 
 
 def test_handover_reports_built_tow():
-    assert nav.extract_handover(_subframe(tow=2679))[0] == 2679
-    assert nav.extract_handover(_subframe(tow=0))[0] == 0
+    for tow in (2679, 0, TOW_COUNT - 1):
+        assert nav.decode_subframe(nav.subframe_bits(_subframe(tow=tow))).tow == tow
 
 
 def test_every_subframe_word_checks_with_zero_carryin():
@@ -443,29 +443,10 @@ def test_tow_increments_across_generated_run():
     previous = None
     for k in range(25):
         sf = nav.build_subframe(9, k % 5 + 1, towgen + k, 100, b"")
-        tow, _ = nav.extract_handover(sf)
+        tow = nav.decode_subframe(nav.subframe_bits(sf)).tow
         if previous is not None:
             assert tow == previous + 1
         previous = tow
-
-
-# --- cursor -------------------------------------------------------------------
-
-
-def test_cursor_advances_through_word_and_subframe_boundaries():
-    c = nav.BitstreamCursor(10, 29, 77)
-    c.advance_bits(1)
-    assert (c.word_index, c.bit_index, c.tow_current) == (1, 0, 78)
-    c.advance_bits(300)
-    assert (c.word_index, c.bit_index, c.tow_current) == (1, 0, 79)
-    c.advance_bits(31)
-    assert (c.word_index, c.bit_index, c.tow_current) == (2, 1, 79)
-
-
-def test_cursor_tow_wraps_at_week():
-    c = nav.BitstreamCursor(10, 29, TOW_COUNT - 1)
-    c.advance_bits(1)
-    assert c.tow_current == 0
 
 
 # --- preamble scanning --------------------------------------------------------
@@ -483,15 +464,13 @@ def _stream(n_subframes=4, start_tow=2679, sat_id=8, invert=False):
 def test_scanner_finds_constructed_offset():
     prefix = np.array([0, 1, 1, 0, 1, 0, 1, 1, 1, 0, 0], dtype=np.uint8)
     stream = np.concatenate([prefix, _stream()])
-    hit = nav.scan_for_preamble(stream)
-    assert hit is not None
-    assert hit.offset == len(prefix)
-    assert not hit.inverted
+    hits = nav.find_subframe_boundaries(stream)
+    assert hits[:1] == [nav.PreambleHit(len(prefix), False)]
 
 
 def test_scanner_flags_inverted_stream():
-    hit = nav.scan_for_preamble(_stream(invert=True))
-    assert hit == nav.PreambleHit(0, True)
+    hits = nav.find_subframe_boundaries(_stream(invert=True))
+    assert hits[:1] == [nav.PreambleHit(0, True)]
 
 
 def test_scanner_rejects_pattern_with_bad_handover():
@@ -502,7 +481,7 @@ def test_scanner_rejects_pattern_with_bad_handover():
     bits[100:108] = pattern
     # Scribble over the rest of word 1 and word 2 so validation cannot pass.
     bits[108:160] = rng.integers(0, 2, 52).astype(np.uint8)
-    assert nav.scan_for_preamble(bits) is None
+    assert nav.find_subframe_boundaries(bits) == []
 
 
 def test_boundary_listing_reports_every_subframe():
@@ -513,8 +492,8 @@ def test_boundary_listing_reports_every_subframe():
 
 
 def test_scanner_handles_short_streams():
-    assert nav.scan_for_preamble(np.array([], dtype=np.uint8)) is None
-    assert nav.scan_for_preamble(np.array([1, 0, 0], dtype=np.uint8)) is None
+    assert nav.find_subframe_boundaries(np.array([], dtype=np.uint8)) == []
+    assert nav.find_subframe_boundaries(np.array([1, 0, 0], dtype=np.uint8)) == []
     rng = np.random.default_rng(5)
     for n in (0, 1, 7, 8, 59, 60, 61):
         for bits in (
@@ -525,7 +504,6 @@ def test_scanner_handles_short_streams():
             want = ref_boundaries(bits)
             assert nav.find_subframe_boundaries(bits) == want
             assert nav.find_subframe_boundaries(list(bits)) == want
-            assert nav.scan_for_preamble(bits) == (want[0] if want else None)
 
 
 def _embed(segments, rng):
@@ -570,8 +548,6 @@ def test_scanners_equal_per_candidate_reference(segments, tail, seed):
     want = ref_boundaries(bits)
     assert nav.find_subframe_boundaries(bits) == want
     assert nav.find_subframe_boundaries(bits.tolist()) == want
-    assert nav.scan_for_preamble(bits) == (want[0] if want else None)
-    assert nav.scan_for_preamble(bits.tolist()) == (want[0] if want else None)
 
 
 @pytest.mark.parametrize("lead", [0, 1, 2])
@@ -587,7 +563,6 @@ def test_scanners_equal_reference_at_stream_start(lead, invert):
             bits = 1 - bits
         want = ref_boundaries(bits)
         assert nav.find_subframe_boundaries(bits) == want
-        assert nav.scan_for_preamble(bits) == (want[0] if want else None)
         if lead == 2 or carry == (0, 0):
             assert want[0] == nav.PreambleHit(lead, invert ^ carry[1])
 
@@ -616,7 +591,6 @@ def test_scanners_check_word_one_and_two_fields(sat_id, reserved, tow, sfid, val
         want = ref_boundaries(bits)
         assert [h.offset for h in want] == ([2] if valid else [])
         assert nav.find_subframe_boundaries(bits) == want
-        assert nav.scan_for_preamble(bits) == (want[0] if want else None)
 
 
 @pytest.mark.parametrize("cut", [0, 1, 2, 30, 59, 60, 61, 240])

@@ -28,11 +28,11 @@ def test_estimate_path_reaches_frame_lock():
 
 def test_stage_entry_times_are_recorded():
     state = _walk(["code", "carrier", "bit"], start=1.0, spacing=0.5)
-    assert state.time_of(rcv.LockStage.CODE_LOCKED) == 1.0
-    assert state.time_of(rcv.LockStage.CARRIER_LOCKED) == 1.5
-    assert state.time_of(rcv.LockStage.BIT_LOCKED) == 2.0
-    with pytest.raises(ValueError):
-        state.time_of(rcv.LockStage.FRAME_LOCKED)
+    assert [(e.kind, e.t_rx_s) for e in state.history] == [
+        ("code", 1.0),
+        ("carrier", 1.5),
+        ("bit", 2.0),
+    ]
 
 
 def test_preamble_from_code_lock_is_a_protocol_error():

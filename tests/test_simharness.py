@@ -15,7 +15,7 @@ from gpssim import constellation as cst
 from gpssim import nav_message as nav
 from gpssim import simharness as sh
 from gpssim.constants import (
-    CODE_TIME_QUANTUM_S,
+    CHIP_RATE_HZ,
     DEFAULT_PROPAGATION_DELAY_S,
     SPEED_OF_LIGHT_M_S,
     TOW_COUNT,
@@ -76,11 +76,22 @@ def test_default_config_is_valid():
         ("satellites", FOUR_SATS + FOUR_SATS[:1]),
         ("wake_run_s", 1e9),  # each wake would queue 1e9 sample events
         ("sample_period_s", 1e-6),
+        ("seed", -1),
+        ("start_week", 9000),
+        ("start_week", -3),
+        ("start_week", 8191),  # session one runs into week 8192
+        ("session1_extra_s", -1.0),
+        ("user_pos_ecef", (0.0, 0.0, 0.0)),
+        ("user_vel_ecef", (0.0, 0.0, 1e300)),
     ],
 )
 def test_config_rejects_bad_values(field, value):
-    with pytest.raises(sh.ScenarioError):
-        replace(sh.ScenarioConfig(), **{field: value}).validate()
+    """Each bad value is a ScenarioError that names its field. The base
+    starts 10 s before a week end, where start_week 8191 passes the
+    validator but session one's subframes need week 8192."""
+    config = replace(sh.ScenarioConfig(start_tow_s=604790.0), **{field: value})
+    with pytest.raises(sh.ScenarioError, match=field):
+        sh.run_scenario(config)
 
 
 # --- the wake comparison -----------------------------------------------------------
@@ -207,7 +218,7 @@ class TestClockBookkeeping:
         report = _run(rtc_ppm=0.0, clock_bias_s=0.00123)
         for key in ("s1_rco_refined_err_s", "estimator_rco_refined_err_s",
                     "hotstart_rco_refined_err_s"):
-            assert abs(report.diagnostics[key]) < 0.5 * CODE_TIME_QUANTUM_S
+            assert abs(report.diagnostics[key]) < 0.5 / CHIP_RATE_HZ
 
     def test_predicted_bit_position_matches_truth(self):
         report = _run(off_duration_s=900.0)
@@ -232,21 +243,33 @@ def test_snapshot_file_round_trip(tmp_path):
     assert report.arms[sh.ARM_ESTIMATOR].used_estimate
 
 
+def _resealed(blob: bytes, offset: int, fmt: str, value) -> bytes:
+    """Snapshot bytes with one field overwritten and the CRC recomputed."""
+    body = bytearray(blob[:-4])
+    struct.pack_into(fmt, body, offset, value)
+    return bytes(body) + struct.pack(">I", zlib.crc32(body))
+
+
 def test_corrupt_snapshot_file_falls_back(tmp_path):
-    """A truncated snapshot on disk, or one whose checksum is valid but whose
-    word index is out of range, must be rejected and the wake must take the
-    conventional decode path instead of crashing."""
+    """A truncated snapshot on disk, or one whose checksum is valid but
+    whose fields are unusable (word index out of range, a non-finite clock
+    offset, an RTC count ahead of the receiver's), must be rejected and the
+    wake must take the conventional decode path instead of crashing."""
     path = tmp_path / "wake.fsnp"
     config = replace(BASE, snapshot_path=str(path))
     engine = sh._Engine(config)
     base, snapshot = engine.run_session_one()
     good = path.read_bytes()
-    body = bytearray(good[:-4])
-    body[6] = 0  # word_index
-    out_of_range = bytes(body) + struct.pack(">I", zlib.crc32(body))
     base.clock.advance(config.off_duration_s)
     base.t_rel += config.off_duration_s
-    for blob in (good[:10], out_of_range):
+    for blob in (
+        good[:10],
+        _resealed(good, 6, ">B", 0),  # word_index
+        _resealed(good, 20, ">d", float("nan")),  # carrier_doppler_hz
+        _resealed(good, 40, ">d", float("nan")),  # rco_second
+        _resealed(good, 40, ">d", float("inf")),
+        _resealed(good, 12, ">Q", 2**40),  # rtc_count, far ahead of the RTC
+    ):
         path.write_bytes(blob)
         arm = engine.run_wake(base, snapshot, sh.ARM_ESTIMATOR)
         assert not arm.used_estimate
@@ -438,7 +461,7 @@ def test_tx_rel_solution_is_self_consistent():
     t_rx = 2000.0
     t_tx = engine.tx_rel(eph, t_rx)
     sat = cst.propagate(eph, engine.t0_abs + t_tx).position
-    rng = cst.geometric_range(sat, engine.user_pos(t_rx))
+    rng = np.linalg.norm(sat - engine.user_pos(t_rx))
     assert t_rx - t_tx == pytest.approx(rng / SPEED_OF_LIGHT_M_S, abs=1e-12)
 
 
@@ -510,6 +533,11 @@ def test_parse_scenario_count_key():
         ("[user]\npos_ecef_m = 1 2\n", "line 2"),
         ("[constellation]\nsat = 1 55 10\n", "line 2"),
         ("[scenario]\nseed = fast\n", "line 2"),
+        # Invalid orbits, found when the records are built after the loop.
+        ("[constellation]\nsat = 1 55 10 20\nsat = 40 55 0 0\n", "line 3: sat: sat_id"),
+        ("[constellation]\nsat = 1 55 10 20 1000\n", "line 2: sat: orbit radius"),
+        ("[constellation]\nsat = 1 55 10 20 26560000 0\n", "line 2: sat: validity"),
+        ("[constellation]\nsat = inf 55 10 20\n", "line 2: sat"),
     ],
 )
 def test_parse_scenario_errors_carry_line_numbers(text, fragment):
