@@ -297,6 +297,9 @@ class _Engine:
         self.diagnostics: dict[str, float] = {}
         self._queue: list[tuple[float, int, int, str, object]] = []
         self._seq = itertools.count()
+        # Measurement noise by epoch key (receiver milliseconds), one draw per
+        # key for the whole scenario.
+        self._draws: dict[int, np.ndarray] = {}
 
     # --- truth helpers ----------------------------------------------------
 
@@ -449,8 +452,14 @@ class _Engine:
         if sigma == 0:
             return np.zeros(n)
         key = int(round(st.clock.elapsed_rx_s * 1000.0))
-        rng = np.random.default_rng((self.config.seed, key))
-        return rng.normal(0.0, sigma, n)
+        # Both arms draw the same key at every shared grid epoch. A draw of
+        # n normals is the first n of a longer draw, so one per key serves
+        # every channel count.
+        draws = self._draws.get(key)
+        if draws is None:
+            rng = np.random.default_rng((self.config.seed, key))
+            draws = self._draws[key] = rng.normal(0.0, sigma, len(self.sats))
+        return draws[:n]
 
     def _refine_rco(self, st: _State, s_bel: float | None = None) -> None:
         """Recompute the clock offset from the anchor channel's counters.

@@ -5,6 +5,7 @@ import re
 import struct
 import zlib
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -209,6 +210,18 @@ class TestRunScenario:
             a.arms[sh.ARM_ESTIMATOR].fixes[0].err_2d_m
             != b.arms[sh.ARM_ESTIMATOR].fixes[0].err_2d_m
         )
+
+
+def test_noise_for_n_channels_equals_a_fresh_draw():
+    """One draw per epoch key serves every channel count: its first n
+    values are bitwise the n-value draw a fresh generator gives."""
+    engine = sh._Engine(replace(BASE, n_sats=32, noise_sigma_m=5.0, seed=17))
+    for elapsed_rx_s in (0.0, 12.3456, 901.2):
+        state = SimpleNamespace(clock=SimpleNamespace(elapsed_rx_s=elapsed_rx_s))
+        key = int(round(elapsed_rx_s * 1000.0))
+        for n in range(4, 33):
+            fresh = np.random.default_rng((17, key)).normal(0.0, 5.0, n)
+            assert engine._noise(state, n).tobytes() == fresh.tobytes()
 
 
 class TestClockBookkeeping:
