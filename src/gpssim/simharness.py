@@ -847,7 +847,10 @@ class _Engine:
         budget = fs.drift_budget(cfg.rtc_ppm, cfg.bit_margin_ms)
         if elapsed_ms > budget:
             return False, 0
-        t_abs_now = self.t0_abs + st.t_rel
+        # Ephemeris age at the time the snapshot makes the receiver believe:
+        # a clock offset a week or more wrong must fail here, not mid-wake.
+        believed = to_gps_time(st.clock.receiver_time(), snap.rco)
+        t_abs_now = believed.total_seconds()
         for ch in st.channels.values():
             eph = ch.eph_rx
             if eph is None or abs(t_abs_now - eph.epoch) > eph.validity:
@@ -881,7 +884,6 @@ class _Engine:
         # The estimate stands in for a decoded handover word, so the clock
         # offset is rebuilt from its sync TIC with the flat assumed delay.
         # Its tow belongs to the week that puts it nearest the believed time.
-        believed = to_gps_time(st.clock.receiver_time(), snap.rco)
         week = believed.week + round(
             (believed.second - est.tow * SUBFRAME_S) / WEEK_S
         )

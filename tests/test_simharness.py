@@ -266,13 +266,15 @@ def _resealed(blob: bytes, offset: int, fmt: str, value) -> bytes:
 def test_corrupt_snapshot_file_falls_back(tmp_path):
     """A truncated snapshot on disk, or one whose checksum is valid but
     whose fields are unusable (word index out of range, a non-finite clock
-    offset, an RTC count ahead of the receiver's), must be rejected and the
-    wake must take the conventional decode path instead of crashing."""
+    offset, an RTC count ahead of the receiver's, a clock offset weeks off
+    that makes the ephemeris look stale), must be rejected and the wake
+    must take the conventional decode path instead of crashing."""
     path = tmp_path / "wake.fsnp"
     config = replace(BASE, snapshot_path=str(path))
     engine = sh._Engine(config)
     base, snapshot = engine.run_session_one()
     good = path.read_bytes()
+    (rco_week,) = struct.unpack_from(">i", good, 36)
     base.clock.advance(config.off_duration_s)
     base.t_rel += config.off_duration_s
     for blob in (
@@ -282,6 +284,7 @@ def test_corrupt_snapshot_file_falls_back(tmp_path):
         _resealed(good, 40, ">d", float("nan")),  # rco_second
         _resealed(good, 40, ">d", float("inf")),
         _resealed(good, 12, ">Q", 2**40),  # rtc_count, far ahead of the RTC
+        _resealed(good, 36, ">i", rco_week + 5),
     ):
         path.write_bytes(blob)
         arm = engine.run_wake(base, snapshot, sh.ARM_ESTIMATOR)
