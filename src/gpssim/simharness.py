@@ -1,7 +1,7 @@
 """Scenario-driven closed-loop simulation of sleep/wake positioning.
 
-A scenario runs one receiver through: initial acquisition and ephemeris
-collection, a position fix, a snapshot, a power-off interval, then a wake
+A scenario runs one receiver through session one (acquisition, ephemeris
+collection, a position fix, a snapshot), a power-off interval, then a wake
 in one or both arms:
 
 * estimator arm: frame sync predicted from elapsed RTC counts; a fix is
@@ -11,7 +11,9 @@ in one or both arms:
 Both arms share the same truth, the same receiver clock errors, and the
 same epoch-keyed measurement noise, so their outputs differ only through
 the frame-sync path. The simulation is event driven and fully deterministic
-for a given scenario and seed.
+for a given scenario and seed. Session one computes which of each channel's
+subframes carry its ephemeris from their indices, and takes them in one
+event when the last of them arrives.
 
 All internal times are seconds relative to the scenario start; week-scale
 absolute floats would quantize transmit times to about 7.45 ns (2.2 m) at
@@ -225,7 +227,6 @@ class _Chan:
     labeled: bool = False
     label_shift_s: float = 0.0
     assumed_delay_s: float | None = None
-    payloads: dict[int, bytes] = field(default_factory=dict)
 
     @property
     def sat_id(self) -> int:
@@ -271,7 +272,7 @@ _TRUTH_ROWS = 1024
 
 # Order of events queued for the same instant: lock stages first, samples
 # last, so a sample taken at a fix epoch already sees that fix.
-_PRIORITY = {"lock": 0, "label": 1, "boundary": 1, "fix": 2, "sample": 3, "off": 3}
+_PRIORITY = {"lock": 0, "label": 1, "ephemeris": 1, "fix": 2, "sample": 3, "off": 3}
 
 
 class _Engine:
@@ -297,9 +298,7 @@ class _Engine:
         self.diagnostics: dict[str, float] = {}
         self._queue: list[tuple[float, int, int, str, object]] = []
         self._seq = itertools.count()
-        # Measurement noise by epoch key (receiver milliseconds), one draw per
-        # key for the whole scenario.
-        self._draws: dict[int, np.ndarray] = {}
+        self._draws: dict[int, np.ndarray] = {}  # noise by epoch key
 
     # --- truth helpers ----------------------------------------------------
 
@@ -317,6 +316,17 @@ class _Engine:
             # x*x + y*y + z*z is not (it differs in about a fifth of inputs).
             t_tx = t_rel - math.sqrt(d.dot(d)) / SPEED_OF_LIGHT_M_S
         return t_tx
+
+    def rx_time(self, eph: cst.EphemerisRecord, s_rel: float) -> float:
+        """True receive time (relative seconds) of the signal one satellite
+        sends at s_rel. A user at up to 1000 m/s shrinks the error about
+        3e-6-fold a pass, so three passes reach float noise."""
+        sat = cst.position(eph, self.t0_abs + s_rel)
+        t = s_rel + DEFAULT_PROPAGATION_DELAY_S
+        for _ in range(3):
+            d = np.subtract(sat, self.user_pos(t))
+            t = s_rel + math.sqrt(d.dot(d)) / SPEED_OF_LIGHT_M_S
+        return t
 
     def _truth(self, times: list[float]) -> _Truth:
         """Truth for every satellite at each receive time, in one array pass."""
@@ -452,9 +462,8 @@ class _Engine:
         if sigma == 0:
             return np.zeros(n)
         key = int(round(st.clock.elapsed_rx_s * 1000.0))
-        # Both arms draw the same key at every shared grid epoch. A draw of
-        # n normals is the first n of a longer draw, so one per key serves
-        # every channel count.
+        # Both arms draw the same key at every shared grid epoch; the first
+        # n normals of a longer draw are the n-normal draw.
         draws = self._draws.get(key)
         if draws is None:
             rng = np.random.default_rng((self.config.seed, key))
@@ -593,21 +602,14 @@ class _Engine:
             if self._label(st, sid) == 1:
                 self._refine_rco(st)
                 self.diagnostics["s1_rco_first_err_s"] = self.rco_error_s(st)
-            # The subframe in progress was only partially received; wait
-            # for the completion of the first one heard start to finish.
-            ch = st.channels[sid]
-            t_edge = self._next_boundary_t(ch, st.t_rel)
-            self._push(self._next_boundary_t(ch, t_edge), "boundary", sid)
+            t, subframes = self._ephemeris_subframes(st.channels[sid].eph_true, st.t_rel)
+            self._push(t, "ephemeris", (sid, subframes))
 
-        def boundary(sid: int) -> None:
-            ch = st.channels[sid]
-            s = self.tx_rel(ch.eph_true, st.t_rel)
-            self._deliver_subframe(ch, s)
-            if ch.eph_rx is None:
-                self._push(self._next_boundary_t(ch, st.t_rel, s), "boundary", sid)
-            elif all(c.labeled and c.eph_rx is not None for c in st.channels.values()):
-                # Only channels still missing ephemeris have a boundary queued,
-                # so this branch runs once: when the last ephemeris arrives.
+        def ephemeris(data: tuple[int, list[int]]) -> None:
+            sid, subframes = data
+            self._deliver_ephemeris(st.channels[sid], subframes)
+            if all(c.eph_rx is not None for c in st.channels.values()):
+                # One event per channel, so this runs once: at the last.
                 st.rx_orbits = cst.Orbits.of(
                     [c.eph_rx for _, c in sorted(st.channels.items())]
                 )
@@ -631,7 +633,7 @@ class _Engine:
 
         self._run(
             st,
-            {"lock": lock, "label": label, "boundary": boundary, "fix": fix, "off": off},
+            {"lock": lock, "label": label, "ephemeris": ephemeris, "fix": fix, "off": off},
         )
         if snapshot is None:
             raise ScenarioError("session one never reached a snapshot")
@@ -640,52 +642,38 @@ class _Engine:
             self.diagnostics["s1_rco_jitter_s"] = max(rco_errors) - min(rco_errors)
         return st, snapshot
 
-    def _next_boundary_t(self, ch: _Chan, t_rel: float, s: float | None = None) -> float:
-        """True time at which the channel's next subframe boundary arrives.
+    def _ephemeris_subframes(
+        self, eph: cst.EphemerisRecord, t_rel: float
+    ) -> tuple[float, list[int]]:
+        """Indices of the subframes 1-3 a channel labeled at t_rel hears next
+        in full, and the true time at which the last of them ends. Subframe
+        k, counted from the start of week start_week, has ID k % 5 + 1. The
+        one in progress at t_rel is heard only in part, so the first heard
+        whole is b - 1 (the bias counts a label just before a boundary as on
+        it), and IDs 1-3 all fall in b - 1 ... b + 3."""
+        start = self.config.start_tow_s
+        b = int((start + self.tx_rel(eph, t_rel) + 1e-6) // SUBFRAME_S) + 2
+        ks = [k for k in range(b - 1, b + 4) if k % 5 < cst.EPHEMERIS_SUBFRAMES]
+        return self.rx_time(eph, (ks[-1] + 1) * SUBFRAME_S - start), ks
 
-        s is the channel's true transmit time at t_rel, if already known.
-        The small bias keeps a call made exactly at a boundary from finding
-        that same boundary again.
-        """
-        if s is None:
-            s = self.tx_rel(ch.eph_true, t_rel)
-        k = int((self.config.start_tow_s + s + 1e-6) // SUBFRAME_S) + 1
-        target = k * SUBFRAME_S - self.config.start_tow_s
-        t = t_rel + (target - s)
-        for _ in range(2):
-            t += target - self.tx_rel(ch.eph_true, t)
-        return t
-
-    def _deliver_subframe(self, ch: _Chan, s: float) -> None:
-        """Generate, encode, decode and ingest the subframe whose end the
-        channel receives now; s is its true transmit time now."""
-        k = int(round((self.config.start_tow_s + s) / SUBFRAME_S)) - 1
-        # The TOW count wraps at the week end; count the wraps as weeks.
-        week = self.config.start_week + (k + 1) // TOW_COUNT
-        if week >= WEEK_COUNT:
-            raise ScenarioError(
-                f"start_week {self.config.start_week}: session one reaches week "
-                f"{week}, past the 13-bit week number"
-            )
-        sfid = k % 5 + 1
-        payload = b""
-        if sfid <= cst.EPHEMERIS_SUBFRAMES:
-            payload = cst.pack_ephemeris(ch.eph_true)[sfid - 1]
-        sf = nav.build_subframe(
-            ch.sat_id,
-            sfid,
-            (k + 1) % TOW_COUNT,
-            week,
-            payload,
-        )
-        decoded = nav.decode_subframe(nav.subframe_bits(sf))
-        if decoded.subframe_id <= cst.EPHEMERIS_SUBFRAMES:
-            ch.payloads[decoded.subframe_id] = decoded.payload
-        if ch.eph_rx is None and len(ch.payloads) == cst.EPHEMERIS_SUBFRAMES:
-            ch.eph_rx = cst.unpack_ephemeris(
-                decoded.sat_id,
-                (ch.payloads[1], ch.payloads[2], ch.payloads[3]),
-            )
+    def _deliver_ephemeris(self, ch: _Chan, subframes: list[int]) -> None:
+        """Generate, encode, decode and ingest the channel's subframes 1-3,
+        given by index as _ephemeris_subframes returns them."""
+        packed = cst.pack_ephemeris(ch.eph_true)
+        payloads = [b""] * cst.EPHEMERIS_SUBFRAMES
+        for k in subframes:
+            # The TOW count wraps at the week end; count the wraps as weeks.
+            week = self.config.start_week + (k + 1) // TOW_COUNT
+            if week >= WEEK_COUNT:
+                raise ScenarioError(
+                    f"start_week {self.config.start_week}: session one reaches week "
+                    f"{week}, past the 13-bit week number"
+                )
+            sfid = k % 5 + 1
+            sf = nav.build_subframe(ch.sat_id, sfid, (k + 1) % TOW_COUNT, week, packed[k % 5])
+            decoded = nav.decode_subframe(nav.subframe_bits(sf))
+            payloads[decoded.subframe_id - 1] = decoded.payload
+        ch.eph_rx = cst.unpack_ephemeris(decoded.sat_id, tuple(payloads))
 
     def _take_snapshot(self, st: _State) -> fs.PersistedSnapshot:
         ch = st.channels[st.anchor]
@@ -847,8 +835,7 @@ class _Engine:
         budget = fs.drift_budget(cfg.rtc_ppm, cfg.bit_margin_ms)
         if elapsed_ms > budget:
             return False, 0
-        # Ephemeris age at the time the snapshot makes the receiver believe:
-        # a clock offset a week or more wrong must fail here, not mid-wake.
+        # Ephemeris age at the time the snapshot makes the receiver believe.
         believed = to_gps_time(st.clock.receiver_time(), snap.rco)
         t_abs_now = believed.total_seconds()
         for ch in st.channels.values():

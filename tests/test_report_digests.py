@@ -41,19 +41,19 @@ GRID = {
 }
 
 DIGESTS = {
-    "default": "7b506e7212ae40d5e35f0a19801830d06fd1a0451a6544397bf7807b7d5c2192",
-    "estimator_0.5ppm_60s": "4061866db5cec4df419b3f272c3be208a8be0e620f54a418fc45fd8d2ffeea65",
-    "hotstart_30ppm_0s": "c53b0f5e383d59b80398f5d6b78b2342cdc23de2981b546a57368cf26f730fba",
-    "fallback_1500s": "a477cf7aa297e282aa28ea9c37929765b8fc64cd3cdd60d26a0c44909634348a",
+    "default": "b7254a82739da5acb386e77be914469bca893a870b0b5f0055ca3332ff5068d7",
+    "estimator_0.5ppm_60s": "3280cc31efa54a55f4cd85f4a1f3afa0babb1a8d3e8a4c43d1e0b9811349da3e",
+    "hotstart_30ppm_0s": "9d2d652890b3c593dcc0783bf40fb4519acce06a21349fe830aff68001c3f1c8",
+    "fallback_1500s": "4cde047782c385a17c6400072dd8f4c8070c4ec0d82b812357fcf2beda6feef8",
     "moving_user": "d5c10c743072a564ecf6d54a87714494b4d1d69a71306e39fac83fb04863a8a5",
-    "wake_run_120s": "f1a4970a06d1e17918c14bc3617be312fc51715b6ebd8c71bd1e514b9a65e425",
-    "snapshot_file": "8b8e5e298f44cddb578d2725bdc5a2447e29c8c42ff9eadedc62e14c221d83f0",
-    "week_end_604600_600": "2750db6b5b4ee03091ed067eb7bd012aedf6d3f7c924c842899c8fe69b661618",
+    "wake_run_120s": "32606e8feeb21310270d61dd7f32d0d886970ba00bb81cb47a1da33b3b3a8ea1",
+    "snapshot_file": "969c9d9343b54b680263afdecf94dd3e679ac991c63134c40101e174c869e297",
+    "week_end_604600_600": "f4c1a1ca998ba6abf4f41140de1d866e5a9d8302e25568fa96cfdd8c661200be",
     "explicit_masked": "e72a4237462c6043bf588214ca8ed237c139c39c1ea7998b70bf86af72c431ff",
-    "fieldwise": "24d4ae872f5e2bc2168747f99747148eccc61eddea4136bbea789cac3cb06f9a",
+    "fieldwise": "d1aa3cf7a6c0dea682194e8cc1f2e8b92d01ebfdaf02badaca0964c47bb744a0",
     "n_sats_4": "823008b8a0624badd8168485192fd46c59b0010b3e033dce748542ac85292319",
     "n_sats_32": "baacf7da2050f99284afeb2bde2f88ae37942ea0bd822885215d31abbf5ace4a",
-    "zero_noise": "5e14eb0155788cf6cb3c429f5cdaef26e8a5154a8ec8e40e5f60476f4c0052bf",
+    "zero_noise": "726e9515970ad9620264c1f13338c6d0f1917c740988b4290adef1f228c7b0b6",
 }
 
 

@@ -6,6 +6,7 @@ import struct
 import zlib
 from dataclasses import replace
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +20,9 @@ from gpssim.constants import (
     CHIP_RATE_HZ,
     DEFAULT_PROPAGATION_DELAY_S,
     SPEED_OF_LIGHT_M_S,
+    SUBFRAME_S,
     TOW_COUNT,
+    WEEK_S,
 )
 from gpssim.frame_sync import load_snapshot
 
@@ -469,6 +472,91 @@ def test_truth_rows_equal_per_fix_truth(n_sats, vel, start, period, m):
             elevation, tx = ref_fix_truth(engine, idx, t)
             assert truth.elevation[row, idx].tobytes() == elevation.tobytes()
             assert truth.tx[row, idx].tobytes() == tx.tobytes()
+
+
+# --- session one's ephemeris timeline against the boundary chain ------------------
+# ref_ephemeris_timeline is session one's ephemeris collection as it was: from
+# the label, one event at every subframe boundary, each found by Newton steps
+# on tx_rel, until subframes 1-3 are in; every subframe heard is decoded.
+
+
+def ref_next_boundary_t(engine, eph, t_rel, s=None):
+    """True time at which the satellite's next subframe boundary arrives; s
+    is its transmit time at t_rel, if known. The bias keeps a call made
+    exactly at a boundary from finding that same boundary again."""
+    if s is None:
+        s = engine.tx_rel(eph, t_rel)
+    k = int((engine.config.start_tow_s + s + 1e-6) // SUBFRAME_S) + 1
+    target = k * SUBFRAME_S - engine.config.start_tow_s
+    t = t_rel + (target - s)
+    for _ in range(2):
+        t += target - engine.tx_rel(eph, t)
+    return t
+
+
+def ref_ephemeris_timeline(engine, eph, t_label):
+    """Boundary event times after a label at t_label, and the ephemeris
+    subframes delivered as (sat_id, subframe_id, tow, week_number)."""
+    cfg = engine.config
+    packed = cst.pack_ephemeris(eph)
+    times, delivered = [], {}
+    t = ref_next_boundary_t(engine, eph, ref_next_boundary_t(engine, eph, t_label))
+    while True:
+        s = engine.tx_rel(eph, t)
+        times.append(t)
+        k = int(round((cfg.start_tow_s + s) / SUBFRAME_S)) - 1
+        sfid = k % 5 + 1
+        week = cfg.start_week + (k + 1) // TOW_COUNT
+        payload = packed[sfid - 1] if sfid <= 3 else b""
+        sf = nav.decode_subframe(
+            nav.subframe_bits(nav.build_subframe(eph.sat_id, sfid, (k + 1) % TOW_COUNT, week, payload))
+        )
+        if sf.subframe_id <= 3:
+            delivered[sf.subframe_id] = (sf.sat_id, sf.subframe_id, sf.tow, sf.week_number)
+        if len(delivered) == 3:
+            return times, list(delivered.values())
+        t = ref_next_boundary_t(engine, eph, t, s)
+
+
+@given(
+    start_tow_s=st.one_of(st.floats(0.0, 60.0), st.floats(WEEK_S - 60.0, WEEK_S - 1e-3)),
+    vel=st.sampled_from([(0.0, 0.0, 0.0), (1000.0, 0.0, 0.0), (0.0, 0.0, -1000.0), (600.0, -800.0, 0.0)]),
+    t_label=st.floats(0.0, 120.0),
+    # None: t_label as drawn; else moved onto the nearest boundary, plus this.
+    boundary_offset_s=st.one_of(st.none(), st.sampled_from([0.0, -5e-7])),
+)
+@settings(max_examples=60, deadline=None)
+def test_ephemeris_timeline_equals_boundary_chain(start_tow_s, vel, t_label, boundary_offset_s):
+    """The one ephemeris event lands within 1e-9 s of the chain's last
+    boundary and delivers the same subframes, for static and 1000 m/s
+    users, across the week end, and for a label exactly on a boundary or
+    inside the bias that counts it as on one."""
+    engine = sh._Engine(replace(BASE, start_tow_s=start_tow_s, user_vel_ecef=vel))
+    decode = nav.decode_subframe
+    decoded = []
+
+    def recording_decode(bits):
+        sf = decode(bits)
+        decoded.append((sf.sat_id, sf.subframe_id, sf.tow, sf.week_number))
+        return sf
+
+    for eph in engine.sats:
+        t_rx = t_label
+        if boundary_offset_s is not None:
+            s = engine.tx_rel(eph, t_rx)
+            target = round((start_tow_s + s) / SUBFRAME_S) * SUBFRAME_S - start_tow_s
+            t_rx += target - s
+            for _ in range(2):
+                t_rx += target - engine.tx_rel(eph, t_rx)
+            t_rx += boundary_offset_s
+        times, expected = ref_ephemeris_timeline(engine, eph, t_rx)
+
+        t, subframes = engine._ephemeris_subframes(eph, t_rx)
+        decoded.clear()
+        with mock.patch.object(nav, "decode_subframe", recording_decode):
+            engine._deliver_ephemeris(sh._Chan(eph), subframes)
+        assert abs(t - times[-1]) <= 1e-9
+        assert decoded == expected
 
 
 def test_tx_rel_solution_is_self_consistent():
