@@ -277,7 +277,7 @@ def test_corrupt_snapshot_file_falls_back(tmp_path):
     engine = sh._Engine(config)
     base, snapshot = engine.run_session_one()
     good = path.read_bytes()
-    (rco_week,) = struct.unpack_from(">i", good, 36)
+    rco_week, rco_second = struct.unpack_from(">id", good, 36)
     base.clock.advance(config.off_duration_s)
     base.t_rel += config.off_duration_s
     for blob in (
@@ -288,6 +288,7 @@ def test_corrupt_snapshot_file_falls_back(tmp_path):
         _resealed(good, 40, ">d", float("inf")),
         _resealed(good, 12, ">Q", 2**40),  # rtc_count, far ahead of the RTC
         _resealed(good, 36, ">i", rco_week + 5),
+        _resealed(good, 40, ">d", rco_second + WEEK_S / 2),
     ):
         path.write_bytes(blob)
         arm = engine.run_wake(base, snapshot, sh.ARM_ESTIMATOR)
@@ -508,9 +509,8 @@ def ref_ephemeris_timeline(engine, eph, t_label):
         sfid = k % 5 + 1
         week = cfg.start_week + (k + 1) // TOW_COUNT
         payload = packed[sfid - 1] if sfid <= 3 else b""
-        sf = nav.decode_subframe(
-            nav.subframe_bits(nav.build_subframe(eph.sat_id, sfid, (k + 1) % TOW_COUNT, week, payload))
-        )
+        sf = nav.build_subframe(eph.sat_id, sfid, (k + 1) % TOW_COUNT, week, payload)
+        sf = nav.decode_subframe(nav.subframe_bits(sf))
         if sf.subframe_id <= 3:
             delivered[sf.subframe_id] = (sf.sat_id, sf.subframe_id, sf.tow, sf.week_number)
         if len(delivered) == 3:
@@ -520,9 +520,11 @@ def ref_ephemeris_timeline(engine, eph, t_label):
 
 @given(
     start_tow_s=st.one_of(st.floats(0.0, 60.0), st.floats(WEEK_S - 60.0, WEEK_S - 1e-3)),
-    vel=st.sampled_from([(0.0, 0.0, 0.0), (1000.0, 0.0, 0.0), (0.0, 0.0, -1000.0), (600.0, -800.0, 0.0)]),
+    vel=st.sampled_from(
+        [(0.0, 0.0, 0.0), (1000.0, 0.0, 0.0), (0.0, 0.0, -1000.0), (600.0, -800.0, 0.0)]
+    ),
     t_label=st.floats(0.0, 120.0),
-    # None: t_label as drawn; else moved onto the nearest boundary, plus this.
+    # None: t_label as drawn; else moved onto the next boundary, plus this.
     boundary_offset_s=st.one_of(st.none(), st.sampled_from([0.0, -5e-7])),
 )
 @settings(max_examples=60, deadline=None)
@@ -543,12 +545,7 @@ def test_ephemeris_timeline_equals_boundary_chain(start_tow_s, vel, t_label, bou
     for eph in engine.sats:
         t_rx = t_label
         if boundary_offset_s is not None:
-            s = engine.tx_rel(eph, t_rx)
-            target = round((start_tow_s + s) / SUBFRAME_S) * SUBFRAME_S - start_tow_s
-            t_rx += target - s
-            for _ in range(2):
-                t_rx += target - engine.tx_rel(eph, t_rx)
-            t_rx += boundary_offset_s
+            t_rx = ref_next_boundary_t(engine, eph, t_label) + boundary_offset_s
         times, expected = ref_ephemeris_timeline(engine, eph, t_rx)
 
         t, subframes = engine._ephemeris_subframes(eph, t_rx)
