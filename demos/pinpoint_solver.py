@@ -12,7 +12,6 @@ import numpy as np
 from gpssim import pvt
 from gpssim.constants import SPEED_OF_LIGHT_M_S
 from gpssim.constellation import default_constellation, propagate, elevation_angle
-from gpssim.rx_clock import GpsTime
 
 truth = np.array([-1266643.136, -4727176.539, 4079014.032])
 bias_m = 0.0015 * SPEED_OF_LIGHT_M_S  # 1.5 ms of receiver clock error
@@ -28,18 +27,13 @@ for eph, st in zip(constellation, states):
     print(f"  sat {eph.sat_id}: elevation {el:5.1f} deg")
 
 sat_positions = np.array([st.position for st in states])
-ranges = np.linalg.norm(sat_positions - truth, axis=1)
-t_rx = GpsTime(0, t0)
-measurements = [
-    pvt.PseudorangeMeasurement(eph.sat_id, float(r + bias_m), t_rx.add(-0.075), t_rx)
-    for eph, r in zip(constellation, ranges)
-]
+pseudoranges = np.linalg.norm(sat_positions - truth, axis=1) + bias_m
 
 # ----------------------------------------------------------------------
 # Solve from a deliberately bad initial guess.
 
 guess = truth + np.array([3e5, -2e5, 4e5])
-solution = pvt.solve(measurements, sat_positions, guess)
+solution = pvt.solve(pseudoranges, sat_positions, guess)
 
 err = np.linalg.norm(solution.position - truth)
 print(f"\nconverged in {solution.iterations} iterations")
@@ -53,14 +47,8 @@ print(f"bias recovered   {solution.b_u:.3f} m (truth {bias_m:.3f} m)")
 rng = np.random.default_rng(12)
 print("\nwith 5 m pseudorange noise:")
 for n in (4, 8):
-    noisy = np.array(
-        [m.rho_m for m in measurements[:n]]
-    ) + rng.standard_normal(n) * 5.0
-    meas_n = [
-        pvt.PseudorangeMeasurement(m.sat_id, float(r), m.t_transmit, m.t_receive_rx)
-        for m, r in zip(measurements[:n], noisy)
-    ]
-    sol = pvt.solve(meas_n, sat_positions[:n], truth)
+    noisy = pseudoranges[:n] + rng.standard_normal(n) * 5.0
+    sol = pvt.solve(noisy, sat_positions[:n], truth)
     print(
         f"  {n} sats: horizontal error {pvt.horizontal_error(sol, truth):6.2f} m,"
         f"  residual norm {sol.residual_norm:6.2f} m"

@@ -67,7 +67,6 @@ from .nav_message import (
 from .pvt import (
     GeometryError,
     InsufficientSatellitesError,
-    PseudorangeMeasurement,
     PvtSolution,
     design_matrix,
     enu_errors,

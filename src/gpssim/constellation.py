@@ -154,14 +154,16 @@ class Orbits:
     phase_at_epoch: np.ndarray
     mean_motion: np.ndarray
     orbit_radius: np.ndarray
-    cos_raan: np.ndarray
-    sin_raan: np.ndarray
+    # (n, 2): x and y of the unit vector to the ascending node, (cos, sin)
+    # of the RAAN, and of that vector turned 90 degrees east, (-sin, cos).
+    node: np.ndarray
+    node_east: np.ndarray
     cos_inc: np.ndarray
     sin_inc: np.ndarray
 
     @classmethod
     def of(cls, ephemerides: Sequence[EphemerisRecord]) -> Orbits:
-        planes = np.array([e.plane for e in ephemerides]).reshape(-1, 4).T.copy()
+        co, so, ci, si = np.array([e.plane for e in ephemerides]).reshape(-1, 4).T
         return cls(
             np.array([e.sat_id for e in ephemerides]),
             np.array([e.epoch for e in ephemerides]),
@@ -169,7 +171,10 @@ class Orbits:
             np.array([e.phase_at_epoch for e in ephemerides]),
             np.array([e.mean_motion for e in ephemerides]),
             np.array([e.orbit_radius for e in ephemerides]),
-            *planes,
+            np.stack([co, so], axis=1),
+            np.stack([-so, co], axis=1),
+            ci.copy(),
+            si.copy(),
         )
 
     def __getitem__(self, index) -> Orbits:
@@ -189,13 +194,14 @@ class Orbits:
         stale = np.abs(dt) > self.validity
         u = self.phase_at_epoch + self.mean_motion * dt
         cu, su = np.cos(u), np.sin(u)
-        co, so = self.cos_raan, self.sin_raan
-        ci, si = self.cos_inc, self.sin_inc
         r = self.orbit_radius
         pos = np.empty(u.shape + (3,))
-        pos[..., 0] = r * (co * cu - so * su * ci)
-        pos[..., 1] = r * (so * cu + co * su * ci)
-        pos[..., 2] = r * su * si
+        # x and y in one pass. x = r * (co * cu - so * su * ci) is computed
+        # as r * (co * cu + (-so) * su * ci): a - b is a + (-b) exactly.
+        ci = self.cos_inc[:, None]
+        xy = self.node * cu[..., None] + self.node_east * su[..., None] * ci
+        np.multiply(r[:, None], xy, out=pos[..., :2])
+        np.multiply(r * su, self.sin_inc, out=pos[..., 2])
         return pos, stale
 
     def positions(self, t: float | np.ndarray) -> np.ndarray:

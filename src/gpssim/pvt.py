@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rx_clock import GpsTime
-
 
 # Largest design-matrix condition number a solve accepts; the scenario
 # harness rejects geometry past the same cap up front.
@@ -29,23 +27,6 @@ class InsufficientSatellitesError(ValueError):
 
 class GeometryError(ValueError):
     """Satellite geometry too degenerate to invert."""
-
-
-@dataclass(frozen=True)
-class PseudorangeMeasurement:
-    """One satellite's pseudorange; `solve` reads only `rho_m`.
-
-    The transmit and receive times are optional bookkeeping.
-    """
-
-    sat_id: int
-    rho_m: float
-    t_transmit: GpsTime | None = None
-    t_receive_rx: GpsTime | None = None
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.rho_m) or self.rho_m < 0:
-            raise ValueError("pseudorange must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -100,7 +81,7 @@ def design_matrix(
 
 
 def solve(
-    measurements: list[PseudorangeMeasurement],
+    pseudoranges_m: np.ndarray,
     sat_positions: np.ndarray,
     initial_guess: np.ndarray | None = None,
     *,
@@ -110,18 +91,22 @@ def solve(
 ) -> PvtSolution:
     """Gauss-Newton position/bias solution from pseudoranges.
 
-    sat_positions rows pair with measurements by index. Converges when the
-    position update norm drops below tol_m; a run that exhausts
-    max_iterations comes back with converged=False and the last iterate.
+    pseudoranges_m is a 1-D array; sat_positions rows pair with it by index.
+    Converges when the position update norm drops below tol_m; a run that
+    exhausts max_iterations comes back with converged=False and the last
+    iterate.
     """
-    if len(measurements) < 4:
-        raise InsufficientSatellitesError(
-            f"{len(measurements)} measurements; need at least 4"
-        )
+    rho = np.asarray(pseudoranges_m, float)
+    if rho.ndim != 1:
+        raise ValueError("pseudoranges_m must be a 1-D array")
+    if len(rho) < 4:
+        raise InsufficientSatellitesError(f"{len(rho)} measurements; need at least 4")
+    # NaN fails the first comparison.
+    if not (0 <= rho.min() and rho.max() < math.inf):
+        raise ValueError("pseudorange must be finite and non-negative")
     sat_positions = np.asarray(sat_positions, float)
-    if sat_positions.shape != (len(measurements), 3):
+    if sat_positions.shape != (len(rho), 3):
         raise ValueError("sat_positions must be (n, 3) matching measurements")
-    rho = np.array([m.rho_m for m in measurements])
 
     state = np.zeros(4)
     if initial_guess is not None:
@@ -135,14 +120,13 @@ def solve(
     residual = rho - sight[1] - state[3]
     for iterations in range(1, max_iterations + 1):
         jac = design_matrix(state[:3], sat_positions, line_of_sight=sight)
+        step, _, rank, s = np.linalg.lstsq(jac, residual, rcond=None)
         if iterations == 1:
             # np.linalg.cond(jac): the ratio of extreme singular values,
-            # infinite for a singular matrix.
-            s = np.linalg.svd(jac, compute_uv=False).tolist()
+            # infinite for a singular matrix. lstsq returns them descending.
             cond = s[0] / s[-1] if s[-1] else math.inf
             if cond > condition_cap:
                 raise GeometryError("design matrix condition number exceeds cap")
-        step, _, rank, _ = np.linalg.lstsq(jac, residual, rcond=None)
         if rank < 4:
             raise GeometryError("rank-deficient geometry")
         state += step
@@ -171,12 +155,13 @@ def enu_basis(ref_ecef: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     ellipsoid, so neither does the error frame.
     """
     ref = np.asarray(ref_ecef, float)
-    up = ref / np.linalg.norm(ref)
+    # Both norms are np.linalg.norm's own formula for a vector.
+    up = ref / math.sqrt(ref.dot(ref))
     # Both cross products are written out in np.cross's component formula,
     # zero terms included, so every bit (signed zeros too) matches it.
     ux, uy, uz = up.tolist()
     east = np.array([0.0 * uz - 1.0 * uy, 1.0 * ux - 0.0 * uz, 0.0 * uy - 0.0 * ux])
-    n = np.linalg.norm(east)
+    n = math.sqrt(east.dot(east))
     if n < 1e-12:  # polar reference: east is arbitrary, pick +x
         east = np.array([1.0, 0.0, 0.0])
     else:

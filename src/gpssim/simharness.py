@@ -224,30 +224,41 @@ class _Chan:
     eph_true: cst.EphemerisRecord
     eph_rx: cst.EphemerisRecord | None = None
     lock: rcv.LockState = field(default_factory=rcv.LockState)
-    labeled: bool = False
-    label_shift_s: float = 0.0
-    assumed_delay_s: float | None = None
-
-    @property
-    def sat_id(self) -> int:
-        return self.eph_true.sat_id
 
 
 @dataclass
 class _State:
-    """Everything that evolves during a session (cloned per wake arm)."""
+    """Everything that evolves during a session (cloned per wake arm).
+
+    Channels are rows in sat_id order, the order of _Engine.sats; anchor
+    is the row of the clock-offset anchor.
+    """
 
     clock: ReceiverClockState
     t_rel: float
-    channels: dict[int, _Chan]
+    chans: list[_Chan]
     rco: object | None = None
     anchor: int | None = None
     rx_orbits: cst.Orbits | None = None
     last_known: np.ndarray | None = None
     fixes: list[FixRecord] = field(default_factory=list)
     truth: _Truth | None = None
-    # rx_orbits rows selected by each channel set a fix has used.
-    rx_selected: dict[bytes, cst.Orbits] = field(default_factory=dict)
+    # Time (relative seconds) of the latest fix.
+    fix_t: float | None = None
+    # Frame labels are shifted by this much: an estimate's bit error.
+    label_shift_s: float = 0.0
+    # By the labeled rows (as bytes) above the mask at a fix: their rows of
+    # rx_orbits, and the anchor's position among them. The anchor is set
+    # before a state's first fix.
+    selections: dict[bytes, tuple[cst.Orbits, int | None]] = field(default_factory=dict)
+    # Per channel row: frame-labeled yet, and the one-way delay the
+    # receiver assumes (flat until a fix solves it).
+    labeled: np.ndarray = field(init=False)
+    assumed_delay_s: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.labeled = np.zeros(len(self.chans), bool)
+        self.assumed_delay_s = np.full(len(self.chans), DEFAULT_PROPAGATION_DELAY_S)
 
 
 @dataclass(frozen=True)
@@ -291,7 +302,7 @@ class _Engine:
             )
         if len(self.sats) < 4:
             raise ScenarioError("need at least 4 satellites")
-        # Rows follow sorted(sat_id), the order of sorted(state.channels).
+        # Rows follow sorted(sat_id), the order of _State.chans.
         self.orbits = cst.Orbits.of(self.sats)
         self._mask = math.radians(config.min_elevation_deg)
         self._check_geometry(0.0)
@@ -410,6 +421,10 @@ class _Engine:
                 handlers[kind](data)
         except cst.StaleEphemerisError as exc:
             raise _expired(exc, st.t_rel) from exc
+        except pvt.GeometryError as exc:
+            raise ScenarioError(
+                f"unusable geometry in the fix at t={st.t_rel:.3f} s: {exc}"
+            ) from exc
 
     def _queue_locks(self, st: _State) -> float:
         """Queue code, carrier and bit lock from now; returns the bit-lock time."""
@@ -425,7 +440,7 @@ class _Engine:
         return r
 
     def _step_locks(self, st: _State, stage: str) -> None:
-        for _, ch in sorted(st.channels.items()):
+        for ch in st.chans:
             ch.lock = ch.lock.step(rcv.LockEvent(stage, st.clock.elapsed_rx_s))
 
     def _queue_labels(self, st: _State, r_bit: float) -> float:
@@ -436,23 +451,23 @@ class _Engine:
         delays = []
         truth = self._truth([st.t_rel])
         self._check_fresh(truth.stale_tx[0], np.arange(len(self.sats)), st.t_rel)
-        for sid, s in zip(sorted(st.channels), truth.tx[0].tolist()):
+        for row, s in enumerate(truth.tx[0].tolist()):
             _, _, word, bit, _ = self.decomp(s)
             delays.append(rcv.hotstart_frame_lock_delay(word, bit))
-            self._push(self.t_of_r(r_bit + delays[-1]), "label", sid)
+            self._push(self.t_of_r(r_bit + delays[-1]), "label", row)
         return sorted(delays)[3]
 
-    def _label(self, st: _State, sid: int) -> int:
+    def _label(self, st: _State, row: int) -> int:
         """Frame-lock one channel on its preamble; returns how many are labeled.
 
         The first channel labeled becomes the clock-offset anchor.
         """
-        ch = st.channels[sid]
+        ch = st.chans[row]
         ch.lock = ch.lock.step(rcv.LockEvent("preamble", st.clock.elapsed_rx_s))
-        ch.labeled = True
-        n = sum(c.labeled for c in st.channels.values())
+        st.labeled[row] = True
+        n = int(np.count_nonzero(st.labeled))
         if n == 1:
-            st.anchor = sid
+            st.anchor = row
         return n
 
     # --- measurement and fixes ---------------------------------------------
@@ -475,22 +490,18 @@ class _Engine:
 
         s_bel is the anchor's believed transmit time now, if already known.
         """
-        ch = st.channels[st.anchor]
         if s_bel is None:
-            s_bel = self.tx_rel(ch.eph_true, st.t_rel) + ch.label_shift_s
+            s_bel = self.tx_rel(st.chans[st.anchor].eph_true, st.t_rel) + st.label_shift_s
         k, tow, word, bit, frac = self.decomp(s_bel)
         within = (word - 1) * WORD_S + bit * BIT_S + code_time_at_tic(frac)
         sync_tic = st.clock.tic_value + (SUBFRAME_S - within) / TIC_S
-        delay = ch.assumed_delay_s
-        if delay is None:
-            delay = DEFAULT_PROPAGATION_DELAY_S
         st.rco = compute_rco(
             st.clock.zt,
             # tow is k + 1 wrapped at the week end; count the wraps as weeks.
             self.config.start_week + (k + 1) // TOW_COUNT,
             sync_tic,
             tow,
-            propagation_delay_s=delay,
+            propagation_delay_s=float(st.assumed_delay_s[st.anchor]),
         )
 
     def rco_error_s(self, st: _State) -> float:
@@ -502,7 +513,6 @@ class _Engine:
 
     def _fix(self, st: _State, t_since_wake: float) -> FixRecord:
         """Solve one fix now; the session's first uses the flat assumed delay."""
-        first = not st.fixes
         t = st.t_rel
         receive_gps = to_gps_time(st.clock.receiver_time(), st.rco)
         r_rel = receive_gps.diff(self.t0_gps)
@@ -517,50 +527,39 @@ class _Engine:
 
         # Labeled channels, then those of them above the mask; every channel
         # has its ephemeris by the first fix, so st.rx_orbits covers them all.
-        all_chans = [ch for _, ch in sorted(st.channels.items())]
-        idx = np.flatnonzero([ch.labeled for ch in all_chans])
+        idx = st.labeled.nonzero()[0]
         self._check_fresh(truth.stale_rx[row], idx, t)
         idx = idx[truth.elevation[row, idx] >= self._mask]
         if len(idx) < 4:
             raise ScenarioError("fewer than 4 usable channels at a fix epoch")
         self._check_fresh(truth.stale_tx[row], idx, t)
-        chans = [all_chans[i] for i in idx]
-        key = idx.tobytes()
-        rx_orbits = st.rx_selected.get(key)
-        if rx_orbits is None:
-            rx_orbits = st.rx_selected[key] = st.rx_orbits[idx]
+        selection = st.selections.get(key := idx.tobytes())
+        if selection is None:
+            anchor = np.flatnonzero(idx == st.anchor)
+            selection = st.selections[key] = (
+                st.rx_orbits[idx],
+                int(anchor[0]) if len(anchor) else None,
+            )
+        rx_orbits, anchor = selection
 
-        shift = np.array([ch.label_shift_s for ch in chans])
-        believed_tx = truth.tx[row, idx] + shift
+        believed_tx = truth.tx[row, idx] + st.label_shift_s
         rho = SPEED_OF_LIGHT_M_S * (r_rel - believed_tx) + self._noise(st, len(idx))
-        delay = np.array([
-            DEFAULT_PROPAGATION_DELAY_S
-            if first or ch.assumed_delay_s is None
-            else ch.assumed_delay_s
-            for ch in chans
-        ])
-        sat_pos = rx_orbits.positions(self.t0_abs + (r_rel - delay))
-        s_bel = believed_tx.tolist()
-        meas = [
-            pvt.PseudorangeMeasurement(ch.sat_id, rho_i)
-            for ch, rho_i in zip(chans, rho.tolist())
-        ]
+        # Row 0: where the receiver puts each satellite for the solve, its
+        # assumed delay before the receive time. Row 1: at the believed
+        # transmit time, for the new assumed delays.
+        times = np.empty((2, len(idx)))
+        times[0] = r_rel - st.assumed_delay_s[idx]
+        times[1] = believed_tx
+        sat_pos = rx_orbits.positions(self.t0_abs + times)
 
-        guess = np.zeros(4)
-        if st.last_known is not None:
-            guess[:3] = st.last_known
-        sol = pvt.solve(meas, sat_pos, guess)
-        st.last_known = sol.position
+        sol = pvt.solve(rho, sat_pos[0], st.last_known)
+        st.last_known = position = sol.position
 
-        d = rx_orbits.positions(self.t0_abs + believed_tx) - sol.position
-        new_delay = np.sqrt(np.vecdot(d, d)) / SPEED_OF_LIGHT_M_S
-        for ch, delay_s in zip(chans, new_delay.tolist()):
-            ch.assumed_delay_s = delay_s
-        sids = [ch.sat_id for ch in chans]
-        anchor_s = s_bel[sids.index(st.anchor)] if st.anchor in sids else None
-        self._refine_rco(st, anchor_s)
+        d = sat_pos[1] - position
+        st.assumed_delay_s[idx] = np.sqrt(np.vecdot(d, d)) / SPEED_OF_LIGHT_M_S
+        self._refine_rco(st, None if anchor is None else float(believed_tx[anchor]))
 
-        e, n, _ = pvt.enu_errors(sol.position, truth.user[row])
+        e, n, _ = pvt.enu_errors(position, truth.user[row])
         rec = FixRecord(
             t_since_wake,
             e,
@@ -571,6 +570,7 @@ class _Engine:
             sol.converged,
         )
         st.fixes.append(rec)
+        st.fix_t = t
         return rec
 
     # --- session one --------------------------------------------------------
@@ -586,7 +586,7 @@ class _Engine:
                 clock_bias_s=cfg.clock_bias_s,
             ),
             t_rel=0.0,
-            channels={e.sat_id: _Chan(e) for e in self.sats},
+            chans=[_Chan(e) for e in self.sats],
         )
         r_bit = self._queue_locks(st)
         off_r = 0.0
@@ -598,21 +598,19 @@ class _Engine:
             if stage == "bit":
                 self._queue_labels(st, r_bit)
 
-        def label(sid: int) -> None:
-            if self._label(st, sid) == 1:
+        def label(row: int) -> None:
+            if self._label(st, row) == 1:
                 self._refine_rco(st)
                 self.diagnostics["s1_rco_first_err_s"] = self.rco_error_s(st)
-            t, subframes = self._ephemeris_subframes(st.channels[sid].eph_true, st.t_rel)
-            self._push(t, "ephemeris", (sid, subframes))
+            t, subframes = self._ephemeris_subframes(st.chans[row].eph_true, st.t_rel)
+            self._push(t, "ephemeris", (row, subframes))
 
         def ephemeris(data: tuple[int, list[int]]) -> None:
-            sid, subframes = data
-            self._deliver_ephemeris(st.channels[sid], subframes)
-            if all(c.eph_rx is not None for c in st.channels.values()):
+            row, subframes = data
+            self._deliver_ephemeris(st.chans[row], subframes)
+            if all(c.eph_rx is not None for c in st.chans):
                 # One event per channel, so this runs once: at the last.
-                st.rx_orbits = cst.Orbits.of(
-                    [c.eph_rx for _, c in sorted(st.channels.items())]
-                )
+                st.rx_orbits = cst.Orbits.of([c.eph_rx for c in st.chans])
                 self._push(self.t_of_r(math.floor(st.clock.elapsed_rx_s) + 1.0), "fix")
 
         def fix(_: object) -> None:
@@ -659,6 +657,7 @@ class _Engine:
     def _deliver_ephemeris(self, ch: _Chan, subframes: list[int]) -> None:
         """Generate, encode, decode and ingest the channel's subframes 1-3,
         given by index as _ephemeris_subframes returns them."""
+        sat_id = ch.eph_true.sat_id
         packed = cst.pack_ephemeris(ch.eph_true)
         payloads = [b""] * cst.EPHEMERIS_SUBFRAMES
         for k in subframes:
@@ -670,15 +669,15 @@ class _Engine:
                     f"{week}, past the 13-bit week number"
                 )
             sfid = k % 5 + 1
-            sf = nav.build_subframe(ch.sat_id, sfid, (k + 1) % TOW_COUNT, week, packed[k % 5])
+            sf = nav.build_subframe(sat_id, sfid, (k + 1) % TOW_COUNT, week, packed[k % 5])
             decoded = nav.decode_subframe(nav.subframe_bits(sf))
             payloads[decoded.subframe_id - 1] = decoded.payload
         ch.eph_rx = cst.unpack_ephemeris(decoded.sat_id, tuple(payloads))
 
     def _take_snapshot(self, st: _State) -> fs.PersistedSnapshot:
-        ch = st.channels[st.anchor]
+        ch = st.chans[st.anchor]
         t = st.t_rel
-        s = self.tx_rel(ch.eph_true, t) + ch.label_shift_s
+        s = self.tx_rel(ch.eph_true, t) + st.label_shift_s
         _, tow, word, bit, frac = self.decomp(s)
         cursor = nav.BitstreamCursor(word, bit, tow)
         # Latch the RTC count at the edge of the bit in progress so the
@@ -697,7 +696,7 @@ class _Engine:
         )
         eph_ids = tuple(
             (c.eph_rx.sat_id, c.eph_rx.epoch)
-            for _, c in sorted(st.channels.items())
+            for c in st.chans
             if c.eph_rx is not None
         )
         snapshot = fs.take_snapshot(cursor, tracking, st.rco, eph_ids, rtc_count=rtc_edge)
@@ -714,10 +713,7 @@ class _Engine:
         st = _State(
             clock=copy.deepcopy(base.clock),
             t_rel=base.t_rel,
-            channels={
-                sid: _Chan(c.eph_true, c.eph_rx)
-                for sid, c in base.channels.items()
-            },
+            chans=[_Chan(c.eph_true, c.eph_rx) for c in base.chans],
             rco=snapshot.rco,
             anchor=base.anchor,
             rx_orbits=base.rx_orbits,
@@ -763,6 +759,9 @@ class _Engine:
             t_since = st.clock.elapsed_rx_s - r_wake
             if not st.fixes:
                 # The first fix lands off the sample grid; later ones follow it.
+                # Past the last sample no sample sees it: the wake has failed.
+                if st.t_rel > grid[-1]:
+                    return
                 ttff = t_since
                 k = math.floor(t_since / cfg.sample_period_s)
                 later = grid[k + 1 : k + _TRUTH_ROWS]
@@ -774,9 +773,11 @@ class _Engine:
                 self._push(grid[k + 1], "fix", k + 1)
 
         def sample(k: int) -> None:
-            truth = self.user_pos(st.t_rel)
-            if st.last_known is not None:
-                e, n, _ = pvt.enu_errors(st.last_known, truth)
+            if st.fix_t == st.t_rel:
+                # A fix at this instant computed the same errors.
+                e, n = st.fixes[-1].err_east_m, st.fixes[-1].err_north_m
+            elif st.last_known is not None:
+                e, n, _ = pvt.enu_errors(st.last_known, self.user_pos(st.t_rel))
             else:
                 e = n = float("nan")
             samples.append(
@@ -838,7 +839,7 @@ class _Engine:
         # Ephemeris age at the time the snapshot makes the receiver believe.
         believed = to_gps_time(st.clock.receiver_time(), snap.rco)
         t_abs_now = believed.total_seconds()
-        for ch in st.channels.values():
+        for ch in st.chans:
             eph = ch.eph_rx
             if eph is None or abs(t_abs_now - eph.epoch) > eph.validity:
                 return False, 0
@@ -856,7 +857,7 @@ class _Engine:
             + est.bit_index * BIT_S
             + est.residual_ms / 1000.0
         )
-        anchor = st.channels[st.anchor]
+        anchor = st.chans[st.anchor]
         true_week_s = self.config.start_tow_s + self.tx_rel(anchor.eph_true, st.t_rel)
         # est_week_s wraps at the week end and true_week_s does not.
         err_s = est_week_s - true_week_s
@@ -864,10 +865,10 @@ class _Engine:
         n_err = round(err_s / BIT_S)
         shift = n_err * BIT_S
         r_now = st.clock.elapsed_rx_s
-        for _, ch in sorted(st.channels.items()):
+        for ch in st.chans:
             ch.lock = ch.lock.step(rcv.LockEvent("estimate", r_now))
-            ch.labeled = True
-            ch.label_shift_s = shift
+        st.labeled[:] = True
+        st.label_shift_s = shift
         # The estimate stands in for a decoded handover word, so the clock
         # offset is rebuilt from its sync TIC with the flat assumed delay.
         # Its tow belongs to the week that puts it nearest the believed time.

@@ -159,6 +159,25 @@ class TestOrbits:
                 if not cell_stale:
                     assert np.array(con.position(eph, t)).tobytes() == cell.tobytes()
 
+    @given(
+        ephs=st.lists(_ephemerides, min_size=1, max_size=12),
+        fracs=st.lists(st.floats(-0.999, 0.999), min_size=24, max_size=24),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_rows_of_per_satellite_times_equal_separate_calls(self, ephs, fracs):
+        """A (2, n) array of times, one per satellite in each row, gives
+        (2, n, 3) whose rows equal the two (n,) calls."""
+        orbits = con.Orbits.of(ephs)
+        n = len(ephs)
+        times = np.array([
+            [e.epoch + f * e.validity for e, f in zip(ephs, fracs[k * 12 :])]
+            for k in (0, 1)
+        ])
+        pos = orbits.positions(times)
+        assert pos.shape == (2, n, 3)
+        for row in (0, 1):
+            assert pos[row].tobytes() == orbits.positions(times[row]).tobytes()
+
     def test_grid_raises_for_first_stale_cell_in_row_major_order(self):
         ephs = [
             _eph(epoch=1000.0, validity=600.0),

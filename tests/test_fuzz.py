@@ -86,6 +86,13 @@ _scenarios = st.lists(_line, max_size=8).map(
 )
 
 
+# Six satellites in one orbit plane: session one's first fix, which starts
+# at the Earth's centre, meets a singular geometry.
+_PLANAR = "[constellation]\n" + "".join(
+    f"sat = {i} 40 30 {112 + 8 * i}\n" for i in range(1, 7)
+)
+
+
 def _check_report(report: sh.RunReport) -> None:
     assert report.arms
     for arm in report.arms.values():
@@ -105,6 +112,7 @@ def _check_report(report: sh.RunReport) -> None:
 @example(text="[constellation]\nsat = 40 55 0 0\n")
 @example(text="[constellation]\nsat = 1 55 10 20 1000\n")
 @example(text="[constellation]\nsat = 1 55 10 20 26560000 0\n")
+@example(text=_PLANAR)
 def test_scenario_text_runs_or_is_rejected(text):
     with tempfile.TemporaryDirectory() as tmp:
         try:

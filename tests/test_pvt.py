@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from gpssim import pvt
 from gpssim.constants import GPS_ORBIT_RADIUS_M
-from gpssim.rx_clock import GpsTime
 
 TRUTH = np.array([-1266643.136, -4727176.539, 4079014.032])
 
@@ -41,25 +40,27 @@ def _measurements(sat_positions, truth=TRUTH, bias_m=0.0, noise=None):
     rho = np.linalg.norm(sat_positions - truth, axis=1) + bias_m
     if noise is not None:
         rho = rho + noise
-    t = GpsTime(100, 0.0)
-    return [
-        pvt.PseudorangeMeasurement(i + 1, float(r), t, t.add(0.075))
-        for i, r in enumerate(rho)
-    ]
+    return rho
 
 
 def test_negative_pseudorange_rejected():
-    t = GpsTime(0, 0.0)
-    with pytest.raises(ValueError):
-        pvt.PseudorangeMeasurement(1, -5.0, t, t)
-
-
-def test_measurement_times_do_not_change_the_solution():
+    """Negative, NaN and infinite pseudoranges at any position; zero is fine."""
     sats = _sat_positions(6)
-    four = _measurements(sats, bias_m=1234.5, noise=np.linspace(-3.0, 3.0, 6))
-    two = [pvt.PseudorangeMeasurement(m.sat_id, m.rho_m) for m in four]
-    assert two[0].t_transmit is None and two[0].t_receive_rx is None
-    assert pvt.solve(two, sats) == pvt.solve(four, sats)
+    for bad in (-5.0, -1e-300, math.nan, math.inf, -math.inf):
+        for at in (0, 3, 5):
+            rho = _measurements(sats)
+            rho[at] = bad
+            with pytest.raises(ValueError, match="must be finite and non-negative"):
+                pvt.solve(rho, sats)
+    rho = _measurements(sats)
+    rho[2] = 0.0
+    assert pvt.solve(rho, sats, max_iterations=1).iterations == 1
+
+
+def test_pseudoranges_must_be_one_dimensional():
+    sats = _sat_positions(4)
+    with pytest.raises(ValueError, match="1-D"):
+        pvt.solve(_measurements(sats)[:, None], sats)
 
 
 class TestSolve:
@@ -78,12 +79,7 @@ class TestSolve:
             truth = TRUTH + rng.uniform(-2e5, 2e5, 3)
             bias = rng.uniform(-1e6, 1e6)
             rho = np.linalg.norm(sats - truth, axis=1) + bias
-            t = GpsTime(100, 0.0)
-            meas = [
-                pvt.PseudorangeMeasurement(i + 1, float(r), t, t.add(0.07))
-                for i, r in enumerate(rho)
-            ]
-            sol = pvt.solve(meas, sats)
+            sol = pvt.solve(rho, sats)
             assert sol.converged
             assert sol.iterations <= 10
             assert np.linalg.norm(sol.position - truth) < 1e-3
@@ -173,7 +169,8 @@ def test_design_matrix_rejects_colocated_satellite():
 
 # --- the solver against its earlier form ---------------------------------------------
 # ref_design_matrix and ref_solve are the solver as it was before each iterate
-# computed its line of sight once and the condition number came from one SVD.
+# computed its line of sight once and the condition number came from the
+# singular values lstsq returns: np.linalg.norm and np.linalg.cond.
 
 
 def ref_design_matrix(position, sat_positions):
@@ -189,7 +186,7 @@ def ref_design_matrix(position, sat_positions):
 
 
 def ref_solve(
-    measurements,
+    rho,
     sat_positions,
     initial_guess=None,
     *,
@@ -197,14 +194,11 @@ def ref_solve(
     max_iterations=20,
     condition_cap=1e8,
 ):
-    if len(measurements) < 4:
-        raise pvt.InsufficientSatellitesError(
-            f"{len(measurements)} measurements; need at least 4"
-        )
+    if len(rho) < 4:
+        raise pvt.InsufficientSatellitesError(f"{len(rho)} measurements; need at least 4")
     sat_positions = np.asarray(sat_positions, float)
-    if sat_positions.shape != (len(measurements), 3):
+    if sat_positions.shape != (len(rho), 3):
         raise ValueError("sat_positions must be (n, 3) matching measurements")
-    rho = np.array([m.rho_m for m in measurements])
     state = np.zeros(4)
     if initial_guess is not None:
         guess = np.asarray(initial_guess, float).ravel()

@@ -38,6 +38,11 @@ GRID = {
     "n_sats_4": dict(n_sats=4, seed=11),
     "n_sats_32": dict(n_sats=32, seed=12),
     "zero_noise": dict(noise_sigma_m=0.0, off_duration_s=2400.0, rtc_ppm=4.0),
+    # Satellites cross the 25 degree mask during the 900 s wakes, so each
+    # wake fixes with three different sets of channels.
+    "changing_selection": dict(
+        n_sats=12, min_elevation_deg=25.0, off_duration_s=3000.0, wake_run_s=900.0, seed=4
+    ),
 }
 
 DIGESTS = {
@@ -54,6 +59,7 @@ DIGESTS = {
     "n_sats_4": "823008b8a0624badd8168485192fd46c59b0010b3e033dce748542ac85292319",
     "n_sats_32": "baacf7da2050f99284afeb2bde2f88ae37942ea0bd822885215d31abbf5ace4a",
     "zero_noise": "726e9515970ad9620264c1f13338c6d0f1917c740988b4290adef1f228c7b0b6",
+    "changing_selection": "4040e38566505ef7c2e4a79bffd29a9a2b986255ed963ac817c73e8a61c60152",
 }
 
 

@@ -302,6 +302,73 @@ def test_no_fix_inside_wake_run_is_an_error():
         sh.run_scenario(sh.ScenarioConfig(wake_run_s=1.0))
 
 
+def test_first_fix_after_the_last_sample_is_not_solved(monkeypatch):
+    """The wake that ends before its first fix fails without solving it."""
+    fixes = []
+    fix = sh._Engine._fix
+
+    def counting_fix(self, state, t_since_wake):
+        fixes.append(t_since_wake)
+        return fix(self, state, t_since_wake)
+
+    monkeypatch.setattr(sh._Engine, "_fix", counting_fix)
+    with pytest.raises(sh.ScenarioError, match="no fix inside wake_run_s"):
+        sh.run_scenario(sh.ScenarioConfig(wake_run_s=1.0))
+    assert fixes and [t for t in fixes if t >= 0] == []
+
+
+PLANAR_SATS = "[constellation]\n" + "".join(
+    f"sat = {i} 40 30 {112 + 8 * i}\n" for i in range(1, 7)
+)
+
+
+def test_planar_constellation_is_a_scenario_error():
+    """Six satellites in one orbit plane. Seen from the user they pass the
+    geometry check, but session one's first fix starts Gauss-Newton at the
+    Earth's centre, where every line of sight lies in that plane."""
+    config = sh.parse_scenario(PLANAR_SATS)
+    with pytest.raises(
+        sh.ScenarioError,
+        match=r"^unusable geometry in the fix at t=\d+\.\d{3} s: "
+        "design matrix condition number exceeds cap$",
+    ) as exc:
+        sh.run_scenario(config)
+    assert isinstance(exc.value.__cause__, sh.pvt.GeometryError)
+
+
+def test_a_sample_at_a_fix_reuses_its_errors(monkeypatch):
+    """Only samples taken before a wake's first fix compute their own
+    errors; every later one falls on a fix and reads that fix's."""
+    calls = {"enu_errors": 0, "_fix": 0}
+    enu_errors, fix = sh.pvt.enu_errors, sh._Engine._fix
+
+    def counting_enu_errors(position, truth):
+        calls["enu_errors"] += 1
+        return enu_errors(position, truth)
+
+    def counting_fix(self, state, t_since_wake):
+        calls["_fix"] += 1
+        return fix(self, state, t_since_wake)
+
+    monkeypatch.setattr(sh.pvt, "enu_errors", counting_enu_errors)
+    monkeypatch.setattr(sh._Engine, "_fix", counting_fix)
+    report = sh.run_scenario(sh.ScenarioConfig(wake_run_s=30.0))
+    before_first_fix = [
+        s for arm in report.arms.values() for s in arm.samples if not s.fix_valid
+    ]
+    assert before_first_fix
+    assert calls["enu_errors"] == calls["_fix"] + len(before_first_fix)
+    for arm in report.arms.values():
+        # The first fix lands between samples; each later one on a sample.
+        valid = [s for s in arm.samples if s.fix_valid]
+        assert len(valid) == len(arm.fixes) - 1
+        for s, f in zip(valid, arm.fixes[1:]):
+            assert s.t_s == pytest.approx(f.t_since_wake_s, abs=1e-9)
+            assert (s.err_east_m, s.err_north_m, s.err_2d_m) == (
+                f.err_east_m, f.err_north_m, f.err_2d_m
+            )
+
+
 @pytest.mark.parametrize("sleep_s", [14500.0, 20000.0])
 def test_sleep_past_ephemeris_validity_is_a_scenario_error(sleep_s):
     with pytest.raises(sh.ScenarioError, match=r"^stale ephemeris while simulating t=.* s: sat 1: ") as exc:
