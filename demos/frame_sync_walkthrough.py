@@ -12,16 +12,16 @@ Run it with ``python3 demos/frame_sync_walkthrough.py``.
 """
 import gpssim.frame_sync as fs
 from gpssim.constants import SUBFRAME_S, WORD_BITS
-from gpssim.nav_message import BitstreamCursor
 from gpssim.rx_clock import GpsTime, Rco, ReceiverClockState, compute_rco
 
 RTC_HZ = 32000.0
 
 # ----------------------------------------------------------------------
-# Session one.  The receiver is tracking: the cursor says "word 6, bit 19
-# of the subframe labelled TOW 2679", and the RTC latched count 17362 at
-# the edge of that bit.  We give the receiver clock a +0.25 ms bias so we
-# can check later that the wake path recovers it.
+# Session one.  The receiver is tracking: its message position is "word 6,
+# bit 19 of the subframe labelled TOW 2679", and the clock sits on the
+# leading edge of that bit, where the RTC reads 17362.  We give the
+# receiver clock a +0.25 ms bias so we can check later that the wake path
+# recovers it.
 
 TOW, WORD, BIT, RTC_LATCH = 2679, 6, 19, 17362
 BIAS_S = 0.00025
@@ -33,11 +33,12 @@ boot_zt = edge_at_antenna + BIAS_S - RTC_LATCH / RTC_HZ
 clock = ReceiverClockState(GpsTime(0, boot_zt), rtc_ppm_error=0.0)
 clock.advance(RTC_LATCH / RTC_HZ)
 
-cursor = BitstreamCursor(word_index=WORD, bit_index=BIT, tow_current=TOW)
-tracking = fs.TrackingStatus(
-    bit_locked=True, have_fix=True, carrier_doppler_hz=1200.0, code_phase_chips=401.25
+# take_snapshot latches the RTC count at the bit's leading edge; here the
+# bit fraction is 0, so that is the count now.
+snap = fs.take_snapshot(
+    clock, WORD, BIT, TOW, 0.0, Rco(0, BIAS_S),
+    carrier_doppler_hz=1200.0, code_phase_chips=401.25,
 )
-snap = fs.take_snapshot(cursor, tracking, Rco(0, BIAS_S), rtc_count=RTC_LATCH)
 print("snapshot taken:")
 print(fs.dump_snapshot_text(snap))
 

@@ -36,8 +36,6 @@ from .frame_sync import (
     EstimationMode,
     PersistedSnapshot,
     SnapshotFormatError,
-    SnapshotUnavailableError,
-    TrackingStatus,
     code_doppler_from_carrier,
     drift_budget,
     elapsed_ms_from_rtc,
@@ -48,7 +46,6 @@ from .frame_sync import (
     tick_frame_state,
 )
 from .nav_message import (
-    BitstreamCursor,
     DecodeError,
     ParityError,
     PreambleHit,

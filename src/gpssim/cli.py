@@ -20,6 +20,7 @@ from . import frame_sync as fs
 from .simharness import (
     ScenarioConfig,
     ScenarioError,
+    export_report,
     read_scenario,
     render_report_csv,
     run_scenario,
@@ -77,12 +78,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         config = replace(config, **overrides)
         config.validate()
     report = run_scenario(config)
-    text = render_report_csv(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        export_report(report, args.out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(render_report_csv(report))
     return EXIT_OK
 
 

@@ -35,6 +35,7 @@ from enum import Enum
 from pathlib import Path
 
 from .constants import (
+    BIT_S,
     CODE_DOPPLER_RATIO,
     CODE_LENGTH_CHIPS,
     SUBFRAME_S,
@@ -44,8 +45,7 @@ from .constants import (
     WEEK_S,
     WORD_BITS,
 )
-from .nav_message import BitstreamCursor
-from .rx_clock import ClockBackwardsError, Rco
+from .rx_clock import ClockBackwardsError, Rco, ReceiverClockState
 
 _MS_PER_BIT = 20.0
 _MS_PER_WORD = 600.0
@@ -57,22 +57,8 @@ class EstimationMode(Enum):
     FIELDWISE = "fieldwise"
 
 
-class SnapshotUnavailableError(RuntimeError):
-    """Tracking state is too shallow to snapshot (no bit lock or no fix yet)."""
-
-
 class SnapshotFormatError(ValueError):
     """Persisted snapshot bytes are corrupt or of an unknown version."""
-
-
-@dataclass(frozen=True)
-class TrackingStatus:
-    """Channel tracking summary consulted when taking a snapshot."""
-
-    bit_locked: bool
-    carrier_doppler_hz: float
-    code_phase_chips: float
-    have_fix: bool
 
 
 @dataclass(frozen=True)
@@ -119,29 +105,35 @@ class EstimatedFrameState:
 
 
 def take_snapshot(
-    cursor: BitstreamCursor,
-    tracking: TrackingStatus,
-    rco: Rco | None,
-    ephemeris_ids: tuple[tuple[int, float], ...] = (),
+    clock: ReceiverClockState,
+    word_index: int,
+    bit_index: int,
+    tow: int,
+    bit_fraction: float,
+    rco: Rco,
     *,
-    rtc_count: int,
+    carrier_doppler_hz: float,
+    code_phase_chips: float,
+    ephemeris_ids: tuple[tuple[int, float], ...] = (),
 ) -> PersistedSnapshot:
     """Capture the state needed to predict frame sync after a power-off.
 
-    rtc_count is the RTC count latched at the edge of the bit the cursor
-    points at, so the stored counter pair is coherent.
+    The clock is bit_fraction of a bit past the leading edge of bit
+    bit_index of word word_index. The stored RTC count is latched at that
+    edge, so the stored counter pair is coherent; the live count would bias
+    every estimate by up to one bit.
     """
-    if not tracking.bit_locked:
-        raise SnapshotUnavailableError("channel is not bit locked")
-    if not tracking.have_fix or rco is None:
-        raise SnapshotUnavailableError("no previous fix; clock offset unknown")
+    edge_rx_s = clock.elapsed_rx_s - bit_fraction * BIT_S * (
+        1 + clock.rtc_ppm_error * 1e-6
+    )
+    rtc_count = math.floor(edge_rx_s * clock.rtc_nominal_hz + 1e-9)
     return PersistedSnapshot(
-        cursor.word_index,
-        cursor.bit_index,
-        cursor.tow_current,
+        word_index,
+        bit_index,
+        tow,
         rtc_count,
-        tracking.carrier_doppler_hz,
-        tracking.code_phase_chips,
+        carrier_doppler_hz,
+        code_phase_chips,
         rco,
         ephemeris_ids,
     )

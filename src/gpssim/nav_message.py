@@ -166,26 +166,19 @@ def word_to_bits(word30: int) -> np.ndarray:
     return ((word30 >> _BIT_SHIFTS) & 1).astype(np.uint8)
 
 
-def bits_to_word(bits: np.ndarray) -> int | list[int]:
-    """30 bits to a word, first transmitted bit most significant.
-
-    An (n, 30) array of rows gives the n words as a list.
-    """
+def bits_to_word(bits: np.ndarray) -> list[int]:
+    """An (n, 30) array of bit rows to its n words, first transmitted bit
+    most significant."""
     bits = np.asarray(bits)
-    if bits.ndim == 2:
-        n, width = bits.shape
-        if width != WORD_BITS:
-            raise ValueError("expected rows of 30 bits")
-        # One integer of n * 30 bits, first row most significant, padded
-        # with zero bits up to whole bytes.
-        pad = -n * WORD_BITS % 8
-        packed = int.from_bytes(np.packbits(bits).tobytes(), "big") >> pad
-        last = WORD_BITS * (n - 1)
-        return [(packed >> k) & _WORD_MASK for k in range(last, -1, -WORD_BITS)]
-    if len(bits) != WORD_BITS:
-        raise ValueError("expected 30 bits")
-    # 30 bits pack into 4 bytes with two zero pad bits at the end.
-    return int.from_bytes(np.packbits(bits).tobytes(), "big") >> 2
+    if bits.ndim != 2 or bits.shape[1] != WORD_BITS:
+        raise ValueError("expected rows of 30 bits")
+    # One integer of n * 30 bits, first row most significant, padded with
+    # zero bits up to whole bytes.
+    n = len(bits)
+    pad = -n * WORD_BITS % 8
+    packed = int.from_bytes(np.packbits(bits).tobytes(), "big") >> pad
+    last = WORD_BITS * (n - 1)
+    return [(packed >> k) & _WORD_MASK for k in range(last, -1, -WORD_BITS)]
 
 
 @dataclass(frozen=True)
@@ -287,25 +280,6 @@ def decode_subframe(
     pay = b"".join([d.to_bytes(3, "big") for d in data[3:9]])
     pay += (data[9] >> 8).to_bytes(2, "big")
     return Subframe(sat_id, subframe_id, tow, week_number, pay, tuple(words))
-
-
-@dataclass
-class BitstreamCursor:
-    """Receiver-side position in the message stream.
-
-    word_index runs 1..10, bit_index 0..29. tow_current is the handover count
-    of the subframe currently in flight (the count at its end).
-    """
-
-    word_index: int = 1
-    bit_index: int = 0
-    tow_current: int = 0
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.word_index <= SUBFRAME_WORDS:
-            raise ValueError("word_index out of range")
-        if not 0 <= self.bit_index < WORD_BITS:
-            raise ValueError("bit_index out of range")
 
 
 @dataclass(frozen=True)

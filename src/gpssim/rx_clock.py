@@ -88,7 +88,6 @@ class ReceiverClockState:
     zt: GpsTime
     rtc_nominal_hz: float = 32_000.0
     rtc_ppm_error: float = 0.0
-    clock_bias_s: float = 0.0
     elapsed_rx_s: float = field(default=0.0, init=False)
     _rtc_accum: float = field(default=0.0, init=False)
 

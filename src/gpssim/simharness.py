@@ -126,7 +126,6 @@ class ScenarioConfig:
     estimator_epsilon_s: float = 0.0
     snapshot_path: str | None = None
     min_elevation_deg: float = 5.0
-    estimation_mode: fs.EstimationMode = fs.EstimationMode.EXACT
 
     def validate(self) -> None:
         numbers = list(vars(self).items())
@@ -580,10 +579,7 @@ class _Engine:
         zt = GpsTime(cfg.start_week, cfg.start_tow_s + cfg.clock_bias_s)
         st = _State(
             clock=ReceiverClockState(
-                zt,
-                rtc_nominal_hz=cfg.rtc_nominal_hz,
-                rtc_ppm_error=cfg.rtc_ppm,
-                clock_bias_s=cfg.clock_bias_s,
+                zt, rtc_nominal_hz=cfg.rtc_nominal_hz, rtc_ppm_error=cfg.rtc_ppm
             ),
             t_rel=0.0,
             chans=[_Chan(e) for e in self.sats],
@@ -599,10 +595,13 @@ class _Engine:
                 self._queue_labels(st, r_bit)
 
         def label(row: int) -> None:
+            eph = st.chans[row].eph_true
+            s = self.tx_rel(eph, st.t_rel)
             if self._label(st, row) == 1:
-                self._refine_rco(st)
+                # Session one labels from decoded words: no shift to add.
+                self._refine_rco(st, s)
                 self.diagnostics["s1_rco_first_err_s"] = self.rco_error_s(st)
-            t, subframes = self._ephemeris_subframes(st.chans[row].eph_true, st.t_rel)
+            t, subframes = self._ephemeris_subframes(eph, s)
             self._push(t, "ephemeris", (row, subframes))
 
         def ephemeris(data: tuple[int, list[int]]) -> None:
@@ -641,16 +640,17 @@ class _Engine:
         return st, snapshot
 
     def _ephemeris_subframes(
-        self, eph: cst.EphemerisRecord, t_rel: float
+        self, eph: cst.EphemerisRecord, s_rel: float
     ) -> tuple[float, list[int]]:
-        """Indices of the subframes 1-3 a channel labeled at t_rel hears next
-        in full, and the true time at which the last of them ends. Subframe
-        k, counted from the start of week start_week, has ID k % 5 + 1. The
-        one in progress at t_rel is heard only in part, so the first heard
-        whole is b - 1 (the bias counts a label just before a boundary as on
-        it), and IDs 1-3 all fall in b - 1 ... b + 3."""
+        """Indices of the subframes 1-3 a channel labeled on the signal sent
+        at s_rel hears next in full, and the true time at which the last of
+        them ends. Subframe k, counted from the start of week start_week,
+        has ID k % 5 + 1. The one in progress at s_rel is heard only in
+        part, so the first heard whole is b - 1 (the bias counts a label
+        just before a boundary as on it), and IDs 1-3 all fall in
+        b - 1 ... b + 3."""
         start = self.config.start_tow_s
-        b = int((start + self.tx_rel(eph, t_rel) + 1e-6) // SUBFRAME_S) + 2
+        b = int((start + s_rel + 1e-6) // SUBFRAME_S) + 2
         ks = [k for k in range(b - 1, b + 4) if k % 5 < cst.EPHEMERIS_SUBFRAMES]
         return self.rx_time(eph, (ks[-1] + 1) * SUBFRAME_S - start), ks
 
@@ -679,27 +679,19 @@ class _Engine:
         t = st.t_rel
         s = self.tx_rel(ch.eph_true, t) + st.label_shift_s
         _, tow, word, bit, frac = self.decomp(s)
-        cursor = nav.BitstreamCursor(word, bit, tow)
-        # Latch the RTC count at the edge of the bit in progress so the
-        # stored counter pair is coherent; the fraction since that edge
-        # would otherwise bias every estimate by up to one bit.
-        edge_rx_s = st.clock.elapsed_rx_s - frac * BIT_S * self._scale()
-        rtc_edge = int(math.floor(edge_rx_s * self.config.rtc_nominal_hz + 1e-9))
         sat = cst.propagate(ch.eph_true, self.t0_abs + s)
-        tracking = fs.TrackingStatus(
-            bit_locked=True,
-            carrier_doppler_hz=cst.carrier_doppler(
-                sat, self.user_pos(t), self.user_vel
-            ),
+        snapshot = fs.take_snapshot(
+            st.clock,
+            word,
+            bit,
+            tow,
+            frac,
+            st.rco,
+            carrier_doppler_hz=cst.carrier_doppler(sat, self.user_pos(t), self.user_vel),
             code_phase_chips=cst.code_phase_chips(self.config.start_tow_s + s),
-            have_fix=st.last_known is not None,
+            # The snapshot follows the first fix, so every channel has one.
+            ephemeris_ids=tuple((c.eph_rx.sat_id, c.eph_rx.epoch) for c in st.chans),
         )
-        eph_ids = tuple(
-            (c.eph_rx.sat_id, c.eph_rx.epoch)
-            for c in st.chans
-            if c.eph_rx is not None
-        )
-        snapshot = fs.take_snapshot(cursor, tracking, st.rco, eph_ids, rtc_count=rtc_edge)
         if self.config.snapshot_path:
             fs.save_snapshot(snapshot, self.config.snapshot_path)
         return snapshot
@@ -711,7 +703,8 @@ class _Engine:
     ) -> ArmReport:
         cfg = self.config
         st = _State(
-            clock=copy.deepcopy(base.clock),
+            # The clock holds only floats and a frozen GpsTime.
+            clock=copy.copy(base.clock),
             t_rel=base.t_rel,
             chans=[_Chan(c.eph_true, c.eph_rx) for c in base.chans],
             rco=snapshot.rco,
@@ -719,7 +712,6 @@ class _Engine:
             rx_orbits=base.rx_orbits,
             last_known=None if base.last_known is None else base.last_known.copy(),
         )
-        self._check_geometry(st.t_rel)
 
         r_wake = st.clock.elapsed_rx_s
         self._queue_locks(st)
@@ -848,7 +840,6 @@ class _Engine:
             snap,
             rtc_now,
             cfg.rtc_nominal_hz,
-            mode=cfg.estimation_mode,
             current_tic=st.clock.tic_value,
         )
         est_week_s = (
@@ -886,6 +877,8 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
     if config.off_duration_s > 0:
         base.clock.advance(config.off_duration_s)
         base.t_rel += config.off_duration_s
+    # Every arm wakes at this instant from this state.
+    engine._check_geometry(base.t_rel)
 
     arms = (
         (ARM_ESTIMATOR, ARM_HOTSTART)

@@ -17,8 +17,7 @@ from hypothesis import strategies as st
 
 from gpssim import frame_sync as fs
 from gpssim.constants import SUBFRAME_S, TIC_S, TOW_COUNT
-from gpssim.nav_message import BitstreamCursor
-from gpssim.rx_clock import ClockBackwardsError, Rco
+from gpssim.rx_clock import ClockBackwardsError, GpsTime, Rco, ReceiverClockState
 
 
 def _resealed(blob: bytes, offset: int, fmt: str, value) -> bytes:
@@ -151,36 +150,45 @@ def test_code_doppler_scaling():
 # --- snapshot capture ------------------------------------------------------------
 
 
-def _tracking(bit_locked=True, have_fix=True, doppler=-1234.5, phase=511.0):
-    return fs.TrackingStatus(bit_locked, doppler, phase, have_fix)
+def _clock(elapsed_s, ppm=0.0):
+    """A 32 kHz receiver clock elapsed_s of true time after power-on."""
+    clock = ReceiverClockState(GpsTime(100, 1000.0), rtc_ppm_error=ppm)
+    clock.advance(elapsed_s)
+    return clock
 
 
 def test_snapshot_copies_live_counters():
-    cursor = BitstreamCursor(6, 19, 2679)
-    snap = fs.take_snapshot(cursor, _tracking(), Rco(0, 0.001), rtc_count=17362)
+    """On a bit edge the stored count is the RTC count now."""
+    clock = _clock(17362 / 32000.0)
+    snap = fs.take_snapshot(
+        clock, 6, 19, 2679, 0.0, Rco(0, 0.001),
+        carrier_doppler_hz=-1234.5, code_phase_chips=511.0,
+        ephemeris_ids=((3, 60480000.0),),
+    )
     assert (snap.word_index, snap.bit_index, snap.tow) == (6, 19, 2679)
-    assert snap.rtc_count == 17362
+    assert snap.rtc_count == clock.rtc_count == 17362
     assert snap.rco == Rco(0, 0.001)
-    assert snap.carrier_doppler_hz == -1234.5
+    assert (snap.carrier_doppler_hz, snap.code_phase_chips) == (-1234.5, 511.0)
+    assert snap.ephemeris_ids == ((3, 60480000.0),)
 
 
-def test_snapshot_honours_explicit_rtc_latch():
-    """The latched count is required: no live counter stands in for it."""
-    cursor = BitstreamCursor(1, 0, 7)
-    snap = fs.take_snapshot(cursor, _tracking(), Rco(0, 0.0), rtc_count=63999)
-    assert snap.rtc_count == 63999
-    with pytest.raises(TypeError):
-        fs.take_snapshot(cursor, _tracking(), Rco(0, 0.0))
-
-
-def test_snapshot_requires_bit_lock_and_fix():
-    cursor = BitstreamCursor(1, 0, 0)
-    with pytest.raises(fs.SnapshotUnavailableError):
-        fs.take_snapshot(cursor, _tracking(bit_locked=False), Rco(0, 0.0), rtc_count=0)
-    with pytest.raises(fs.SnapshotUnavailableError):
-        fs.take_snapshot(cursor, _tracking(have_fix=False), Rco(0, 0.0), rtc_count=0)
-    with pytest.raises(fs.SnapshotUnavailableError):
-        fs.take_snapshot(cursor, _tracking(), None, rtc_count=0)
+def test_snapshot_latches_rtc_at_bit_edge():
+    """Half a bit into bit 0 of word 1, the stored count is the one latched
+    at that bit's leading edge, 10 ms of receiver time (drift included)
+    before now, not the live count."""
+    for ppm, live, edge in ((0.0, 32000, 31680), (50.0, 32001, 31681)):
+        clock = _clock(1.0, ppm)
+        snap = fs.take_snapshot(
+            clock, 1, 0, 7, 0.5, Rco(0, 0.0),
+            carrier_doppler_hz=0.0, code_phase_chips=0.0,
+        )
+        assert clock.rtc_count == live
+        assert snap.rtc_count == edge
+        # The stored pair is coherent: the live count puts the clock back
+        # in the same bit, half a bit past its edge.
+        est = fs.estimate_frame_state(snap, live, 32000.0)
+        assert (est.bit_index, est.word_index, est.tow) == (0, 1, 7)
+        assert est.residual_ms == 10.0
 
 
 def test_snapshot_field_validation():

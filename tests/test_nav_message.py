@@ -278,13 +278,16 @@ def test_word_bit_conversions_equal_reference_loops(word):
     bits = nav.word_to_bits(word)
     assert bits.dtype == np.uint8
     assert np.array_equal(bits, ref_word_to_bits(word))
-    assert nav.bits_to_word(bits) == ref_bits_to_word(bits) == word
-    assert nav.bits_to_word(bits.tolist()) == word
-    assert nav.bits_to_word(bits.astype(bool)) == word
+    assert ref_bits_to_word(bits) == word
+    # One word is one row.
+    assert nav.bits_to_word(bits[None]) == [word]
+    assert nav.bits_to_word([bits.tolist()]) == [word]
+    assert nav.bits_to_word(bits.astype(bool)[None]) == [word]
 
 
-@pytest.mark.parametrize("n", [0, 29, 31, 60])
+@pytest.mark.parametrize("n", [0, 29, 30, 31, 60])
 def test_bits_to_word_rejects_wrong_length(n):
+    """Bits come as (n, 30) rows; a flat array is refused at any length."""
     with pytest.raises(ValueError):
         nav.bits_to_word(np.zeros(n, dtype=np.uint8))
 
@@ -294,8 +297,8 @@ def test_bits_to_word_rows_equal_row_by_row(n):
     rng = np.random.default_rng(n)
     rows = rng.integers(0, 2, (n, WORD_BITS), dtype=np.uint8)
     rows[0] = 1  # an all-ones word and random ones
-    want = [nav.bits_to_word(row) for row in rows]
-    assert want == [ref_bits_to_word(row) for row in rows]
+    want = [ref_bits_to_word(row) for row in rows]
+    assert [nav.bits_to_word(row[None])[0] for row in rows] == want
     got = nav.bits_to_word(rows)
     assert isinstance(got, list) and got == want
     assert nav.bits_to_word(rows.tolist()) == want
@@ -338,7 +341,7 @@ def test_every_subframe_word_checks_with_zero_carryin():
     zero carry bits at any subframe start."""
     sf = _subframe(tow=41, sfid=4, payload=b"\xff" * 20)
     bits = nav.subframe_bits(sf)
-    words = [nav.bits_to_word(bits[i * 30 : (i + 1) * 30]) for i in range(10)]
+    words = nav.bits_to_word(bits.reshape(10, 30))
     d29 = d30 = 0
     for w in words:
         nav.check_word(w, d29, d30)

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from gpssim import constellation as cst
-from gpssim import frame_sync as fs
 from gpssim import simharness as sh
 
 BASE = sh.ScenarioConfig()
@@ -34,7 +33,6 @@ GRID = {
     "snapshot_file": dict(snapshot_path="wake.fsnp", seed=2),
     "week_end_604600_600": dict(start_tow_s=604600.0, off_duration_s=600.0),
     "explicit_masked": dict(satellites=_masked_explicit_sats(), min_elevation_deg=32.0),
-    "fieldwise": dict(estimation_mode=fs.EstimationMode.FIELDWISE, off_duration_s=300.0),
     "n_sats_4": dict(n_sats=4, seed=11),
     "n_sats_32": dict(n_sats=32, seed=12),
     "zero_noise": dict(noise_sigma_m=0.0, off_duration_s=2400.0, rtc_ppm=4.0),
@@ -55,7 +53,6 @@ DIGESTS = {
     "snapshot_file": "969c9d9343b54b680263afdecf94dd3e679ac991c63134c40101e174c869e297",
     "week_end_604600_600": "f4c1a1ca998ba6abf4f41140de1d866e5a9d8302e25568fa96cfdd8c661200be",
     "explicit_masked": "e72a4237462c6043bf588214ca8ed237c139c39c1ea7998b70bf86af72c431ff",
-    "fieldwise": "d1aa3cf7a6c0dea682194e8cc1f2e8b92d01ebfdaf02badaca0964c47bb744a0",
     "n_sats_4": "823008b8a0624badd8168485192fd46c59b0010b3e033dce748542ac85292319",
     "n_sats_32": "baacf7da2050f99284afeb2bde2f88ae37942ea0bd822885215d31abbf5ace4a",
     "zero_noise": "726e9515970ad9620264c1f13338c6d0f1917c740988b4290adef1f228c7b0b6",

@@ -48,10 +48,8 @@ def test_rco_is_not_normalized():
 # --- counter state --------------------------------------------------------------
 
 
-def _clock(ppm=0.0, bias=0.0):
-    return rxc.ReceiverClockState(
-        rxc.GpsTime(100, 1000.0), rtc_ppm_error=ppm, clock_bias_s=bias
-    )
+def _clock(ppm=0.0):
+    return rxc.ReceiverClockState(rxc.GpsTime(100, 1000.0), rtc_ppm_error=ppm)
 
 
 def test_tic_increments_every_tenth_second():

@@ -4,7 +4,7 @@ import io
 import re
 import struct
 import zlib
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 from unittest import mock
 
@@ -615,7 +615,7 @@ def test_ephemeris_timeline_equals_boundary_chain(start_tow_s, vel, t_label, bou
             t_rx = ref_next_boundary_t(engine, eph, t_label) + boundary_offset_s
         times, expected = ref_ephemeris_timeline(engine, eph, t_rx)
 
-        t, subframes = engine._ephemeris_subframes(eph, t_rx)
+        t, subframes = engine._ephemeris_subframes(eph, engine.tx_rel(eph, t_rx))
         decoded.clear()
         with mock.patch.object(nav, "decode_subframe", recording_decode):
             engine._deliver_ephemeris(sh._Chan(eph), subframes)
@@ -689,6 +689,20 @@ def test_parse_scenario_count_key():
     cfg = sh.parse_scenario("[constellation]\ncount = 6\n")
     assert cfg.n_sats == 6
     assert cfg.satellites is None
+
+
+def test_every_config_field_can_be_set_from_scenario_text():
+    """Each ScenarioConfig field has a key in the scenario text format, so
+    no option exists that only code can set."""
+    text = (
+        "[user]\npos_ecef_m = 0 0 7000000\nvel_ecef_mps = 1 2 3\n"
+        "[constellation]\nsat = 3 55 0 0\n"
+    )
+    parsed, default = sh.parse_scenario(text), sh.ScenarioConfig()
+    names = [f.name for f in fields(sh.ScenarioConfig)]
+    settable = {name for name, _ in sh._SCALAR_KEYS.values()}
+    settable |= {n for n in names if getattr(parsed, n) != getattr(default, n)}
+    assert settable == set(names)
 
 
 @pytest.mark.parametrize(
