@@ -6,7 +6,7 @@ plus handover word, or from accepting a predicted frame position.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .constants import BIT_S, SUBFRAME_WORDS, WORD_BITS, WORD_S
@@ -58,7 +58,7 @@ class LockState:
             )
         if self.history and event.t_rx_s < self.history[-1].t_rx_s:
             raise ProtocolError("lock event timestamps must not decrease")
-        return replace(self, stage=dst, history=self.history + (event,))
+        return LockState(dst, self.history + (event,))
 
 
 def hotstart_frame_lock_delay(word_index: int, bit_index: int) -> float:

@@ -163,6 +163,8 @@ class ScenarioConfig:
             )
         if math.hypot(*self.user_vel_ecef) > _MAX_SPEED_M_S:
             raise ScenarioError(f"user_vel_ecef must not exceed {_MAX_SPEED_M_S:g} m/s")
+        if not -90 <= self.min_elevation_deg <= 90:
+            raise ScenarioError("min_elevation_deg must be in -90..90")
         if self.satellites is None and not 4 <= self.n_sats <= 32:
             raise ScenarioError("n_sats must be in 4..32")
         if self.satellites is not None and len(
@@ -219,15 +221,8 @@ def power_savings_ratio(off_duration_s: float, on_duration_s: float) -> float:
 
 
 @dataclass
-class _Chan:
-    eph_true: cst.EphemerisRecord
-    eph_rx: cst.EphemerisRecord | None = None
-    lock: rcv.LockState = field(default_factory=rcv.LockState)
-
-
-@dataclass
 class _State:
-    """Everything that evolves during a session (cloned per wake arm).
+    """Everything that evolves during a session (copied by each wake).
 
     Channels are rows in sat_id order, the order of _Engine.sats; anchor
     is the row of the clock-offset anchor.
@@ -235,7 +230,7 @@ class _State:
 
     clock: ReceiverClockState
     t_rel: float
-    chans: list[_Chan]
+    locks: list[rcv.LockState]
     rco: object | None = None
     anchor: int | None = None
     rx_orbits: cst.Orbits | None = None
@@ -256,8 +251,8 @@ class _State:
     assumed_delay_s: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        self.labeled = np.zeros(len(self.chans), bool)
-        self.assumed_delay_s = np.full(len(self.chans), DEFAULT_PROPAGATION_DELAY_S)
+        self.labeled = np.zeros(len(self.locks), bool)
+        self.assumed_delay_s = np.full(len(self.locks), DEFAULT_PROPAGATION_DELAY_S)
 
 
 @dataclass(frozen=True)
@@ -301,7 +296,7 @@ class _Engine:
             )
         if len(self.sats) < 4:
             raise ScenarioError("need at least 4 satellites")
-        # Rows follow sorted(sat_id), the order of _State.chans.
+        # Rows follow sorted(sat_id): the true ephemerides of _State's rows.
         self.orbits = cst.Orbits.of(self.sats)
         self._mask = math.radians(config.min_elevation_deg)
         self._check_geometry(0.0)
@@ -424,6 +419,9 @@ class _Engine:
             raise ScenarioError(
                 f"unusable geometry in the fix at t={st.t_rel:.3f} s: {exc}"
             ) from exc
+        finally:
+            # A failed session leaves no events for the next one.
+            self._queue.clear()
 
     def _queue_locks(self, st: _State) -> float:
         """Queue code, carrier and bit lock from now; returns the bit-lock time."""
@@ -439,8 +437,8 @@ class _Engine:
         return r
 
     def _step_locks(self, st: _State, stage: str) -> None:
-        for ch in st.chans:
-            ch.lock = ch.lock.step(rcv.LockEvent(stage, st.clock.elapsed_rx_s))
+        event = rcv.LockEvent(stage, st.clock.elapsed_rx_s)
+        st.locks = [lock.step(event) for lock in st.locks]
 
     def _queue_labels(self, st: _State, r_bit: float) -> float:
         """Queue each channel's preamble label one decode wait after r_bit.
@@ -461,8 +459,7 @@ class _Engine:
 
         The first channel labeled becomes the clock-offset anchor.
         """
-        ch = st.chans[row]
-        ch.lock = ch.lock.step(rcv.LockEvent("preamble", st.clock.elapsed_rx_s))
+        st.locks[row] = st.locks[row].step(rcv.LockEvent("preamble", st.clock.elapsed_rx_s))
         st.labeled[row] = True
         n = int(np.count_nonzero(st.labeled))
         if n == 1:
@@ -490,7 +487,7 @@ class _Engine:
         s_bel is the anchor's believed transmit time now, if already known.
         """
         if s_bel is None:
-            s_bel = self.tx_rel(st.chans[st.anchor].eph_true, st.t_rel) + st.label_shift_s
+            s_bel = self.tx_rel(self.sats[st.anchor], st.t_rel) + st.label_shift_s
         k, tow, word, bit, frac = self.decomp(s_bel)
         within = (word - 1) * WORD_S + bit * BIT_S + code_time_at_tic(frac)
         sync_tic = st.clock.tic_value + (SUBFRAME_S - within) / TIC_S
@@ -582,10 +579,11 @@ class _Engine:
                 zt, rtc_nominal_hz=cfg.rtc_nominal_hz, rtc_ppm_error=cfg.rtc_ppm
             ),
             t_rel=0.0,
-            chans=[_Chan(e) for e in self.sats],
+            locks=[rcv.LockState()] * len(self.sats),
         )
         r_bit = self._queue_locks(st)
         off_r = 0.0
+        eph_rx: list[cst.EphemerisRecord | None] = [None] * len(self.sats)
         snapshot: fs.PersistedSnapshot | None = None
         rco_errors: list[float] = []
 
@@ -595,7 +593,7 @@ class _Engine:
                 self._queue_labels(st, r_bit)
 
         def label(row: int) -> None:
-            eph = st.chans[row].eph_true
+            eph = self.sats[row]
             s = self.tx_rel(eph, st.t_rel)
             if self._label(st, row) == 1:
                 # Session one labels from decoded words: no shift to add.
@@ -606,10 +604,10 @@ class _Engine:
 
         def ephemeris(data: tuple[int, list[int]]) -> None:
             row, subframes = data
-            self._deliver_ephemeris(st.chans[row], subframes)
-            if all(c.eph_rx is not None for c in st.chans):
+            eph_rx[row] = self._deliver_ephemeris(self.sats[row], subframes)
+            if all(e is not None for e in eph_rx):
                 # One event per channel, so this runs once: at the last.
-                st.rx_orbits = cst.Orbits.of([c.eph_rx for c in st.chans])
+                st.rx_orbits = cst.Orbits.of(eph_rx)
                 self._push(self.t_of_r(math.floor(st.clock.elapsed_rx_s) + 1.0), "fix")
 
         def fix(_: object) -> None:
@@ -632,8 +630,6 @@ class _Engine:
             st,
             {"lock": lock, "label": label, "ephemeris": ephemeris, "fix": fix, "off": off},
         )
-        if snapshot is None:
-            raise ScenarioError("session one never reached a snapshot")
         self.diagnostics["s1_rco_refined_err_s"] = self.rco_error_s(st)
         if len(rco_errors) >= 2:
             self.diagnostics["s1_rco_jitter_s"] = max(rco_errors) - min(rco_errors)
@@ -654,11 +650,14 @@ class _Engine:
         ks = [k for k in range(b - 1, b + 4) if k % 5 < cst.EPHEMERIS_SUBFRAMES]
         return self.rx_time(eph, (ks[-1] + 1) * SUBFRAME_S - start), ks
 
-    def _deliver_ephemeris(self, ch: _Chan, subframes: list[int]) -> None:
-        """Generate, encode, decode and ingest the channel's subframes 1-3,
-        given by index as _ephemeris_subframes returns them."""
-        sat_id = ch.eph_true.sat_id
-        packed = cst.pack_ephemeris(ch.eph_true)
+    def _deliver_ephemeris(
+        self, eph: cst.EphemerisRecord, subframes: list[int]
+    ) -> cst.EphemerisRecord:
+        """Generate, encode and decode one satellite's subframes 1-3, given
+        by index as _ephemeris_subframes returns them; returns the
+        ephemeris the receiver decodes from them."""
+        sat_id = eph.sat_id
+        packed = cst.pack_ephemeris(eph)
         payloads = [b""] * cst.EPHEMERIS_SUBFRAMES
         for k in subframes:
             # The TOW count wraps at the week end; count the wraps as weeks.
@@ -672,14 +671,14 @@ class _Engine:
             sf = nav.build_subframe(sat_id, sfid, (k + 1) % TOW_COUNT, week, packed[k % 5])
             decoded = nav.decode_subframe(nav.subframe_bits(sf))
             payloads[decoded.subframe_id - 1] = decoded.payload
-        ch.eph_rx = cst.unpack_ephemeris(decoded.sat_id, tuple(payloads))
+        return cst.unpack_ephemeris(decoded.sat_id, tuple(payloads))
 
     def _take_snapshot(self, st: _State) -> fs.PersistedSnapshot:
-        ch = st.chans[st.anchor]
+        eph = self.sats[st.anchor]
         t = st.t_rel
-        s = self.tx_rel(ch.eph_true, t) + st.label_shift_s
+        s = self.tx_rel(eph, t) + st.label_shift_s
         _, tow, word, bit, frac = self.decomp(s)
-        sat = cst.propagate(ch.eph_true, self.t0_abs + s)
+        sat = cst.propagate(eph, self.t0_abs + s)
         snapshot = fs.take_snapshot(
             st.clock,
             word,
@@ -689,8 +688,9 @@ class _Engine:
             st.rco,
             carrier_doppler_hz=cst.carrier_doppler(sat, self.user_pos(t), self.user_vel),
             code_phase_chips=cst.code_phase_chips(self.config.start_tow_s + s),
-            # The snapshot follows the first fix, so every channel has one.
-            ephemeris_ids=tuple((c.eph_rx.sat_id, c.eph_rx.epoch) for c in st.chans),
+            ephemeris_ids=tuple(
+                zip(st.rx_orbits.sat_id.tolist(), st.rx_orbits.epoch.tolist())
+            ),
         )
         if self.config.snapshot_path:
             fs.save_snapshot(snapshot, self.config.snapshot_path)
@@ -699,19 +699,30 @@ class _Engine:
     # --- wake sessions --------------------------------------------------------
 
     def run_wake(
-        self, base: _State, snapshot: fs.PersistedSnapshot, arm: str
+        self,
+        base: _State,
+        snapshot: fs.PersistedSnapshot,
+        arm: str,
+        off_duration_s: float,
     ) -> ArmReport:
+        """Sleep off_duration_s from session one's end state, then wake in
+        one arm. base is left as it was, so any number of wakes can start
+        from it."""
         cfg = self.config
         st = _State(
             # The clock holds only floats and a frozen GpsTime.
             clock=copy.copy(base.clock),
             t_rel=base.t_rel,
-            chans=[_Chan(c.eph_true, c.eph_rx) for c in base.chans],
+            # The receiver re-acquires every channel after the sleep.
+            locks=[rcv.LockState()] * len(self.sats),
             rco=snapshot.rco,
             anchor=base.anchor,
             rx_orbits=base.rx_orbits,
-            last_known=None if base.last_known is None else base.last_known.copy(),
+            # Rebound, never written in place, by each fix.
+            last_known=base.last_known,
         )
+        st.clock.advance(off_duration_s)
+        st.t_rel += off_duration_s
 
         r_wake = st.clock.elapsed_rx_s
         self._queue_locks(st)
@@ -768,10 +779,8 @@ class _Engine:
             if st.fix_t == st.t_rel:
                 # A fix at this instant computed the same errors.
                 e, n = st.fixes[-1].err_east_m, st.fixes[-1].err_north_m
-            elif st.last_known is not None:
-                e, n, _ = pvt.enu_errors(st.last_known, self.user_pos(st.t_rel))
             else:
-                e = n = float("nan")
+                e, n, _ = pvt.enu_errors(st.last_known, self.user_pos(st.t_rel))
             samples.append(
                 Sample(
                     k * cfg.sample_period_s,
@@ -793,9 +802,7 @@ class _Engine:
             samples=samples,
             fixes=st.fixes,
             rms_2d_m=pvt.rms_2d(valid_errors),
-            power_ratio=power_savings_ratio(
-                cfg.off_duration_s, ttff + cfg.sample_period_s
-            ),
+            power_ratio=power_savings_ratio(off_duration_s, ttff + cfg.sample_period_s),
             used_estimate=used_estimate,
             hotstart_delay_s=hotstart_delay,
         )
@@ -830,11 +837,9 @@ class _Engine:
             return False, 0
         # Ephemeris age at the time the snapshot makes the receiver believe.
         believed = to_gps_time(st.clock.receiver_time(), snap.rco)
-        t_abs_now = believed.total_seconds()
-        for ch in st.chans:
-            eph = ch.eph_rx
-            if eph is None or abs(t_abs_now - eph.epoch) > eph.validity:
-                return False, 0
+        orbits = st.rx_orbits
+        if (abs(believed.total_seconds() - orbits.epoch) > orbits.validity).any():
+            return False, 0
 
         est = fs.estimate_frame_state(
             snap,
@@ -848,16 +853,13 @@ class _Engine:
             + est.bit_index * BIT_S
             + est.residual_ms / 1000.0
         )
-        anchor = st.chans[st.anchor]
-        true_week_s = self.config.start_tow_s + self.tx_rel(anchor.eph_true, st.t_rel)
+        true_week_s = self.config.start_tow_s + self.tx_rel(self.sats[st.anchor], st.t_rel)
         # est_week_s wraps at the week end and true_week_s does not.
         err_s = est_week_s - true_week_s
         err_s -= WEEK_S * round(err_s / WEEK_S)
         n_err = round(err_s / BIT_S)
         shift = n_err * BIT_S
-        r_now = st.clock.elapsed_rx_s
-        for ch in st.chans:
-            ch.lock = ch.lock.step(rcv.LockEvent("estimate", r_now))
+        self._step_locks(st, "estimate")
         st.labeled[:] = True
         st.label_shift_s = shift
         # The estimate stands in for a decoded handover word, so the clock
@@ -874,11 +876,8 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
     """Run session one, the power-off, and the configured wake arms."""
     engine = _Engine(config)
     base, snapshot = engine.run_session_one()
-    if config.off_duration_s > 0:
-        base.clock.advance(config.off_duration_s)
-        base.t_rel += config.off_duration_s
-    # Every arm wakes at this instant from this state.
-    engine._check_geometry(base.t_rel)
+    # Every arm wakes at this instant.
+    engine._check_geometry(base.t_rel + config.off_duration_s)
 
     arms = (
         (ARM_ESTIMATOR, ARM_HOTSTART)
@@ -887,7 +886,7 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
     )
     report = RunReport(arms={})
     for arm in arms:
-        report.arms[arm] = engine.run_wake(base, snapshot, arm)
+        report.arms[arm] = engine.run_wake(base, snapshot, arm, config.off_duration_s)
     report.diagnostics = dict(engine.diagnostics)
     return report
 

@@ -3,9 +3,14 @@
 Each digest is the SHA-256 of the report CSV followed by the diagnostics in
 key order and every arm's fix records (which the CSV does not print). A change that moves any output bit fails here; such a change
 updates the digest it moves and names the change in CHANGES.md.
+
+Run as a script (PYTHONPATH=src python tests/test_report_digests.py), it
+prints every grid scenario's digest as the current code computes it.
 """
 import hashlib
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -69,10 +74,38 @@ def report_digest(report: sh.RunReport) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("name", sorted(GRID))
-def test_report_bytes_are_pinned(name, tmp_path):
+def run_grid_scenario(name: str, tmp_path: Path) -> sh.RunReport:
     overrides = dict(GRID[name])
     if "snapshot_path" in overrides:
         overrides["snapshot_path"] = str(tmp_path / overrides["snapshot_path"])
-    report = sh.run_scenario(replace(BASE, **overrides))
-    assert report_digest(report) == DIGESTS[name]
+    return sh.run_scenario(replace(BASE, **overrides))
+
+
+@pytest.mark.parametrize("name", sorted(GRID))
+def test_report_bytes_are_pinned(name, tmp_path):
+    assert report_digest(run_grid_scenario(name, tmp_path)) == DIGESTS[name]
+
+
+def test_truth_table_refills_keep_the_bytes(monkeypatch, tmp_path):
+    """A wake longer than one truth table refills it at the grid time past
+    its last row. With 7-row tables every 120 s wake refills many times,
+    and the bytes equal those of one table per wake."""
+    tables = []
+    truth = sh._Engine._truth
+
+    def counting_truth(self, times):
+        tables.append(len(times))
+        return truth(self, times)
+
+    monkeypatch.setattr(sh._Engine, "_truth", counting_truth)
+    monkeypatch.setattr(sh, "_TRUTH_ROWS", 7)
+    report = run_grid_scenario("wake_run_120s", tmp_path)
+    # One first table per wake; every other 7-row table is a refill.
+    assert tables.count(7) > 2
+    assert report_digest(report) == DIGESTS["wake_run_120s"]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in sorted(GRID):
+            print(f"{name}: {report_digest(run_grid_scenario(name, Path(tmp)))}")

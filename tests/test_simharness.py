@@ -87,6 +87,8 @@ def test_default_config_is_valid():
         ("session1_extra_s", -1.0),
         ("user_pos_ecef", (0.0, 0.0, 0.0)),
         ("user_vel_ecef", (0.0, 0.0, 1e300)),
+        ("min_elevation_deg", -1e9),  # ran as if it were -90
+        ("min_elevation_deg", 90.5),  # failed later: no satellite visible
     ],
 )
 def test_config_rejects_bad_values(field, value):
@@ -165,9 +167,24 @@ class TestRunScenario:
                 assert f.err_2d_m < 1e-2
             assert arm.rms_2d_m < 5.0
 
-    def test_single_arm_selection(self):
-        report = _run(arms=sh.ARM_ESTIMATOR)
-        assert list(report.arms) == [sh.ARM_ESTIMATOR]
+    def test_single_arm_selection(self, tmp_path):
+        """A one-arm run is that arm of the two-arm run, and its diagnostics
+        are the two-arm run's without the other arm's, with or without a
+        snapshot file."""
+        for snapshot_file in (False, True):
+            runs = {}
+            for arms in ("both", sh.ARM_ESTIMATOR, sh.ARM_HOTSTART):
+                path = str(tmp_path / f"{arms}.fsnp") if snapshot_file else None
+                runs[arms] = _run(arms=arms, snapshot_path=path, noise_sigma_m=5.0)
+            both = runs["both"]
+            for arm, other in (
+                (sh.ARM_ESTIMATOR, sh.ARM_HOTSTART),
+                (sh.ARM_HOTSTART, sh.ARM_ESTIMATOR),
+            ):
+                assert runs[arm].arms == {arm: both.arms[arm]}
+                assert runs[arm].diagnostics == {
+                    k: v for k, v in both.diagnostics.items() if not k.startswith(other)
+                }
 
     def test_identical_arms_without_power_off(self):
         report = _run(off_duration_s=0.0)
@@ -213,6 +230,41 @@ class TestRunScenario:
             a.arms[sh.ARM_ESTIMATOR].fixes[0].err_2d_m
             != b.arms[sh.ARM_ESTIMATOR].fixes[0].err_2d_m
         )
+
+
+def test_wakes_from_one_session_one_equal_run_scenario():
+    """Any number of sleeps can follow one session one: each wake equals
+    the same arm of run_scenario at that sleep (estimates accepted at 0 and
+    60 s, refused past the 1000 s budget at 2400 s), and the session-one
+    state the wakes start from is left as it was."""
+    config = replace(BASE, noise_sigma_m=5.0)
+    engine = sh._Engine(config)
+    base, snapshot = engine.run_session_one()
+    clock, t_rel, locks = dict(vars(base.clock)), base.t_rel, list(base.locks)
+    arrays = [a.copy() for a in (base.last_known, base.labeled, base.assumed_delay_s)]
+    for off in (0.0, 60.0, 2400.0):
+        expected = sh.run_scenario(replace(config, off_duration_s=off)).arms
+        for arm in (sh.ARM_ESTIMATOR, sh.ARM_HOTSTART):
+            assert engine.run_wake(base, snapshot, arm, off) == expected[arm]
+        assert expected[sh.ARM_ESTIMATOR].used_estimate == (off < 1000.0)
+    assert (vars(base.clock), base.t_rel, base.locks) == (clock, t_rel, locks)
+    for before, after in zip(arrays, (base.last_known, base.labeled, base.assumed_delay_s)):
+        assert before.tobytes() == after.tobytes()
+
+
+def test_failed_wake_leaves_nothing_for_the_next():
+    """Satellite 3's ephemeris runs out during a wake after a 900 s sleep.
+    A 60 s sleep woken next from the same session one is unaffected."""
+    t0 = sh.GpsTime(100, 86400.0).total_seconds()
+    sats = cst.default_constellation(np.array(BASE.user_pos_ecef), t0, 8)
+    sats = tuple(replace(e, validity=951.5) if e.sat_id == 3 else e for e in sats)
+    config = sh.ScenarioConfig(satellites=sats, off_duration_s=60.0)
+    engine = sh._Engine(config)
+    base, snapshot = engine.run_session_one()
+    with pytest.raises(sh.ScenarioError, match="sat 3"):
+        engine.run_wake(base, snapshot, sh.ARM_HOTSTART, 900.0)
+    expected = sh.run_scenario(config).arms[sh.ARM_HOTSTART]
+    assert engine.run_wake(base, snapshot, sh.ARM_HOTSTART, 60.0) == expected
 
 
 def test_noise_for_n_channels_equals_a_fresh_draw():
@@ -278,8 +330,6 @@ def test_corrupt_snapshot_file_falls_back(tmp_path):
     base, snapshot = engine.run_session_one()
     good = path.read_bytes()
     rco_week, rco_second = struct.unpack_from(">id", good, 36)
-    base.clock.advance(config.off_duration_s)
-    base.t_rel += config.off_duration_s
     for blob in (
         good[:10],
         _resealed(good, 6, ">B", 0),  # word_index
@@ -291,7 +341,7 @@ def test_corrupt_snapshot_file_falls_back(tmp_path):
         _resealed(good, 40, ">d", rco_second + WEEK_S / 2),
     ):
         path.write_bytes(blob)
-        arm = engine.run_wake(base, snapshot, sh.ARM_ESTIMATOR)
+        arm = engine.run_wake(base, snapshot, sh.ARM_ESTIMATOR, config.off_duration_s)
         assert not arm.used_estimate
         assert arm.fixes
 
@@ -618,7 +668,7 @@ def test_ephemeris_timeline_equals_boundary_chain(start_tow_s, vel, t_label, bou
         t, subframes = engine._ephemeris_subframes(eph, engine.tx_rel(eph, t_rx))
         decoded.clear()
         with mock.patch.object(nav, "decode_subframe", recording_decode):
-            engine._deliver_ephemeris(sh._Chan(eph), subframes)
+            engine._deliver_ephemeris(eph, subframes)
         assert abs(t - times[-1]) <= 1e-9
         assert decoded == expected
 
