@@ -10,10 +10,16 @@ in one or both arms:
 
 Both arms share the same truth, the same receiver clock errors, and the
 same epoch-keyed measurement noise, so their outputs differ only through
-the frame-sync path. The simulation is event driven and fully deterministic
-for a given scenario and seed. Session one computes which of each channel's
-subframes carry its ephemeris from their indices, and takes them in one
-event when the last of them arrives.
+the frame-sync path. The simulation is fully deterministic for a given
+scenario and seed.
+
+Session one runs as a plain sequence, because its stages never overlap:
+lock stages, then frame labels (all within 6 s of bit lock), then each
+channel's ephemeris (at least 18 s after any label), then 1 Hz fixes, then
+the snapshot. It computes which of each channel's subframes carry its
+ephemeris from their indices, and takes them when the last of them
+arrives. A wake interleaves labels, fixes and samples, so it is event
+driven: it dispatches its events from its own time-ordered queue.
 
 All internal times are seconds relative to the scenario start; week-scale
 absolute floats would quantize transmit times to about 7.45 ns (2.2 m) at
@@ -23,12 +29,13 @@ clock-bias unknown.
 """
 from __future__ import annotations
 
+import contextlib
 import copy
 import heapq
 import itertools
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 
 import numpy as np
 
@@ -66,6 +73,20 @@ def _expired(exc: cst.StaleEphemerisError, t_rel: float) -> ScenarioError:
     """A stale ephemeris met while simulating time t_rel (relative seconds);
     exc names the satellite and the offset from its epoch."""
     return ScenarioError(f"stale ephemeris while simulating t={t_rel:.3f} s: {exc}")
+
+
+@contextlib.contextmanager
+def _simulating(st: _State):
+    """Raise a stale ephemeris or unusable fix geometry met while simulating
+    a session as a ScenarioError at the session's time."""
+    try:
+        yield
+    except cst.StaleEphemerisError as exc:
+        raise _expired(exc, st.t_rel) from exc
+    except pvt.GeometryError as exc:
+        raise ScenarioError(
+            f"unusable geometry in the fix at t={st.t_rel:.3f} s: {exc}"
+        ) from exc
 
 
 ARM_ESTIMATOR = "estimator"
@@ -222,7 +243,8 @@ def power_savings_ratio(off_duration_s: float, on_duration_s: float) -> float:
 
 @dataclass
 class _State:
-    """Everything that evolves during a session (copied by each wake).
+    """Everything that evolves during one session. A wake starts a new one
+    from session one's end state and leaves that state as it was.
 
     Channels are rows in sat_id order, the order of _Engine.sats; anchor
     is the row of the clock-offset anchor.
@@ -231,6 +253,8 @@ class _State:
     clock: ReceiverClockState
     t_rel: float
     locks: list[rcv.LockState]
+    # Set by session one's first label or an accepted estimate; a wake that
+    # decodes its labels leaves it to its first fix.
     rco: object | None = None
     anchor: int | None = None
     rx_orbits: cst.Orbits | None = None
@@ -242,9 +266,10 @@ class _State:
     # Frame labels are shifted by this much: an estimate's bit error.
     label_shift_s: float = 0.0
     # By the labeled rows (as bytes) above the mask at a fix: their rows of
-    # rx_orbits, and the anchor's position among them. The anchor is set
-    # before a state's first fix.
-    selections: dict[bytes, tuple[cst.Orbits, int | None]] = field(default_factory=dict)
+    # rx_orbits.
+    selections: dict[bytes, cst.Orbits] = field(default_factory=dict)
+    # Session one's s1_* values, or a wake's {arm}_* ones.
+    diagnostics: dict[str, float] = field(default_factory=dict)
     # Per channel row: frame-labeled yet, and the one-way delay the
     # receiver assumes (flat until a fix solves it).
     labeled: np.ndarray = field(init=False)
@@ -275,9 +300,12 @@ class _Truth:
 # Rows of truth a wake evaluates at once: bounds the table's memory.
 _TRUTH_ROWS = 1024
 
-# Order of events queued for the same instant: lock stages first, samples
-# last, so a sample taken at a fix epoch already sees that fix.
-_PRIORITY = {"lock": 0, "label": 1, "ephemeris": 1, "fix": 2, "sample": 3, "off": 3}
+# Tracking stages in acquisition order.
+_LOCK_STAGES = ("code", "carrier", "bit")
+
+# Order of a wake's events queued for the same instant: lock stages first,
+# samples last, so a sample taken at a fix epoch already sees that fix.
+_PRIORITY = {"lock": 0, "label": 1, "fix": 2, "sample": 3}
 
 
 class _Engine:
@@ -300,9 +328,6 @@ class _Engine:
         self.orbits = cst.Orbits.of(self.sats)
         self._mask = math.radians(config.min_elevation_deg)
         self._check_geometry(0.0)
-        self.diagnostics: dict[str, float] = {}
-        self._queue: list[tuple[float, int, int, str, object]] = []
-        self._seq = itertools.count()
         self._draws: dict[int, np.ndarray] = {}  # noise by epoch key
 
     # --- truth helpers ----------------------------------------------------
@@ -392,67 +417,37 @@ class _Engine:
         return r / self._scale()
 
     def advance_to_t(self, st: _State, t_rel: float) -> None:
+        """Advance the session to t_rel. Only a misordered session can ask
+        for a time in the past, so that is a bug, not a scenario error."""
         dt = t_rel - st.t_rel
         if dt < -1e-9:
-            raise ScenarioError("event scheduled in the past")
+            raise RuntimeError(f"t={t_rel} s is before the session's t={st.t_rel} s")
         if dt > 0:
             st.clock.advance(dt)
             st.t_rel += dt
 
-    # --- event scheduling -----------------------------------------------------
+    # --- acquisition --------------------------------------------------------
 
-    def _push(self, t_rel: float, kind: str, data: object = None) -> None:
-        heapq.heappush(
-            self._queue, (t_rel, _PRIORITY[kind], next(self._seq), kind, data)
-        )
-
-    def _run(self, st: _State, handlers: dict[str, Callable[[object], None]]) -> None:
-        """Dispatch queued events by kind in time order until none is left."""
-        try:
-            while self._queue:
-                t_rel, _, _, kind, data = heapq.heappop(self._queue)
-                self.advance_to_t(st, t_rel)
-                handlers[kind](data)
-        except cst.StaleEphemerisError as exc:
-            raise _expired(exc, st.t_rel) from exc
-        except pvt.GeometryError as exc:
-            raise ScenarioError(
-                f"unusable geometry in the fix at t={st.t_rel:.3f} s: {exc}"
-            ) from exc
-        finally:
-            # A failed session leaves no events for the next one.
-            self._queue.clear()
-
-    def _queue_locks(self, st: _State) -> float:
-        """Queue code, carrier and bit lock from now; returns the bit-lock time."""
+    def _lock_times(self, st: _State) -> list[float]:
+        """Receiver elapsed times of the _LOCK_STAGES, acquiring from now."""
         cfg = self.config
-        r = st.clock.elapsed_rx_s
-        for stage, latency in (
-            ("code", cfg.code_s),
-            ("carrier", cfg.carrier_s),
-            ("bit", cfg.bit_s),
-        ):
-            r += latency
-            self._push(self.t_of_r(r), "lock", stage)
-        return r
+        latencies = (cfg.code_s, cfg.carrier_s, cfg.bit_s)
+        return list(itertools.accumulate(latencies, initial=st.clock.elapsed_rx_s))[1:]
 
     def _step_locks(self, st: _State, stage: str) -> None:
         event = rcv.LockEvent(stage, st.clock.elapsed_rx_s)
         st.locks = [lock.step(event) for lock in st.locks]
 
-    def _queue_labels(self, st: _State, r_bit: float) -> float:
-        """Queue each channel's preamble label one decode wait after r_bit.
-
-        Returns the fourth-shortest wait, the one that gates the first fix.
-        """
-        delays = []
+    def _decode_waits(self, st: _State) -> list[float]:
+        """Each channel's wait, in receiver seconds from bit lock now, for
+        the preamble and handover word that label it."""
         truth = self._truth([st.t_rel])
         self._check_fresh(truth.stale_tx[0], np.arange(len(self.sats)), st.t_rel)
-        for row, s in enumerate(truth.tx[0].tolist()):
+        waits = []
+        for s in truth.tx[0].tolist():
             _, _, word, bit, _ = self.decomp(s)
-            delays.append(rcv.hotstart_frame_lock_delay(word, bit))
-            self._push(self.t_of_r(r_bit + delays[-1]), "label", row)
-        return sorted(delays)[3]
+            waits.append(rcv.hotstart_frame_lock_delay(word, bit))
+        return waits
 
     def _label(self, st: _State, row: int) -> int:
         """Frame-lock one channel on its preamble; returns how many are labeled.
@@ -481,13 +476,9 @@ class _Engine:
             draws = self._draws[key] = rng.normal(0.0, sigma, len(self.sats))
         return draws[:n]
 
-    def _refine_rco(self, st: _State, s_bel: float | None = None) -> None:
-        """Recompute the clock offset from the anchor channel's counters.
-
-        s_bel is the anchor's believed transmit time now, if already known.
-        """
-        if s_bel is None:
-            s_bel = self.tx_rel(self.sats[st.anchor], st.t_rel) + st.label_shift_s
+    def _refine_rco(self, st: _State, s_bel: float) -> None:
+        """Recompute the clock offset from the anchor channel's counters;
+        s_bel is the anchor's believed transmit time now."""
         k, tow, word, bit, frac = self.decomp(s_bel)
         within = (word - 1) * WORD_S + bit * BIT_S + code_time_at_tic(frac)
         sync_tic = st.clock.tic_value + (SUBFRAME_S - within) / TIC_S
@@ -500,6 +491,13 @@ class _Engine:
             propagation_delay_s=float(st.assumed_delay_s[st.anchor]),
         )
 
+    def _anchor_tx(self, st: _State, truth: _Truth, row: int) -> float:
+        """The anchor's believed transmit time at the truth row, which is
+        now; the anchor need not be among the channels a fix selects."""
+        if truth.stale_tx[row, st.anchor]:
+            raise self.orbits.stale_error(self.t0_abs + st.t_rel, st.anchor)
+        return float(truth.tx[row, st.anchor]) + st.label_shift_s
+
     def rco_error_s(self, st: _State) -> float:
         """Believed minus true clock offset, precise to float noise."""
         true_offset = (
@@ -510,9 +508,6 @@ class _Engine:
     def _fix(self, st: _State, t_since_wake: float) -> FixRecord:
         """Solve one fix now; the session's first uses the flat assumed delay."""
         t = st.t_rel
-        receive_gps = to_gps_time(st.clock.receiver_time(), st.rco)
-        r_rel = receive_gps.diff(self.t0_gps)
-
         # A wake tabulates its truth at the first fix; a fix off that grid
         # (advance_to_t can land an ulp away) gets a one-row table.
         truth, row = st.truth, None
@@ -520,6 +515,11 @@ class _Engine:
             row = truth.rows.get(t)
         if row is None:
             truth, row = self._truth([t]), 0
+        if st.rco is None:
+            # A wake that decoded its labels takes its clock offset here.
+            self._refine_rco(st, self._anchor_tx(st, truth, row))
+        receive_gps = to_gps_time(st.clock.receiver_time(), st.rco)
+        r_rel = receive_gps.diff(self.t0_gps)
 
         # Labeled channels, then those of them above the mask; every channel
         # has its ephemeris by the first fix, so st.rx_orbits covers them all.
@@ -529,14 +529,9 @@ class _Engine:
         if len(idx) < 4:
             raise ScenarioError("fewer than 4 usable channels at a fix epoch")
         self._check_fresh(truth.stale_tx[row], idx, t)
-        selection = st.selections.get(key := idx.tobytes())
-        if selection is None:
-            anchor = np.flatnonzero(idx == st.anchor)
-            selection = st.selections[key] = (
-                st.rx_orbits[idx],
-                int(anchor[0]) if len(anchor) else None,
-            )
-        rx_orbits, anchor = selection
+        rx_orbits = st.selections.get(key := idx.tobytes())
+        if rx_orbits is None:
+            rx_orbits = st.selections[key] = st.rx_orbits[idx]
 
         believed_tx = truth.tx[row, idx] + st.label_shift_s
         rho = SPEED_OF_LIGHT_M_S * (r_rel - believed_tx) + self._noise(st, len(idx))
@@ -553,7 +548,7 @@ class _Engine:
 
         d = sat_pos[1] - position
         st.assumed_delay_s[idx] = np.sqrt(np.vecdot(d, d)) / SPEED_OF_LIGHT_M_S
-        self._refine_rco(st, None if anchor is None else float(believed_tx[anchor]))
+        self._refine_rco(st, self._anchor_tx(st, truth, row))
 
         e, n, _ = pvt.enu_errors(position, truth.user[row])
         rec = FixRecord(
@@ -572,6 +567,9 @@ class _Engine:
     # --- session one --------------------------------------------------------
 
     def run_session_one(self) -> tuple[_State, fs.PersistedSnapshot]:
+        """Acquire, label every channel, collect every ephemeris, fix at
+        1 Hz and take the snapshot. Within a stage events go in time order,
+        and ties in row order."""
         cfg = self.config
         zt = GpsTime(cfg.start_week, cfg.start_tow_s + cfg.clock_bias_s)
         st = _State(
@@ -581,58 +579,48 @@ class _Engine:
             t_rel=0.0,
             locks=[rcv.LockState()] * len(self.sats),
         )
-        r_bit = self._queue_locks(st)
-        off_r = 0.0
-        eph_rx: list[cst.EphemerisRecord | None] = [None] * len(self.sats)
-        snapshot: fs.PersistedSnapshot | None = None
-        rco_errors: list[float] = []
+        with _simulating(st):
+            r_locks = self._lock_times(st)
+            for stage, r in zip(_LOCK_STAGES, r_locks):
+                self.advance_to_t(st, self.t_of_r(r))
+                self._step_locks(st, stage)
+            waits = self._decode_waits(st)
+            deliveries = []
+            for t, row in sorted(
+                (self.t_of_r(r_locks[-1] + wait), row) for row, wait in enumerate(waits)
+            ):
+                self.advance_to_t(st, t)
+                eph = self.sats[row]
+                s = self.tx_rel(eph, st.t_rel)
+                if self._label(st, row) == 1:
+                    # Session one labels from decoded words: no shift to add.
+                    self._refine_rco(st, s)
+                    st.diagnostics["s1_rco_first_err_s"] = self.rco_error_s(st)
+                deliveries.append((*self._ephemeris_subframes(eph, s), row))
 
-        def lock(stage: str) -> None:
-            self._step_locks(st, stage)
-            if stage == "bit":
-                self._queue_labels(st, r_bit)
+            eph_rx: list[cst.EphemerisRecord | None] = [None] * len(self.sats)
+            for t, subframes, row in sorted(deliveries, key=itemgetter(0)):
+                self.advance_to_t(st, t)
+                eph_rx[row] = self._deliver_ephemeris(self.sats[row], subframes)
+            st.rx_orbits = cst.Orbits.of(eph_rx)
 
-        def label(row: int) -> None:
-            eph = self.sats[row]
-            s = self.tx_rel(eph, st.t_rel)
-            if self._label(st, row) == 1:
-                # Session one labels from decoded words: no shift to add.
-                self._refine_rco(st, s)
-                self.diagnostics["s1_rco_first_err_s"] = self.rco_error_s(st)
-            t, subframes = self._ephemeris_subframes(eph, s)
-            self._push(t, "ephemeris", (row, subframes))
-
-        def ephemeris(data: tuple[int, list[int]]) -> None:
-            row, subframes = data
-            eph_rx[row] = self._deliver_ephemeris(self.sats[row], subframes)
-            if all(e is not None for e in eph_rx):
-                # One event per channel, so this runs once: at the last.
-                st.rx_orbits = cst.Orbits.of(eph_rx)
-                self._push(self.t_of_r(math.floor(st.clock.elapsed_rx_s) + 1.0), "fix")
-
-        def fix(_: object) -> None:
-            nonlocal off_r
-            first = not st.fixes
-            self._fix(st, -1.0)
-            rco_errors.append(self.rco_error_s(st))
-            r_now = st.clock.elapsed_rx_s
-            if first:
-                off_r = r_now + cfg.session1_extra_s
-                self._push(self.t_of_r(off_r), "off")
-            if r_now + 1.0 < off_r - 1e-9:
-                self._push(self.t_of_r(r_now + 1.0), "fix")
-
-        def off(_: object) -> None:
-            nonlocal snapshot
+            # 1 Hz fixes from the next whole receiver second; power-off comes
+            # session1_extra_s after the first.
+            self.advance_to_t(st, self.t_of_r(math.floor(st.clock.elapsed_rx_s) + 1.0))
+            off_r = st.clock.elapsed_rx_s + cfg.session1_extra_s
+            rco_errors = []
+            while True:
+                self._fix(st, -1.0)
+                rco_errors.append(self.rco_error_s(st))
+                r = st.clock.elapsed_rx_s + 1.0
+                if r >= off_r - 1e-9:
+                    break
+                self.advance_to_t(st, self.t_of_r(r))
+            self.advance_to_t(st, self.t_of_r(off_r))
             snapshot = self._take_snapshot(st)
-
-        self._run(
-            st,
-            {"lock": lock, "label": label, "ephemeris": ephemeris, "fix": fix, "off": off},
-        )
-        self.diagnostics["s1_rco_refined_err_s"] = self.rco_error_s(st)
+        st.diagnostics["s1_rco_refined_err_s"] = self.rco_error_s(st)
         if len(rco_errors) >= 2:
-            self.diagnostics["s1_rco_jitter_s"] = max(rco_errors) - min(rco_errors)
+            st.diagnostics["s1_rco_jitter_s"] = max(rco_errors) - min(rco_errors)
         return st, snapshot
 
     def _ephemeris_subframes(
@@ -704,10 +692,10 @@ class _Engine:
         snapshot: fs.PersistedSnapshot,
         arm: str,
         off_duration_s: float,
-    ) -> ArmReport:
+    ) -> tuple[ArmReport, dict[str, float]]:
         """Sleep off_duration_s from session one's end state, then wake in
-        one arm. base is left as it was, so any number of wakes can start
-        from it."""
+        one arm; returns its report and its diagnostics. base is left as it
+        was, so any number of wakes can start from it."""
         cfg = self.config
         st = _State(
             # The clock holds only floats and a frozen GpsTime.
@@ -715,7 +703,6 @@ class _Engine:
             t_rel=base.t_rel,
             # The receiver re-acquires every channel after the sleep.
             locks=[rcv.LockState()] * len(self.sats),
-            rco=snapshot.rco,
             anchor=base.anchor,
             rx_orbits=base.rx_orbits,
             # Rebound, never written in place, by each fix.
@@ -725,73 +712,75 @@ class _Engine:
         st.t_rel += off_duration_s
 
         r_wake = st.clock.elapsed_rx_s
-        self._queue_locks(st)
         n_samples = int(round(cfg.wake_run_s / cfg.sample_period_s))
         grid = [self.t_of_r(r_wake + k * cfg.sample_period_s) for k in range(n_samples + 1)]
+        # Events as (time, priority, sequence, kind, data); the sequence
+        # keeps ties of one kind in the order they were queued.
+        queue: list[tuple[float, int, int, str, object]] = []
+        seq = itertools.count()
+
+        def push(t_rel: float, kind: str, data: object = None) -> None:
+            heapq.heappush(queue, (t_rel, _PRIORITY[kind], next(seq), kind, data))
+
+        for stage, r in zip(_LOCK_STAGES, self._lock_times(st)):
+            push(self.t_of_r(r), "lock", stage)
         for k, t in enumerate(grid):
-            self._push(t, "sample", k)
+            push(t, "sample", k)
 
         used_estimate = False
         label_shift_bits = 0
         hotstart_delay: float | None = None
         samples: list[Sample] = []
         ttff: float | None = None
-
-        def lock(stage: str) -> None:
-            nonlocal used_estimate, label_shift_bits, hotstart_delay
-            self._step_locks(st, stage)
-            if stage != "bit":
-                return
-            r_now = st.clock.elapsed_rx_s
-            if arm == ARM_ESTIMATOR:
-                snap = self._load_snapshot_maybe(snapshot)
-                if snap is not None:
-                    used_estimate, label_shift_bits = self._try_estimate(st, snap)
-            if used_estimate:
-                self._push(self.t_of_r(r_now + cfg.estimator_epsilon_s), "fix")
-            else:
-                hotstart_delay = self._queue_labels(st, r_now)
-
-        def label(sid: int) -> None:
-            if self._label(st, sid) == 4:
-                self._refine_rco(st)
-                self._push(st.t_rel, "fix")
-
-        def fix(k: int | None) -> None:
-            nonlocal ttff
-            t_since = st.clock.elapsed_rx_s - r_wake
-            if not st.fixes:
-                # The first fix lands off the sample grid; later ones follow it.
-                # Past the last sample no sample sees it: the wake has failed.
-                if st.t_rel > grid[-1]:
-                    return
-                ttff = t_since
-                k = math.floor(t_since / cfg.sample_period_s)
-                later = grid[k + 1 : k + _TRUTH_ROWS]
-                st.truth = self._truth([st.t_rel] + later)
-            elif grid[k] not in st.truth.rows:
-                st.truth = self._truth(grid[k : k + _TRUTH_ROWS])
-            self._fix(st, t_since)
-            if k + 1 <= n_samples:
-                self._push(grid[k + 1], "fix", k + 1)
-
-        def sample(k: int) -> None:
-            if st.fix_t == st.t_rel:
-                # A fix at this instant computed the same errors.
-                e, n = st.fixes[-1].err_east_m, st.fixes[-1].err_north_m
-            else:
-                e, n, _ = pvt.enu_errors(st.last_known, self.user_pos(st.t_rel))
-            samples.append(
-                Sample(
-                    k * cfg.sample_period_s,
-                    bool(st.fixes),
-                    e,
-                    n,
-                    math.hypot(e, n),
-                )
-            )
-
-        self._run(st, {"lock": lock, "label": label, "fix": fix, "sample": sample})
+        with _simulating(st):
+            while queue:
+                t, _, _, kind, data = heapq.heappop(queue)
+                self.advance_to_t(st, t)
+                if kind == "lock":
+                    self._step_locks(st, data)
+                    if data != "bit":
+                        continue
+                    r_now = st.clock.elapsed_rx_s
+                    if arm == ARM_ESTIMATOR:
+                        snap = self._load_snapshot_maybe(snapshot)
+                        if snap is not None:
+                            used_estimate, label_shift_bits = self._try_estimate(st, snap)
+                    if used_estimate:
+                        push(self.t_of_r(r_now + cfg.estimator_epsilon_s), "fix")
+                        continue
+                    waits = self._decode_waits(st)
+                    for row, wait in enumerate(waits):
+                        push(self.t_of_r(r_now + wait), "label", row)
+                    # The fourth label gates the first fix.
+                    hotstart_delay = sorted(waits)[3]
+                elif kind == "label":
+                    if self._label(st, data) == 4:
+                        push(st.t_rel, "fix")
+                elif kind == "fix":
+                    t_since = st.clock.elapsed_rx_s - r_wake
+                    k = data
+                    if not st.fixes:
+                        # The first fix lands off the sample grid; later ones
+                        # follow it. Past the last sample no sample sees it:
+                        # the wake has failed.
+                        if st.t_rel > grid[-1]:
+                            continue
+                        ttff = t_since
+                        k = math.floor(t_since / cfg.sample_period_s)
+                        st.truth = self._truth([st.t_rel, *grid[k + 1 : k + _TRUTH_ROWS]])
+                    elif grid[k] not in st.truth.rows:
+                        st.truth = self._truth(grid[k : k + _TRUTH_ROWS])
+                    self._fix(st, t_since)
+                    if k + 1 <= n_samples:
+                        push(grid[k + 1], "fix", k + 1)
+                else:  # a sample
+                    if st.fix_t == st.t_rel:
+                        # A fix at this instant computed the same errors.
+                        e, n = st.fixes[-1].err_east_m, st.fixes[-1].err_north_m
+                    else:
+                        e, n, _ = pvt.enu_errors(st.last_known, self.user_pos(st.t_rel))
+                    t_s = data * cfg.sample_period_s
+                    samples.append(Sample(t_s, bool(st.fixes), e, n, math.hypot(e, n)))
         # The first fix may land after the last sample; then no sample saw it.
         valid_errors = [s.err_2d_m for s in samples if s.fix_valid]
         if not valid_errors:
@@ -806,10 +795,10 @@ class _Engine:
             used_estimate=used_estimate,
             hotstart_delay_s=hotstart_delay,
         )
-        self.diagnostics[f"{arm}_label_shift_bits"] = float(label_shift_bits)
-        self.diagnostics[f"{arm}_used_estimate"] = float(used_estimate)
-        self.diagnostics[f"{arm}_rco_refined_err_s"] = self.rco_error_s(st)
-        return report
+        st.diagnostics[f"{arm}_label_shift_bits"] = float(label_shift_bits)
+        st.diagnostics[f"{arm}_used_estimate"] = float(used_estimate)
+        st.diagnostics[f"{arm}_rco_refined_err_s"] = self.rco_error_s(st)
+        return report, st.diagnostics
 
     def _load_snapshot_maybe(
         self, in_memory: fs.PersistedSnapshot
@@ -884,10 +873,12 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
         if config.arms == "both"
         else (config.arms,)
     )
-    report = RunReport(arms={})
+    report = RunReport(arms={}, diagnostics=dict(base.diagnostics))
     for arm in arms:
-        report.arms[arm] = engine.run_wake(base, snapshot, arm, config.off_duration_s)
-    report.diagnostics = dict(engine.diagnostics)
+        report.arms[arm], diagnostics = engine.run_wake(
+            base, snapshot, arm, config.off_duration_s
+        )
+        report.diagnostics.update(diagnostics)
     return report
 
 

@@ -193,7 +193,7 @@ def test_snapshot_bytes_load_or_are_rejected(session, edits, cut, flip, reseal):
         assert math.isfinite(loaded.carrier_doppler_hz)
         assert math.isfinite(loaded.rco.second)
     try:
-        arm = engine.run_wake(base, snapshot, sh.ARM_ESTIMATOR, engine.config.off_duration_s)
+        arm, _ = engine.run_wake(base, snapshot, sh.ARM_ESTIMATOR, engine.config.off_duration_s)
     except sh.ScenarioError:
         return
     assert math.isfinite(arm.time_to_first_fix_s)

@@ -1,6 +1,7 @@
 """Scenario engine tests: the full sleep/wake loop, parsing, and CSV export."""
 import csv
 import io
+import itertools
 import re
 import struct
 import zlib
@@ -235,18 +236,28 @@ class TestRunScenario:
 def test_wakes_from_one_session_one_equal_run_scenario():
     """Any number of sleeps can follow one session one: each wake equals
     the same arm of run_scenario at that sleep (estimates accepted at 0 and
-    60 s, refused past the 1000 s budget at 2400 s), and the session-one
-    state the wakes start from is left as it was."""
+    60 s, refused past the 1000 s budget at 2400 s), and so do its
+    diagnostics with session one's. The session-one state the wakes start
+    from is left as it was."""
     config = replace(BASE, noise_sigma_m=5.0)
     engine = sh._Engine(config)
     base, snapshot = engine.run_session_one()
     clock, t_rel, locks = dict(vars(base.clock)), base.t_rel, list(base.locks)
+    s1_diagnostics = dict(base.diagnostics)
+    assert s1_diagnostics and all(k.startswith("s1_") for k in s1_diagnostics)
     arrays = [a.copy() for a in (base.last_known, base.labeled, base.assumed_delay_s)]
     for off in (0.0, 60.0, 2400.0):
-        expected = sh.run_scenario(replace(config, off_duration_s=off)).arms
+        expected = sh.run_scenario(replace(config, off_duration_s=off))
         for arm in (sh.ARM_ESTIMATOR, sh.ARM_HOTSTART):
-            assert engine.run_wake(base, snapshot, arm, off) == expected[arm]
-        assert expected[sh.ARM_ESTIMATOR].used_estimate == (off < 1000.0)
+            report, diagnostics = engine.run_wake(base, snapshot, arm, off)
+            assert report == expected.arms[arm]
+            assert {**base.diagnostics, **diagnostics} == {
+                k: v
+                for k, v in expected.diagnostics.items()
+                if k.startswith(("s1_", arm))
+            }
+        assert expected.arms[sh.ARM_ESTIMATOR].used_estimate == (off < 1000.0)
+    assert base.diagnostics == s1_diagnostics
     assert (vars(base.clock), base.t_rel, base.locks) == (clock, t_rel, locks)
     for before, after in zip(arrays, (base.last_known, base.labeled, base.assumed_delay_s)):
         assert before.tobytes() == after.tobytes()
@@ -264,7 +275,76 @@ def test_failed_wake_leaves_nothing_for_the_next():
     with pytest.raises(sh.ScenarioError, match="sat 3"):
         engine.run_wake(base, snapshot, sh.ARM_HOTSTART, 900.0)
     expected = sh.run_scenario(config).arms[sh.ARM_HOTSTART]
-    assert engine.run_wake(base, snapshot, sh.ARM_HOTSTART, 60.0) == expected
+    assert engine.run_wake(base, snapshot, sh.ARM_HOTSTART, 60.0)[0] == expected
+
+
+def test_advancing_into_the_past_is_a_bug():
+    """Only a misordered session asks for an earlier time: that raises a
+    RuntimeError, which no scenario check accepts as a rejection. A time
+    one ulp early is float noise and leaves the state as it was."""
+    engine = sh._Engine(BASE)
+    state = SimpleNamespace(t_rel=100.0, clock=sh.ReceiverClockState(engine.t0_gps))
+    with pytest.raises(RuntimeError, match="before"):
+        engine.advance_to_t(state, 100.0 - 1e-3)
+    engine.advance_to_t(state, np.nextafter(100.0, 0.0))
+    assert state.t_rel == 100.0 and state.clock.elapsed_rx_s == 0.0
+
+
+@pytest.mark.parametrize("start_tow_s", [5.999999, 6.0, 604799.9])
+@pytest.mark.parametrize("rtc_ppm", [0.0, 1000.0])
+@pytest.mark.parametrize("user_vel_ecef", [(0.0, 0.0, 0.0), (600.0, 0.0, -800.0)])
+def test_session_one_order_holds_at_the_extremes(start_tow_s, rtc_ppm, user_vel_ecef):
+    """Session one runs its stages as a sequence, so every label must come
+    before every ephemeris completion and that before every fix; a
+    misordered session would move time backwards and raise. It completes
+    with 0 or 60 s per lock stage, at either RTC extreme, for a user at
+    rest or at 1000 m/s, and across a subframe boundary and the week end."""
+    for code_s, carrier_s, bit_s in itertools.product((0.0, 60.0), repeat=3):
+        config = replace(
+            BASE,
+            start_tow_s=start_tow_s,
+            rtc_ppm=rtc_ppm,
+            user_vel_ecef=user_vel_ecef,
+            code_s=code_s,
+            carrier_s=carrier_s,
+            bit_s=bit_s,
+        )
+        base, snapshot = sh._Engine(config).run_session_one()
+        assert base.labeled.all() and base.fixes
+        assert len(snapshot.ephemeris_ids) == len(base.locks)
+
+
+def test_session_one_labels_in_time_order():
+    """Started 10 ms into a bit, the channels straddle a bit boundary:
+    their labels come at two times, out of row order. Session one labels
+    them in time order, and the first labeled is the anchor."""
+    base, _ = sh._Engine(replace(BASE, start_tow_s=6.01)).run_session_one()
+    labels = [lock.history[-1].t_rx_s for lock in base.locks]
+    assert len(set(labels)) == 2 and labels != sorted(labels)
+    assert labels[base.anchor] == min(labels)
+
+
+@pytest.mark.parametrize(
+    "validity_s,message",
+    [
+        (3.0, "t=6.680 s: sat 3: +7 s"),
+        (20.0, "t=6.680 s: sat 3: +42 s"),
+        (44.0, "t=45.000 s: sat 3: +45 s"),
+    ],
+)
+def test_session_one_stale_ephemeris_names_its_time(validity_s, message):
+    """Satellite 3's ephemeris runs out at its label, in the subframes it
+    collects from there, or at the first fix; each is a ScenarioError at
+    the session time it is met."""
+    t0 = sh.GpsTime(100, 86400.0).total_seconds()
+    sats = cst.default_constellation(np.array(BASE.user_pos_ecef), t0, 8)
+    sats = tuple(replace(e, validity=validity_s) if e.sat_id == 3 else e for e in sats)
+    engine = sh._Engine(replace(BASE, satellites=sats))
+    with pytest.raises(
+        sh.ScenarioError, match=f"^stale ephemeris while simulating {re.escape(message)} "
+    ) as exc:
+        engine.run_session_one()
+    assert isinstance(exc.value.__cause__, cst.StaleEphemerisError)
 
 
 def test_noise_for_n_channels_equals_a_fresh_draw():
@@ -341,7 +421,7 @@ def test_corrupt_snapshot_file_falls_back(tmp_path):
         _resealed(good, 40, ">d", rco_second + WEEK_S / 2),
     ):
         path.write_bytes(blob)
-        arm = engine.run_wake(base, snapshot, sh.ARM_ESTIMATOR, config.off_duration_s)
+        arm, _ = engine.run_wake(base, snapshot, sh.ARM_ESTIMATOR, config.off_duration_s)
         assert not arm.used_estimate
         assert arm.fixes
 
