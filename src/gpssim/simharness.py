@@ -13,13 +13,13 @@ same epoch-keyed measurement noise, so their outputs differ only through
 the frame-sync path. The simulation is fully deterministic for a given
 scenario and seed.
 
-Session one runs as a plain sequence, because its stages never overlap:
-lock stages, then frame labels (all within 6 s of bit lock), then each
-channel's ephemeris (at least 18 s after any label), then 1 Hz fixes, then
-the snapshot. It computes which of each channel's subframes carry its
-ephemeris from their indices, and takes them when the last of them
-arrives. A wake interleaves labels, fixes and samples, so it is event
-driven: it dispatches its events from its own time-ordered queue.
+Both sessions run as plain sequences. Session one: lock stages, frame
+labels, each channel's ephemeris (taken when the last of the subframes
+that carry it arrives; their indices say which), 1 Hz fixes, the snapshot.
+A wake: lock stages; at bit lock the estimate gate or the decode waits;
+the first fix, and one at each later sample instant, each after the
+labels due by then. Its clock stops at every sample instant on the way,
+because the receiver clock's bits depend on where it stops.
 
 All internal times are seconds relative to the scenario start; week-scale
 absolute floats would quantize transmit times to about 7.45 ns (2.2 m) at
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import contextlib
 import copy
-import heapq
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -111,7 +110,7 @@ _UPPER_BOUNDS = {
     "session1_extra_s": cst.DEFAULT_VALIDITY_S,
     "noise_sigma_m": 1000.0,
 }
-# Each wake queues all of its sample events up front.
+# Each wake lists all of its sample instants up front.
 _MAX_SAMPLES_PER_WAKE = 100_000
 _NON_NEGATIVE = (
     "seed", "code_s", "carrier_s", "bit_s", "rtc_ppm", "off_duration_s",
@@ -244,7 +243,8 @@ def power_savings_ratio(off_duration_s: float, on_duration_s: float) -> float:
 @dataclass
 class _State:
     """Everything that evolves during one session. A wake starts a new one
-    from session one's end state and leaves that state as it was.
+    from session one's end state and leaves that state as it was; its
+    samples and the time of its latest fix stay local to run_wake.
 
     Channels are rows in sat_id order, the order of _Engine.sats; anchor
     is the row of the clock-offset anchor.
@@ -261,8 +261,6 @@ class _State:
     last_known: np.ndarray | None = None
     fixes: list[FixRecord] = field(default_factory=list)
     truth: _Truth | None = None
-    # Time (relative seconds) of the latest fix.
-    fix_t: float | None = None
     # Frame labels are shifted by this much: an estimate's bit error.
     label_shift_s: float = 0.0
     # By the labeled rows (as bytes) above the mask at a fix: their rows of
@@ -302,10 +300,6 @@ _TRUTH_ROWS = 1024
 
 # Tracking stages in acquisition order.
 _LOCK_STAGES = ("code", "carrier", "bit")
-
-# Order of a wake's events queued for the same instant: lock stages first,
-# samples last, so a sample taken at a fix epoch already sees that fix.
-_PRIORITY = {"lock": 0, "label": 1, "fix": 2, "sample": 3}
 
 
 class _Engine:
@@ -561,7 +555,6 @@ class _Engine:
             sol.converged,
         )
         st.fixes.append(rec)
-        st.fix_t = t
         return rec
 
     # --- session one --------------------------------------------------------
@@ -714,83 +707,67 @@ class _Engine:
         r_wake = st.clock.elapsed_rx_s
         n_samples = int(round(cfg.wake_run_s / cfg.sample_period_s))
         grid = [self.t_of_r(r_wake + k * cfg.sample_period_s) for k in range(n_samples + 1)]
-        # Events as (time, priority, sequence, kind, data); the sequence
-        # keeps ties of one kind in the order they were queued.
-        queue: list[tuple[float, int, int, str, object]] = []
-        seq = itertools.count()
-
-        def push(t_rel: float, kind: str, data: object = None) -> None:
-            heapq.heappush(queue, (t_rel, _PRIORITY[kind], next(seq), kind, data))
-
-        for stage, r in zip(_LOCK_STAGES, self._lock_times(st)):
-            push(self.t_of_r(r), "lock", stage)
-        for k, t in enumerate(grid):
-            push(t, "sample", k)
-
+        samples: list[Sample] = []
+        labels: list[tuple[float, int]] = []
         used_estimate = False
         label_shift_bits = 0
         hotstart_delay: float | None = None
-        samples: list[Sample] = []
-        ttff: float | None = None
+        # k indexes the sample at or before the latest fix; fix_t is its time.
+        k = fix_t = None
         with _simulating(st):
-            while queue:
-                t, _, _, kind, data = heapq.heappop(queue)
-                self.advance_to_t(st, t)
-                if kind == "lock":
-                    self._step_locks(st, data)
-                    if data != "bit":
-                        continue
-                    r_now = st.clock.elapsed_rx_s
-                    if arm == ARM_ESTIMATOR:
-                        snap = self._load_snapshot_maybe(snapshot)
-                        if snap is not None:
-                            used_estimate, label_shift_bits = self._try_estimate(st, snap)
-                    if used_estimate:
-                        push(self.t_of_r(r_now + cfg.estimator_epsilon_s), "fix")
-                        continue
-                    waits = self._decode_waits(st)
-                    for row, wait in enumerate(waits):
-                        push(self.t_of_r(r_now + wait), "label", row)
-                    # The fourth label gates the first fix.
-                    hotstart_delay = sorted(waits)[3]
-                elif kind == "label":
-                    if self._label(st, data) == 4:
-                        push(st.t_rel, "fix")
-                elif kind == "fix":
-                    t_since = st.clock.elapsed_rx_s - r_wake
-                    k = data
-                    if not st.fixes:
-                        # The first fix lands off the sample grid; later ones
-                        # follow it. Past the last sample no sample sees it:
-                        # the wake has failed.
-                        if st.t_rel > grid[-1]:
-                            continue
-                        ttff = t_since
-                        k = math.floor(t_since / cfg.sample_period_s)
-                        st.truth = self._truth([st.t_rel, *grid[k + 1 : k + _TRUTH_ROWS]])
-                    elif grid[k] not in st.truth.rows:
-                        st.truth = self._truth(grid[k : k + _TRUTH_ROWS])
-                    self._fix(st, t_since)
-                    if k + 1 <= n_samples:
-                        push(grid[k + 1], "fix", k + 1)
-                else:  # a sample
-                    if st.fix_t == st.t_rel:
-                        # A fix at this instant computed the same errors.
-                        e, n = st.fixes[-1].err_east_m, st.fixes[-1].err_north_m
-                    else:
-                        e, n, _ = pvt.enu_errors(st.last_known, self.user_pos(st.t_rel))
-                    t_s = data * cfg.sample_period_s
-                    samples.append(Sample(t_s, bool(st.fixes), e, n, math.hypot(e, n)))
-        # The first fix may land after the last sample; then no sample saw it.
-        valid_errors = [s.err_2d_m for s in samples if s.fix_valid]
-        if not valid_errors:
-            raise ScenarioError("wake session produced no fix inside wake_run_s")
+            for stage, r in zip(_LOCK_STAGES, self._lock_times(st)):
+                self._advance_wake(st, self.t_of_r(r), grid, samples, fix_t)
+                self._step_locks(st, stage)
+            r_bit = st.clock.elapsed_rx_s
+            if arm == ARM_ESTIMATOR:
+                snap = self._load_snapshot_maybe(snapshot)
+                if snap is not None:
+                    used_estimate, label_shift_bits = self._try_estimate(st, snap)
+            # t is the first fix's time: one epsilon after bit lock for an
+            # accepted estimate, else that of the fourth label (inf until then).
+            if used_estimate:
+                t = self.t_of_r(r_bit + cfg.estimator_epsilon_s)
+            else:
+                waits = self._decode_waits(st)
+                hotstart_delay = sorted(waits)[3]
+                labels = sorted((self.t_of_r(r_bit + w), row) for row, w in enumerate(waits))
+                t = math.inf
+            # The first fix, then one at each later sample instant; the labels
+            # due at or before a fix go first, in (time, row) order.
+            while True:
+                while labels and labels[0][0] <= t:
+                    t_label, row = labels.pop(0)
+                    self._advance_wake(st, t_label, grid, samples, fix_t)
+                    if self._label(st, row) == 4:
+                        t = st.t_rel
+                self._advance_wake(st, t, grid, samples, fix_t)
+                t_since = st.clock.elapsed_rx_s - r_wake
+                if k is None:
+                    # No sample would see the first fix: the wake has failed.
+                    if len(samples) == len(grid) or st.t_rel > grid[-1]:
+                        raise ScenarioError("wake session produced no fix inside wake_run_s")
+                    ttff = t_since
+                    k = math.floor(t_since / cfg.sample_period_s)
+                    st.truth = self._truth([st.t_rel, *grid[k + 1 : k + _TRUTH_ROWS]])
+                elif grid[k] not in st.truth.rows:
+                    st.truth = self._truth(grid[k : k + _TRUTH_ROWS])
+                self._fix(st, t_since)
+                fix_t = st.t_rel
+                if k >= n_samples:
+                    break
+                k += 1
+                t = grid[k]
+            # Labels after the last fix still move the clock rco_error_s reads.
+            for t, row in labels:
+                self._advance_wake(st, t, grid, samples, fix_t)
+                self._label(st, row)
+            self._advance_wake(st, math.inf, grid, samples, fix_t)
         report = ArmReport(
             arm=arm,
             time_to_first_fix_s=ttff,
             samples=samples,
             fixes=st.fixes,
-            rms_2d_m=pvt.rms_2d(valid_errors),
+            rms_2d_m=pvt.rms_2d(s.err_2d_m for s in samples if s.fix_valid),
             power_ratio=power_savings_ratio(off_duration_s, ttff + cfg.sample_period_s),
             used_estimate=used_estimate,
             hotstart_delay_s=hotstart_delay,
@@ -799,6 +776,28 @@ class _Engine:
         st.diagnostics[f"{arm}_used_estimate"] = float(used_estimate)
         st.diagnostics[f"{arm}_rco_refined_err_s"] = self.rco_error_s(st)
         return report, st.diagnostics
+
+    def _advance_wake(
+        self, st: _State, t_rel: float, grid: list[float], samples: list[Sample], fix_t
+    ) -> None:
+        """Advance a wake to t_rel (relative seconds), or to its last sample
+        for t_rel inf. On the way, stop at each sample instant on grid not yet
+        in samples and take that sample; fix_t is the latest fix's time.
+
+        The stops are not optional: ReceiverClockState.advance adds
+        dt * scale on each step, so the clock's bits, and with them every
+        later fix and clock offset, depend on where it stops."""
+        while len(samples) < len(grid) and grid[len(samples)] < t_rel:
+            self.advance_to_t(st, grid[len(samples)])
+            if st.t_rel == fix_t:
+                # The fix at this instant computed the same errors.
+                e, n = st.fixes[-1].err_east_m, st.fixes[-1].err_north_m
+            else:
+                e, n, _ = pvt.enu_errors(st.last_known, self.user_pos(st.t_rel))
+            t_s = len(samples) * self.config.sample_period_s
+            samples.append(Sample(t_s, bool(st.fixes), e, n, math.hypot(e, n)))
+        if t_rel < math.inf:
+            self.advance_to_t(st, t_rel)
 
     def _load_snapshot_maybe(
         self, in_memory: fs.PersistedSnapshot

@@ -46,6 +46,17 @@ GRID = {
     "changing_selection": dict(
         n_sats=12, min_elevation_deg=25.0, off_duration_s=3000.0, wake_run_s=900.0, seed=4
     ),
+    # The wake's tie rules. With no lock latency the estimator's first fix
+    # lands exactly on sample 0, which sees it.
+    "zero_latency": dict(code_s=0.0, carrier_s=0.0, bit_s=0.0),
+    # Four samples a second between the locks, labels and first fix: the
+    # bytes move if the clock does not stop at every sample instant.
+    "quarter_second_samples": dict(sample_period_s=0.25, wake_run_s=8.0, seed=3),
+    # Six labels arrive at +2.66 s and the last sample is at +2.67 s; two
+    # come after it, and the clock offset error moves if they are dropped.
+    "labels_outlive_wake": dict(
+        arms="hotstart", start_tow_s=86400.015, wake_run_s=2.67, sample_period_s=2.67
+    ),
 }
 
 DIGESTS = {
@@ -62,6 +73,9 @@ DIGESTS = {
     "n_sats_32": "baacf7da2050f99284afeb2bde2f88ae37942ea0bd822885215d31abbf5ace4a",
     "zero_noise": "726e9515970ad9620264c1f13338c6d0f1917c740988b4290adef1f228c7b0b6",
     "changing_selection": "4040e38566505ef7c2e4a79bffd29a9a2b986255ed963ac817c73e8a61c60152",
+    "zero_latency": "0b961c45ffc339e3e5951aa89d41a2d9bf0fb8c436124660a69fff43d61bdc7b",
+    "quarter_second_samples": "d3facc43c433c6862d297b749c655ce9939844a0537c7a89ae71deda4e77a956",
+    "labels_outlive_wake": "ba2650e0f3c892451388476c81c409a9b7df92a48695bd89b1e95e7f7db92143",
 }
 
 

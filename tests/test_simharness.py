@@ -1,7 +1,10 @@
 """Scenario engine tests: the full sleep/wake loop, parsing, and CSV export."""
+import copy
 import csv
+import heapq
 import io
 import itertools
+import math
 import re
 import struct
 import zlib
@@ -11,11 +14,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gpssim import constellation as cst
 from gpssim import nav_message as nav
+from gpssim import pvt
+from gpssim import receiver as rcv
 from gpssim import simharness as sh
 from gpssim.constants import (
     CHIP_RATE_HZ,
@@ -79,7 +84,7 @@ def test_default_config_is_valid():
         ("code_s", 1e300),
         ("noise_sigma_m", 1e300),
         ("satellites", FOUR_SATS + FOUR_SATS[:1]),
-        ("wake_run_s", 1e9),  # each wake would queue 1e9 sample events
+        ("wake_run_s", 1e9),  # each wake would list and take 1e9 samples
         ("sample_period_s", 1e-6),
         ("seed", -1),
         ("start_week", 9000),
@@ -751,6 +756,187 @@ def test_ephemeris_timeline_equals_boundary_chain(start_tow_s, vel, t_label, bou
             engine._deliver_ephemeris(eph, subframes)
         assert abs(t - times[-1]) <= 1e-9
         assert decoded == expected
+
+
+# --- the wake's sequence against its event queue -----------------------------------
+# ref_run_wake is the wake as it ran before it became a plain sequence: one
+# time-ordered heap of lock, label, fix and sample events, ties broken by
+# kind (lock, label, fix, sample) and then by the order they were queued.
+
+_REF_PRIORITY = {"lock": 0, "label": 1, "fix": 2, "sample": 3}
+
+
+def ref_run_wake(engine, base, snapshot, arm, off_duration_s):
+    """_Engine.run_wake as an event loop: (ArmReport, diagnostics)."""
+    cfg = engine.config
+    state = sh._State(
+        clock=copy.copy(base.clock),
+        t_rel=base.t_rel,
+        locks=[rcv.LockState()] * len(engine.sats),
+        anchor=base.anchor,
+        rx_orbits=base.rx_orbits,
+        last_known=base.last_known,
+    )
+    state.clock.advance(off_duration_s)
+    state.t_rel += off_duration_s
+
+    r_wake = state.clock.elapsed_rx_s
+    n_samples = int(round(cfg.wake_run_s / cfg.sample_period_s))
+    grid = [engine.t_of_r(r_wake + k * cfg.sample_period_s) for k in range(n_samples + 1)]
+    queue = []
+    seq = itertools.count()
+
+    def push(t_rel, kind, data=None):
+        heapq.heappush(queue, (t_rel, _REF_PRIORITY[kind], next(seq), kind, data))
+
+    for stage, r in zip(sh._LOCK_STAGES, engine._lock_times(state)):
+        push(engine.t_of_r(r), "lock", stage)
+    for k, t in enumerate(grid):
+        push(t, "sample", k)
+
+    used_estimate = False
+    label_shift_bits = 0
+    hotstart_delay = None
+    samples = []
+    ttff = fix_t = None
+    with sh._simulating(state):
+        while queue:
+            t, _, _, kind, data = heapq.heappop(queue)
+            engine.advance_to_t(state, t)
+            if kind == "lock":
+                engine._step_locks(state, data)
+                if data != "bit":
+                    continue
+                r_now = state.clock.elapsed_rx_s
+                if arm == sh.ARM_ESTIMATOR:
+                    snap = engine._load_snapshot_maybe(snapshot)
+                    if snap is not None:
+                        used_estimate, label_shift_bits = engine._try_estimate(state, snap)
+                if used_estimate:
+                    push(engine.t_of_r(r_now + cfg.estimator_epsilon_s), "fix")
+                    continue
+                waits = engine._decode_waits(state)
+                for row, wait in enumerate(waits):
+                    push(engine.t_of_r(r_now + wait), "label", row)
+                hotstart_delay = sorted(waits)[3]
+            elif kind == "label":
+                if engine._label(state, data) == 4:
+                    push(state.t_rel, "fix")
+            elif kind == "fix":
+                t_since = state.clock.elapsed_rx_s - r_wake
+                k = data
+                if not state.fixes:
+                    if state.t_rel > grid[-1]:
+                        continue
+                    ttff = t_since
+                    k = math.floor(t_since / cfg.sample_period_s)
+                    state.truth = engine._truth([state.t_rel, *grid[k + 1 : k + sh._TRUTH_ROWS]])
+                elif grid[k] not in state.truth.rows:
+                    state.truth = engine._truth(grid[k : k + sh._TRUTH_ROWS])
+                engine._fix(state, t_since)
+                fix_t = state.t_rel
+                if k + 1 <= n_samples:
+                    push(grid[k + 1], "fix", k + 1)
+            else:
+                if fix_t == state.t_rel:
+                    e, n = state.fixes[-1].err_east_m, state.fixes[-1].err_north_m
+                else:
+                    e, n, _ = pvt.enu_errors(state.last_known, engine.user_pos(state.t_rel))
+                t_s = data * cfg.sample_period_s
+                samples.append(sh.Sample(t_s, bool(state.fixes), e, n, math.hypot(e, n)))
+    valid_errors = [s.err_2d_m for s in samples if s.fix_valid]
+    if not valid_errors:
+        raise sh.ScenarioError("wake session produced no fix inside wake_run_s")
+    report = sh.ArmReport(
+        arm=arm,
+        time_to_first_fix_s=ttff,
+        samples=samples,
+        fixes=state.fixes,
+        rms_2d_m=pvt.rms_2d(valid_errors),
+        power_ratio=sh.power_savings_ratio(off_duration_s, ttff + cfg.sample_period_s),
+        used_estimate=used_estimate,
+        hotstart_delay_s=hotstart_delay,
+    )
+    state.diagnostics[f"{arm}_label_shift_bits"] = float(label_shift_bits)
+    state.diagnostics[f"{arm}_used_estimate"] = float(used_estimate)
+    state.diagnostics[f"{arm}_rco_refined_err_s"] = engine.rco_error_s(state)
+    return report, state.diagnostics
+
+
+def _wake_outcome(run, engine, base, snapshot, arm, off):
+    try:
+        return run(engine, base, snapshot, arm, off)
+    except sh.ScenarioError as exc:
+        return str(exc)
+
+
+_latencies = st.one_of(
+    st.sampled_from([0.0, 0.4, 1.0, 2.0]), st.floats(0.0, 3.0), st.floats(0.0, 60.0)
+)
+
+
+# The default scenario in the test's parameters. The examples move it so
+# that two labels arrive after the last sample, and so that, with no lock
+# latency, the estimator's first fix lands exactly on sample 0.
+_DEFAULT_WAKE = dict(
+    code_s=0.5, carrier_s=0.3, bit_s=0.4, epsilon=0.0, period=1.0, n_periods=10, off=900.0,
+    ppm=10.0, start_tow_s=86400.0, vel=(0.0, 0.0, 0.0), n_sats=8, seed=1,
+)
+
+
+@given(
+    code_s=_latencies,
+    carrier_s=_latencies,
+    bit_s=_latencies,
+    epsilon=_latencies,
+    period=st.one_of(st.sampled_from([0.25, 1.0, 2.67, 60.0]), st.floats(0.05, 120.0)),
+    n_periods=st.one_of(st.integers(1, 30), st.floats(1.0, 30.0)),
+    off=st.one_of(st.sampled_from([0.0, 60.0, 900.0]), st.floats(0.0, 3000.0)),
+    ppm=st.one_of(st.sampled_from([0.0, 0.5, 10.0]), st.floats(0.0, 50.0)),
+    start_tow_s=st.one_of(
+        st.sampled_from([86400.0, 86400.015]),
+        st.floats(0.0, WEEK_S - 1e-3),
+        st.floats(WEEK_S - 400.0, WEEK_S - 1e-3),
+    ),
+    vel=st.sampled_from([(0.0, 0.0, 0.0), (12.0, -3.0, 1.5), (600.0, -800.0, 0.0)]),
+    n_sats=st.integers(4, 12),
+    seed=st.integers(0, 20),
+)
+@example(**{**_DEFAULT_WAKE, "period": 2.67, "n_periods": 1, "start_tow_s": 86400.015})
+@example(**{**_DEFAULT_WAKE, "code_s": 0.0, "carrier_s": 0.0, "bit_s": 0.0})
+@settings(max_examples=60, deadline=None)
+def test_wake_sequence_equals_event_queue(
+    code_s, carrier_s, bit_s, epsilon, period, n_periods, off, ppm, start_tow_s, vel, n_sats, seed
+):
+    """Both arms of run_wake give the event queue's ArmReport and
+    diagnostics bit for bit, or its ScenarioError text, across latencies
+    and epsilon of 0-60 s, sample periods, wake lengths, ppm, sleeps,
+    start times up to the week end, speeds and satellite counts."""
+    config = replace(
+        sh.ScenarioConfig(),
+        code_s=code_s,
+        carrier_s=carrier_s,
+        bit_s=bit_s,
+        estimator_epsilon_s=epsilon,
+        sample_period_s=period,
+        wake_run_s=period * n_periods,
+        off_duration_s=off,
+        rtc_ppm=ppm,
+        start_tow_s=start_tow_s,
+        user_vel_ecef=vel,
+        n_sats=n_sats,
+        seed=seed,
+    )
+    try:
+        engine = sh._Engine(config)
+        base, snapshot = engine.run_session_one()
+        engine._check_geometry(base.t_rel + off)
+    except sh.ScenarioError:
+        return
+    for arm in (sh.ARM_ESTIMATOR, sh.ARM_HOTSTART):
+        expected = _wake_outcome(ref_run_wake, engine, base, snapshot, arm, off)
+        got = _wake_outcome(sh._Engine.run_wake, engine, base, snapshot, arm, off)
+        assert got == expected
 
 
 def test_tx_rel_solution_is_self_consistent():
