@@ -18,8 +18,9 @@ labels, each channel's ephemeris (taken when the last of the subframes
 that carry it arrives; their indices say which), 1 Hz fixes, the snapshot.
 A wake: lock stages; at bit lock the estimate gate or the decode waits;
 the first fix, and one at each later sample instant, each after the
-labels due by then. Its clock stops at every sample instant on the way,
-because the receiver clock's bits depend on where it stops.
+labels due by then; then its samples. The receiver clock is read at each
+instant from zero time (_Engine.clock_at), so its bits depend only on the
+instant, and each session knows every fix time before it reaches it.
 
 All internal times are seconds relative to the scenario start; week-scale
 absolute floats would quantize transmit times to about 7.45 ns (2.2 m) at
@@ -30,7 +31,6 @@ clock-bias unknown.
 from __future__ import annotations
 
 import contextlib
-import copy
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -110,7 +110,8 @@ _UPPER_BOUNDS = {
     "session1_extra_s": cst.DEFAULT_VALIDITY_S,
     "noise_sigma_m": 1000.0,
 }
-# Each wake lists all of its sample instants up front.
+# Each wake lists all of its sample instants up front and builds a sample
+# at each after its last fix.
 _MAX_SAMPLES_PER_WAKE = 100_000
 _NON_NEGATIVE = (
     "seed", "code_s", "carrier_s", "bit_s", "rtc_ppm", "off_duration_s",
@@ -244,7 +245,8 @@ def power_savings_ratio(off_duration_s: float, on_duration_s: float) -> float:
 class _State:
     """Everything that evolves during one session. A wake starts a new one
     from session one's end state and leaves that state as it was; its
-    samples and the time of its latest fix stay local to run_wake.
+    fix times, truth and samples stay local to run_wake. clock is always
+    _Engine.clock_at(t_rel).
 
     Channels are rows in sat_id order, the order of _Engine.sats; anchor
     is the row of the clock-offset anchor.
@@ -260,7 +262,6 @@ class _State:
     rx_orbits: cst.Orbits | None = None
     last_known: np.ndarray | None = None
     fixes: list[FixRecord] = field(default_factory=list)
-    truth: _Truth | None = None
     # Frame labels are shifted by this much: an estimate's bit error.
     label_shift_s: float = 0.0
     # By the labeled rows (as bytes) above the mask at a fix: their rows of
@@ -287,7 +288,6 @@ class _Truth:
     selects one raises instead of reading it.
     """
 
-    rows: dict[float, int]  # receive time (relative seconds) -> row
     user: np.ndarray  # (m, 3) true user position
     elevation: np.ndarray  # (m, n) rad
     tx: np.ndarray  # (m, n) true transmit time, relative seconds
@@ -295,7 +295,7 @@ class _Truth:
     stale_tx: np.ndarray  # (m, n) stale at some light-time iterate
 
 
-# Rows of truth a wake evaluates at once: bounds the table's memory.
+# Rows of truth a session evaluates at once: bounds the table's memory.
 _TRUTH_ROWS = 1024
 
 # Tracking stages in acquisition order.
@@ -307,6 +307,8 @@ class _Engine:
         config.validate()
         self.config = config
         self.t0_gps = GpsTime(config.start_week, config.start_tow_s)
+        # The receiver's zero time: the start time plus its clock bias.
+        self.zt = GpsTime(config.start_week, config.start_tow_s + config.clock_bias_s)
         self.t0_abs = self.t0_gps.total_seconds()
         self.user0 = np.array(config.user_pos_ecef, float)
         self.user_vel = np.array(config.user_vel_ecef, float)
@@ -366,8 +368,15 @@ class _Engine:
             stale_tx |= stale
             d = pos - user_b
             t_tx = t - np.sqrt(np.vecdot(d, d)) / SPEED_OF_LIGHT_M_S
-        rows = {v: i for i, v in enumerate(times)}
-        return _Truth(rows, user, elevation, t_tx, stale_rx, stale_tx)
+        return _Truth(user, elevation, t_tx, stale_rx, stale_tx)
+
+    def _truth_rows(self, times: list[float]):
+        """(truth, row) at each of times, from tables of up to _TRUTH_ROWS
+        rows, each made when its first row is reached."""
+        for start in range(0, len(times), _TRUTH_ROWS):
+            truth = self._truth(times[start : start + _TRUTH_ROWS])
+            for row in range(len(truth.tx)):
+                yield truth, row
 
     def _check_fresh(self, stale: np.ndarray, idx: np.ndarray, t_rel: float) -> None:
         """Raise for the first satellite of idx whose truth cell is stale."""
@@ -410,15 +419,24 @@ class _Engine:
         """True time at which receiver elapsed time reaches r."""
         return r / self._scale()
 
+    def clock_at(self, t_rel: float) -> ReceiverClockState:
+        """The receiver clock at t_rel, advanced from zero time in one step,
+        so its bits depend only on t_rel."""
+        cfg = self.config
+        clock = ReceiverClockState(
+            self.zt, rtc_nominal_hz=cfg.rtc_nominal_hz, rtc_ppm_error=cfg.rtc_ppm
+        )
+        clock.advance(t_rel)
+        return clock
+
     def advance_to_t(self, st: _State, t_rel: float) -> None:
         """Advance the session to t_rel. Only a misordered session can ask
         for a time in the past, so that is a bug, not a scenario error."""
-        dt = t_rel - st.t_rel
-        if dt < -1e-9:
+        if t_rel - st.t_rel < -1e-9:
             raise RuntimeError(f"t={t_rel} s is before the session's t={st.t_rel} s")
-        if dt > 0:
-            st.clock.advance(dt)
-            st.t_rel += dt
+        if t_rel > st.t_rel:
+            st.t_rel = t_rel
+            st.clock = self.clock_at(t_rel)
 
     # --- acquisition --------------------------------------------------------
 
@@ -499,16 +517,10 @@ class _Engine:
         )
         return st.rco.week * WEEK_S + st.rco.second - true_offset
 
-    def _fix(self, st: _State, t_since_wake: float) -> FixRecord:
-        """Solve one fix now; the session's first uses the flat assumed delay."""
+    def _fix(self, st: _State, t_since_wake: float, truth: _Truth, row: int) -> FixRecord:
+        """Solve one fix now, with the truth at row of truth; the session's
+        first uses the flat assumed delay."""
         t = st.t_rel
-        # A wake tabulates its truth at the first fix; a fix off that grid
-        # (advance_to_t can land an ulp away) gets a one-row table.
-        truth, row = st.truth, None
-        if truth is not None:
-            row = truth.rows.get(t)
-        if row is None:
-            truth, row = self._truth([t]), 0
         if st.rco is None:
             # A wake that decoded its labels takes its clock offset here.
             self._refine_rco(st, self._anchor_tx(st, truth, row))
@@ -564,13 +576,8 @@ class _Engine:
         1 Hz and take the snapshot. Within a stage events go in time order,
         and ties in row order."""
         cfg = self.config
-        zt = GpsTime(cfg.start_week, cfg.start_tow_s + cfg.clock_bias_s)
         st = _State(
-            clock=ReceiverClockState(
-                zt, rtc_nominal_hz=cfg.rtc_nominal_hz, rtc_ppm_error=cfg.rtc_ppm
-            ),
-            t_rel=0.0,
-            locks=[rcv.LockState()] * len(self.sats),
+            clock=self.clock_at(0.0), t_rel=0.0, locks=[rcv.LockState()] * len(self.sats)
         )
         with _simulating(st):
             r_locks = self._lock_times(st)
@@ -599,16 +606,15 @@ class _Engine:
 
             # 1 Hz fixes from the next whole receiver second; power-off comes
             # session1_extra_s after the first.
-            self.advance_to_t(st, self.t_of_r(math.floor(st.clock.elapsed_rx_s) + 1.0))
-            off_r = st.clock.elapsed_rx_s + cfg.session1_extra_s
+            times = [self.t_of_r(math.floor(st.clock.elapsed_rx_s) + 1.0)]
+            off_r = self.clock_at(times[0]).elapsed_rx_s + cfg.session1_extra_s
+            while (r := self.clock_at(times[-1]).elapsed_rx_s + 1.0) < off_r - 1e-9:
+                times.append(self.t_of_r(r))
             rco_errors = []
-            while True:
-                self._fix(st, -1.0)
+            for t, (truth, row) in zip(times, self._truth_rows(times)):
+                self.advance_to_t(st, t)
+                self._fix(st, -1.0, truth, row)
                 rco_errors.append(self.rco_error_s(st))
-                r = st.clock.elapsed_rx_s + 1.0
-                if r >= off_r - 1e-9:
-                    break
-                self.advance_to_t(st, self.t_of_r(r))
             self.advance_to_t(st, self.t_of_r(off_r))
             snapshot = self._take_snapshot(st)
         st.diagnostics["s1_rco_refined_err_s"] = self.rco_error_s(st)
@@ -691,8 +697,8 @@ class _Engine:
         was, so any number of wakes can start from it."""
         cfg = self.config
         st = _State(
-            # The clock holds only floats and a frozen GpsTime.
-            clock=copy.copy(base.clock),
+            # Never written in place: advance_to_t rebinds it.
+            clock=base.clock,
             t_rel=base.t_rel,
             # The receiver re-acquires every channel after the sleep.
             locks=[rcv.LockState()] * len(self.sats),
@@ -701,67 +707,67 @@ class _Engine:
             # Rebound, never written in place, by each fix.
             last_known=base.last_known,
         )
-        st.clock.advance(off_duration_s)
-        st.t_rel += off_duration_s
+        self.advance_to_t(st, base.t_rel + off_duration_s)
 
         r_wake = st.clock.elapsed_rx_s
         n_samples = int(round(cfg.wake_run_s / cfg.sample_period_s))
         grid = [self.t_of_r(r_wake + k * cfg.sample_period_s) for k in range(n_samples + 1)]
-        samples: list[Sample] = []
         labels: list[tuple[float, int]] = []
         used_estimate = False
         label_shift_bits = 0
         hotstart_delay: float | None = None
-        # k indexes the sample at or before the latest fix; fix_t is its time.
-        k = fix_t = None
         with _simulating(st):
             for stage, r in zip(_LOCK_STAGES, self._lock_times(st)):
-                self._advance_wake(st, self.t_of_r(r), grid, samples, fix_t)
+                self.advance_to_t(st, self.t_of_r(r))
                 self._step_locks(st, stage)
             r_bit = st.clock.elapsed_rx_s
             if arm == ARM_ESTIMATOR:
                 snap = self._load_snapshot_maybe(snapshot)
                 if snap is not None:
                     used_estimate, label_shift_bits = self._try_estimate(st, snap)
-            # t is the first fix's time: one epsilon after bit lock for an
-            # accepted estimate, else that of the fourth label (inf until then).
+            # The first fix: one epsilon after bit lock for an accepted
+            # estimate, else at the fourth label.
             if used_estimate:
-                t = self.t_of_r(r_bit + cfg.estimator_epsilon_s)
+                t_first = self.t_of_r(r_bit + cfg.estimator_epsilon_s)
             else:
                 waits = self._decode_waits(st)
                 hotstart_delay = sorted(waits)[3]
                 labels = sorted((self.t_of_r(r_bit + w), row) for row, w in enumerate(waits))
-                t = math.inf
-            # The first fix, then one at each later sample instant; the labels
-            # due at or before a fix go first, in (time, row) order.
-            while True:
+                t_first = labels[3][0]
+            if t_first > grid[-1]:
+                raise ScenarioError("wake session produced no fix inside wake_run_s")
+            # t_of_r can put t_first an ulp before the session's time: the
+            # first fix is then solved at the session's time, and every
+            # sample from t_first on still sees it.
+            t_fix = max(st.t_rel, t_first)
+            ttff = self.clock_at(t_fix).elapsed_rx_s - r_wake
+            # Then one fix at each later sample instant; k is the sample at
+            # or before the first fix, by the receiver's clock.
+            k = math.floor(ttff / cfg.sample_period_s)
+            times = [t_fix, *grid[k + 1 :]]
+            for t, (truth, truth_row) in zip(times, self._truth_rows(times)):
+                # The labels due at or before a fix go first, in (time, row) order.
                 while labels and labels[0][0] <= t:
                     t_label, row = labels.pop(0)
-                    self._advance_wake(st, t_label, grid, samples, fix_t)
-                    if self._label(st, row) == 4:
-                        t = st.t_rel
-                self._advance_wake(st, t, grid, samples, fix_t)
-                t_since = st.clock.elapsed_rx_s - r_wake
-                if k is None:
-                    # No sample would see the first fix: the wake has failed.
-                    if len(samples) == len(grid) or st.t_rel > grid[-1]:
-                        raise ScenarioError("wake session produced no fix inside wake_run_s")
-                    ttff = t_since
-                    k = math.floor(t_since / cfg.sample_period_s)
-                    st.truth = self._truth([st.t_rel, *grid[k + 1 : k + _TRUTH_ROWS]])
-                elif grid[k] not in st.truth.rows:
-                    st.truth = self._truth(grid[k : k + _TRUTH_ROWS])
-                self._fix(st, t_since)
-                fix_t = st.t_rel
-                if k >= n_samples:
-                    break
-                k += 1
-                t = grid[k]
+                    self.advance_to_t(st, t_label)
+                    self._label(st, row)
+                self.advance_to_t(st, t)
+                self._fix(st, st.clock.elapsed_rx_s - r_wake, truth, truth_row)
             # Labels after the last fix still move the clock rco_error_s reads.
             for t, row in labels:
-                self._advance_wake(st, t, grid, samples, fix_t)
+                self.advance_to_t(st, t)
                 self._label(st, row)
-            self._advance_wake(st, math.inf, grid, samples, fix_t)
+        # A sample from the first fix on reads the errors of fix i - k, which
+        # fell on it (or of the first fix, which float noise can put just
+        # before sample k); one before reads session one's position.
+        samples = []
+        for i, t in enumerate(grid):
+            if t >= t_first:
+                fix = st.fixes[max(i - k, 0)]
+                e, n = fix.err_east_m, fix.err_north_m
+            else:
+                e, n, _ = pvt.enu_errors(base.last_known, self.user_pos(t))
+            samples.append(Sample(i * cfg.sample_period_s, t >= t_first, e, n, math.hypot(e, n)))
         report = ArmReport(
             arm=arm,
             time_to_first_fix_s=ttff,
@@ -776,28 +782,6 @@ class _Engine:
         st.diagnostics[f"{arm}_used_estimate"] = float(used_estimate)
         st.diagnostics[f"{arm}_rco_refined_err_s"] = self.rco_error_s(st)
         return report, st.diagnostics
-
-    def _advance_wake(
-        self, st: _State, t_rel: float, grid: list[float], samples: list[Sample], fix_t
-    ) -> None:
-        """Advance a wake to t_rel (relative seconds), or to its last sample
-        for t_rel inf. On the way, stop at each sample instant on grid not yet
-        in samples and take that sample; fix_t is the latest fix's time.
-
-        The stops are not optional: ReceiverClockState.advance adds
-        dt * scale on each step, so the clock's bits, and with them every
-        later fix and clock offset, depend on where it stops."""
-        while len(samples) < len(grid) and grid[len(samples)] < t_rel:
-            self.advance_to_t(st, grid[len(samples)])
-            if st.t_rel == fix_t:
-                # The fix at this instant computed the same errors.
-                e, n = st.fixes[-1].err_east_m, st.fixes[-1].err_north_m
-            else:
-                e, n, _ = pvt.enu_errors(st.last_known, self.user_pos(st.t_rel))
-            t_s = len(samples) * self.config.sample_period_s
-            samples.append(Sample(t_s, bool(st.fixes), e, n, math.hypot(e, n)))
-        if t_rel < math.inf:
-            self.advance_to_t(st, t_rel)
 
     def _load_snapshot_maybe(
         self, in_memory: fs.PersistedSnapshot

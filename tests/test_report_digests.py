@@ -49,8 +49,7 @@ GRID = {
     # The wake's tie rules. With no lock latency the estimator's first fix
     # lands exactly on sample 0, which sees it.
     "zero_latency": dict(code_s=0.0, carrier_s=0.0, bit_s=0.0),
-    # Four samples a second between the locks, labels and first fix: the
-    # bytes move if the clock does not stop at every sample instant.
+    # Four samples a second between the locks, labels and first fix.
     "quarter_second_samples": dict(sample_period_s=0.25, wake_run_s=8.0, seed=3),
     # Six labels arrive at +2.66 s and the last sample is at +2.67 s; two
     # come after it, and the clock offset error moves if they are dropped.
@@ -60,22 +59,22 @@ GRID = {
 }
 
 DIGESTS = {
-    "default": "b7254a82739da5acb386e77be914469bca893a870b0b5f0055ca3332ff5068d7",
-    "estimator_0.5ppm_60s": "3280cc31efa54a55f4cd85f4a1f3afa0babb1a8d3e8a4c43d1e0b9811349da3e",
-    "hotstart_30ppm_0s": "9d2d652890b3c593dcc0783bf40fb4519acce06a21349fe830aff68001c3f1c8",
-    "fallback_1500s": "4cde047782c385a17c6400072dd8f4c8070c4ec0d82b812357fcf2beda6feef8",
-    "moving_user": "d5c10c743072a564ecf6d54a87714494b4d1d69a71306e39fac83fb04863a8a5",
-    "wake_run_120s": "32606e8feeb21310270d61dd7f32d0d886970ba00bb81cb47a1da33b3b3a8ea1",
-    "snapshot_file": "969c9d9343b54b680263afdecf94dd3e679ac991c63134c40101e174c869e297",
-    "week_end_604600_600": "f4c1a1ca998ba6abf4f41140de1d866e5a9d8302e25568fa96cfdd8c661200be",
-    "explicit_masked": "e72a4237462c6043bf588214ca8ed237c139c39c1ea7998b70bf86af72c431ff",
-    "n_sats_4": "823008b8a0624badd8168485192fd46c59b0010b3e033dce748542ac85292319",
-    "n_sats_32": "baacf7da2050f99284afeb2bde2f88ae37942ea0bd822885215d31abbf5ace4a",
-    "zero_noise": "726e9515970ad9620264c1f13338c6d0f1917c740988b4290adef1f228c7b0b6",
-    "changing_selection": "4040e38566505ef7c2e4a79bffd29a9a2b986255ed963ac817c73e8a61c60152",
-    "zero_latency": "0b961c45ffc339e3e5951aa89d41a2d9bf0fb8c436124660a69fff43d61bdc7b",
-    "quarter_second_samples": "d3facc43c433c6862d297b749c655ce9939844a0537c7a89ae71deda4e77a956",
-    "labels_outlive_wake": "ba2650e0f3c892451388476c81c409a9b7df92a48695bd89b1e95e7f7db92143",
+    "default": "d7046ff68a1865a4e4759521febcce89779094f9ccee95ae0bbf27d3bdf27910",
+    "estimator_0.5ppm_60s": "16db80c6fc532b9795a306c100526991f600208a8b4f9c8c8224ff03255e4ac7",
+    "hotstart_30ppm_0s": "9aa1d7cd444465fc723e010877acd2b77dcb47f2d41b30e1a9427399cae19019",
+    "fallback_1500s": "af1f14a036c9c54f19c5e64cfd4a7ec62958e18bf212376117963639fdac0a8d",
+    "moving_user": "2afb4fec4b19cff8ff769e717319f290d079247710e10fc549378a8c70f2902d",
+    "wake_run_120s": "1b823f7f00d627d121e07ee7a22e7e5f0e762ae31358bc7b489c02d41f471ada",
+    "snapshot_file": "7bdb570aac2ed6eebfae2c664c74d3ce8f5f3fb80bf1e89728ff2385ef6915d0",
+    "week_end_604600_600": "f41b490cb1784e8d9d7fdf14eaaf413a3bee18374487cb4c1e0ae686025a3ad2",
+    "explicit_masked": "dfaa269210a032808b1c36e9f231de80efac479131465b4c3e61f2a76db9f98c",
+    "n_sats_4": "5d4b3bfb0a3ada428d88edc4bd0decb385dfc3ef8b726d3107cf5aa786a0aa7f",
+    "n_sats_32": "1459c581bfbff9e9ea52278fe78b865188dfc3cfbaf9dc898f5017b50f09fff0",
+    "zero_noise": "d089e0745167aaeb8f0eba830000a376c46e6039e1a7afdaea7abbed475f0b29",
+    "changing_selection": "0917b5fba5322ee48b94a0fab874a9c07c750ae27d528d41520fed0a96bead61",
+    "zero_latency": "e3d59bedebf62116a78572e8d13640d0b084b5cf4affc22d4198801d81807fff",
+    "quarter_second_samples": "2a67e0b7450db793cb523a71b821737b2d2389f79336782ea977cf9919ffac43",
+    "labels_outlive_wake": "576ce20ceab435d26cfd963d91d1ebb4f5c1d9dda56f880d47c97f3fba243cb9",
 }
 
 

@@ -1,5 +1,4 @@
 """Scenario engine tests: the full sleep/wake loop, parsing, and CSV export."""
-import copy
 import csv
 import heapq
 import io
@@ -268,6 +267,28 @@ def test_wakes_from_one_session_one_equal_run_scenario():
         assert before.tobytes() == after.tobytes()
 
 
+@pytest.mark.parametrize(
+    "rtc_ppm,seed,sleep_s", [(10.0, 1, 900.0), (0.5, 2, 2400.0), (30.0, 3, 60.0)]
+)
+def test_first_fix_does_not_depend_on_the_sample_period(rtc_ppm, seed, sleep_s):
+    """The receiver clock is read at each instant, not summed over the
+    sample instants before it, so each arm's first fix has the same bits
+    for every sample period."""
+    firsts = {}
+    for period in (0.25, 0.5, 1.0, 2.0):
+        config = sh.ScenarioConfig(
+            rtc_ppm=rtc_ppm,
+            seed=seed,
+            off_duration_s=sleep_s,
+            wake_run_s=8.0,
+            sample_period_s=period,
+        )
+        for arm, report in sh.run_scenario(config).arms.items():
+            firsts.setdefault(arm, set()).add(repr(report.fixes[0]))
+    assert sorted(firsts) == [sh.ARM_ESTIMATOR, sh.ARM_HOTSTART]
+    assert all(len(reprs) == 1 for reprs in firsts.values())
+
+
 def test_failed_wake_leaves_nothing_for_the_next():
     """Satellite 3's ephemeris runs out during a wake after a 900 s sleep.
     A 60 s sleep woken next from the same session one is unaffected."""
@@ -327,6 +348,23 @@ def test_session_one_labels_in_time_order():
     labels = [lock.history[-1].t_rx_s for lock in base.locks]
     assert len(set(labels)) == 2 and labels != sorted(labels)
     assert labels[base.anchor] == min(labels)
+
+
+def test_session_one_tabulates_its_fixes_once(monkeypatch):
+    """Session one knows all of its 1 Hz fix times before the first, so it
+    makes one truth table for them; the only other is the one-row table of
+    its decode waits."""
+    tables = []
+    truth = sh._Engine._truth
+
+    def counting_truth(self, times):
+        tables.append(len(times))
+        return truth(self, times)
+
+    monkeypatch.setattr(sh._Engine, "_truth", counting_truth)
+    base, _ = sh._Engine(replace(BASE, session1_extra_s=5.0)).run_session_one()
+    assert len(base.fixes) == 5
+    assert tables == [1, 5]
 
 
 @pytest.mark.parametrize(
@@ -442,9 +480,9 @@ def test_first_fix_after_the_last_sample_is_not_solved(monkeypatch):
     fixes = []
     fix = sh._Engine._fix
 
-    def counting_fix(self, state, t_since_wake):
+    def counting_fix(self, state, t_since_wake, truth, row):
         fixes.append(t_since_wake)
-        return fix(self, state, t_since_wake)
+        return fix(self, state, t_since_wake, truth, row)
 
     monkeypatch.setattr(sh._Engine, "_fix", counting_fix)
     with pytest.raises(sh.ScenarioError, match="no fix inside wake_run_s"):
@@ -481,9 +519,9 @@ def test_a_sample_at_a_fix_reuses_its_errors(monkeypatch):
         calls["enu_errors"] += 1
         return enu_errors(position, truth)
 
-    def counting_fix(self, state, t_since_wake):
+    def counting_fix(self, state, t_since_wake, truth, row):
         calls["_fix"] += 1
-        return fix(self, state, t_since_wake)
+        return fix(self, state, t_since_wake, truth, row)
 
     monkeypatch.setattr(sh.pvt, "enu_errors", counting_enu_errors)
     monkeypatch.setattr(sh._Engine, "_fix", counting_fix)
@@ -522,9 +560,9 @@ def test_satellite_expiring_mid_wake_fails_at_the_same_fix(monkeypatch):
     fixes = []
     fix = sh._Engine._fix
 
-    def counting_fix(self, state, t_since_wake):
+    def counting_fix(self, state, t_since_wake, truth, row):
         fixes.append(t_since_wake)
-        return fix(self, state, t_since_wake)
+        return fix(self, state, t_since_wake, truth, row)
 
     monkeypatch.setattr(sh._Engine, "_fix", counting_fix)
     with pytest.raises(sh.ScenarioError, match=r"t=951\.999 s: sat 3: \+952 s from epoch"):
@@ -643,14 +681,12 @@ def _varied_validity_sats(n):
 )
 @settings(max_examples=60, deadline=None)
 def test_truth_rows_equal_per_fix_truth(n_sats, vel, start, period, m):
-    """Every valid cell equals the per-fix computation bit for bit, the
-    stale masks mark exactly the satellites for which it raised, and row
-    lookup is by exact receive time."""
+    """Every valid cell equals the per-fix computation bit for bit, and the
+    stale masks mark exactly the satellites for which it raised."""
     cfg = replace(BASE, satellites=_varied_validity_sats(n_sats), user_vel_ecef=vel)
     engine = sh._Engine(cfg)
     times = [start + k * period for k in range(m)]
     truth = engine._truth(times)
-    assert truth.rows == {t: k for k, t in enumerate(times)}
     for row, t in enumerate(times):
         assert truth.user[row].tobytes() == engine.user_pos(t).tobytes()
         fresh = []
@@ -770,15 +806,14 @@ def ref_run_wake(engine, base, snapshot, arm, off_duration_s):
     """_Engine.run_wake as an event loop: (ArmReport, diagnostics)."""
     cfg = engine.config
     state = sh._State(
-        clock=copy.copy(base.clock),
+        clock=base.clock,
         t_rel=base.t_rel,
         locks=[rcv.LockState()] * len(engine.sats),
         anchor=base.anchor,
         rx_orbits=base.rx_orbits,
         last_known=base.last_known,
     )
-    state.clock.advance(off_duration_s)
-    state.t_rel += off_duration_s
+    engine.advance_to_t(state, base.t_rel + off_duration_s)
 
     r_wake = state.clock.elapsed_rx_s
     n_samples = int(round(cfg.wake_run_s / cfg.sample_period_s))
@@ -825,15 +860,17 @@ def ref_run_wake(engine, base, snapshot, arm, off_duration_s):
             elif kind == "fix":
                 t_since = state.clock.elapsed_rx_s - r_wake
                 k = data
+                # The wake's fixes count up the rows of each truth table.
+                row = len(state.fixes) % sh._TRUTH_ROWS
                 if not state.fixes:
                     if state.t_rel > grid[-1]:
                         continue
                     ttff = t_since
                     k = math.floor(t_since / cfg.sample_period_s)
-                    state.truth = engine._truth([state.t_rel, *grid[k + 1 : k + sh._TRUTH_ROWS]])
-                elif grid[k] not in state.truth.rows:
-                    state.truth = engine._truth(grid[k : k + sh._TRUTH_ROWS])
-                engine._fix(state, t_since)
+                    truth = engine._truth([state.t_rel, *grid[k + 1 : k + sh._TRUTH_ROWS]])
+                elif row == 0:
+                    truth = engine._truth(grid[k : k + sh._TRUTH_ROWS])
+                engine._fix(state, t_since, truth, row)
                 fix_t = state.t_rel
                 if k + 1 <= n_samples:
                     push(grid[k + 1], "fix", k + 1)
@@ -877,7 +914,9 @@ _latencies = st.one_of(
 
 # The default scenario in the test's parameters. The examples move it so
 # that two labels arrive after the last sample, and so that, with no lock
-# latency, the estimator's first fix lands exactly on sample 0.
+# latency, the estimator's first fix lands exactly on sample 0; after a
+# 23.999765 s sleep the wake starts just below t=64 s, where t_of_r rounds
+# that fix and sample 0 an ulp before the wake's start.
 _DEFAULT_WAKE = dict(
     code_s=0.5, carrier_s=0.3, bit_s=0.4, epsilon=0.0, period=1.0, n_periods=10, off=900.0,
     ppm=10.0, start_tow_s=86400.0, vel=(0.0, 0.0, 0.0), n_sats=8, seed=1,
@@ -904,6 +943,7 @@ _DEFAULT_WAKE = dict(
 )
 @example(**{**_DEFAULT_WAKE, "period": 2.67, "n_periods": 1, "start_tow_s": 86400.015})
 @example(**{**_DEFAULT_WAKE, "code_s": 0.0, "carrier_s": 0.0, "bit_s": 0.0})
+@example(**{**_DEFAULT_WAKE, "code_s": 0.0, "carrier_s": 0.0, "bit_s": 0.0, "off": 23.999765})
 @settings(max_examples=60, deadline=None)
 def test_wake_sequence_equals_event_queue(
     code_s, carrier_s, bit_s, epsilon, period, n_periods, off, ppm, start_tow_s, vel, n_sats, seed
