@@ -192,17 +192,22 @@ class Orbits:
         """
         dt = t - self.epoch
         stale = np.abs(dt) > self.validity
-        u = self.phase_at_epoch + self.mean_motion * dt
+        # u and everything after it carry a trailing axis of one, against
+        # the (n, 1) columns of radius and inclination.
+        u = (self.phase_at_epoch + self.mean_motion * dt)[..., None]
         cu, su = np.cos(u), np.sin(u)
-        r = self.orbit_radius
-        pos = np.empty(u.shape + (3,))
+        r, ci, si = self._columns
+        pos = np.empty(stale.shape + (3,))
         # x and y in one pass. x = r * (co * cu - so * su * ci) is computed
         # as r * (co * cu + (-so) * su * ci): a - b is a + (-b) exactly.
-        ci = self.cos_inc[:, None]
-        xy = self.node * cu[..., None] + self.node_east * su[..., None] * ci
-        np.multiply(r[:, None], xy, out=pos[..., :2])
-        np.multiply(r * su, self.sin_inc, out=pos[..., 2])
+        np.multiply(r, self.node * cu + self.node_east * su * ci, out=pos[..., :2])
+        np.multiply(r * su, si, out=pos[..., 2:])
         return pos, stale
+
+    @cached_property
+    def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """orbit_radius, cos_inc and sin_inc as (n, 1) columns."""
+        return self.orbit_radius[:, None], self.cos_inc[:, None], self.sin_inc[:, None]
 
     def positions(self, t: float | np.ndarray) -> np.ndarray:
         """Positions as evaluate() gives them; raises StaleEphemerisError

@@ -215,7 +215,13 @@ def tick_frame_state(
 
 
 def drift_budget(rtc_ppm: float, bit_margin_ms: float = 10.0) -> float:
-    """Longest sleep (ms) that keeps RTC drift within the bit margin."""
+    """Longest sleep (ms) that keeps RTC drift within the bit margin.
+
+    The budget ignores the RTC tick: the elapsed count is whole ticks, so
+    a coarse RTC adds up to one tick of error at any sleep. At 1 kHz the
+    default scenario already reads a one-bit error (17.7 m);
+    ScenarioConfig.validate rejects a tick not shorter than the margin.
+    """
     # Written so that NaN fails too.
     if not rtc_ppm >= 0:
         raise ValueError("rtc_ppm must be non-negative")

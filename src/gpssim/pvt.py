@@ -44,34 +44,15 @@ class PvtSolution:
         return np.array([self.x_u, self.y_u, self.z_u])
 
 
-def _line_of_sight(
-    position: np.ndarray, sat_positions: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectors from position to each satellite, and their lengths.
-
-    The lengths are what np.linalg.norm(los, axis=1) computes.
-    """
-    los = sat_positions - position
-    return los, np.sqrt(np.add.reduce(los * los, axis=1))
-
-
-def design_matrix(
-    position: np.ndarray,
-    sat_positions: np.ndarray,
-    *,
-    line_of_sight: tuple[np.ndarray, np.ndarray] | None = None,
-) -> np.ndarray:
+def design_matrix(position: np.ndarray, sat_positions: np.ndarray) -> np.ndarray:
     """Jacobian of the measurement model at a linearization point.
 
     Row i is [-(unit vector to satellite i), 1]: the partial derivatives of
-    |s_i - x| + b with respect to (x, b). line_of_sight is the pair
-    _line_of_sight(position, sat_positions) when the caller already has it.
+    |s_i - x| + b with respect to (x, b). solve fills the same rows in place.
     """
-    if line_of_sight is None:
-        line_of_sight = _line_of_sight(
-            np.asarray(position, float), np.asarray(sat_positions, float)
-        )
-    los, ranges = line_of_sight
+    los = np.asarray(sat_positions, float) - np.asarray(position, float)
+    # The lengths are what np.linalg.norm(los, axis=1) computes.
+    ranges = np.sqrt(np.add.reduce(los * los, axis=1))
     if not ranges.all():
         raise GeometryError("linearization point coincides with a satellite")
     jac = np.empty((len(los), 4))
@@ -101,8 +82,9 @@ def solve(
         raise ValueError("pseudoranges_m must be a 1-D array")
     if len(rho) < 4:
         raise InsufficientSatellitesError(f"{len(rho)} measurements; need at least 4")
-    # NaN fails the first comparison.
-    if not (0 <= rho.min() and rho.max() < math.inf):
+    # NaN fails the first comparison. The reductions are rho.min() and
+    # rho.max() without their Python wrapper.
+    if not (0 <= np.minimum.reduce(rho) and np.maximum.reduce(rho) < math.inf):
         raise ValueError("pseudorange must be finite and non-negative")
     sat_positions = np.asarray(sat_positions, float)
     if sat_positions.shape != (len(rho), 3):
@@ -115,11 +97,18 @@ def solve(
 
     iterations = 0
     converged = False
-    # Each iterate's line of sight serves its residual and its Jacobian.
-    sight = _line_of_sight(state[:3], sat_positions)
-    residual = rho - sight[1] - state[3]
+    # One Jacobian buffer, filled each iterate from that iterate's line of
+    # sight, which also gives its residual; the rows are design_matrix's.
+    jac = np.empty((len(rho), 4))
+    jac[:, 3] = 1.0
+    los = sat_positions - state[:3]
+    ranges = np.sqrt(np.add.reduce(los * los, axis=1))
+    residual = rho - ranges - state[3]
     for iterations in range(1, max_iterations + 1):
-        jac = design_matrix(state[:3], sat_positions, line_of_sight=sight)
+        if not ranges.all():
+            raise GeometryError("linearization point coincides with a satellite")
+        # los / -r is bitwise -(los / r): IEEE division is sign-symmetric.
+        np.divide(los, -ranges[:, None], out=jac[:, :3])
         step, _, rank, s = np.linalg.lstsq(jac, residual, rcond=None)
         if iterations == 1:
             # np.linalg.cond(jac): the ratio of extreme singular values,
@@ -130,10 +119,12 @@ def solve(
         if rank < 4:
             raise GeometryError("rank-deficient geometry")
         state += step
-        sight = _line_of_sight(state[:3], sat_positions)
-        residual = rho - sight[1] - state[3]
+        los = sat_positions - state[:3]
+        ranges = np.sqrt(np.add.reduce(los * los, axis=1))
+        residual = rho - ranges - state[3]
         # Both norms are np.linalg.norm's own formula for a vector.
-        if math.sqrt(step[:3].dot(step[:3])) < tol_m:
+        move = step[:3]
+        if math.sqrt(move.dot(move)) < tol_m:
             converged = True
             break
 
@@ -171,11 +162,31 @@ def enu_basis(ref_ecef: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return east, north, up
 
 
-def enu_errors(position: np.ndarray, truth_ecef: np.ndarray) -> tuple[float, float, float]:
-    """(east, north, up) components of position - truth."""
-    east, north, up = enu_basis(truth_ecef)
-    delta = np.asarray(position, float) - np.asarray(truth_ecef, float)
-    return float(delta @ east), float(delta @ north), float(delta @ up)
+def enu_errors(
+    position: np.ndarray, truth_ecef: np.ndarray
+) -> tuple[float, float, float] | tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(east, north, up) components of position - truth.
+
+    One point (3,) gives three floats. (m, 3) rows give three (m,) arrays,
+    each element bitwise equal to that row's one-point call: the rows
+    repeat enu_basis's elementwise arithmetic, and np.vecdot is the same
+    dot product as a 1-D @.
+    """
+    truth = np.asarray(truth_ecef, float)
+    delta = np.asarray(position, float) - truth
+    if truth.ndim == 1:
+        east, north, up = enu_basis(truth)
+        return float(delta @ east), float(delta @ north), float(delta @ up)
+    up = truth / np.sqrt(np.vecdot(truth, truth))[:, None]
+    ux, uy, uz = up.T
+    east = np.stack([0.0 * uz - 1.0 * uy, 1.0 * ux - 0.0 * uz, 0.0 * uy - 0.0 * ux], 1)
+    n = np.sqrt(np.vecdot(east, east))
+    polar = n < 1e-12
+    east /= np.where(polar, 1.0, n)[:, None]
+    east[polar] = (1.0, 0.0, 0.0)
+    ex, ey, ez = east.T
+    north = np.stack([uy * ez - uz * ey, uz * ex - ux * ez, ux * ey - uy * ex], 1)
+    return np.vecdot(delta, east), np.vecdot(delta, north), np.vecdot(delta, up)
 
 
 def horizontal_error(solution: PvtSolution | np.ndarray, truth_ecef: np.ndarray) -> float:

@@ -166,6 +166,13 @@ class ScenarioConfig:
         for name in ("sample_period_s", "rtc_nominal_hz", "bit_margin_ms"):
             if getattr(self, name) <= 0:
                 raise ScenarioError(f"{name} must be positive")
+        # The estimate reads elapsed time in whole RTC ticks; a tick as long
+        # as the margin can shift the predicted bit on its own, and the
+        # gate, which budgets drift only, would accept it.
+        if 1000.0 / self.rtc_nominal_hz >= self.bit_margin_ms:
+            raise ScenarioError(
+                "the RTC tick (1000 / rtc_nominal_hz ms) must be shorter than bit_margin_ms"
+            )
         if self.wake_run_s < self.sample_period_s:
             raise ScenarioError("wake_run_s shorter than one sample period")
         if self.wake_run_s / self.sample_period_s > _MAX_SAMPLES_PER_WAKE:
@@ -250,6 +257,11 @@ class _State:
 
     Channels are rows in sat_id order, the order of _Engine.sats; anchor
     is the row of the clock-offset anchor.
+
+    A fix keeps only what it solved (solved); reading fixes turns those
+    into FixRecords, with one pvt.enu_errors call on all of their rows. A
+    wake reads them after its last fix, and no report reads session one's,
+    so each fix's errors are computed at most once.
     """
 
     clock: ReceiverClockState
@@ -261,12 +273,17 @@ class _State:
     anchor: int | None = None
     rx_orbits: cst.Orbits | None = None
     last_known: np.ndarray | None = None
-    fixes: list[FixRecord] = field(default_factory=list)
+    # Per fix since fixes was last read: (t_since_wake, solved position,
+    # true user position, PvtSolution).
+    solved: list[tuple] = field(default_factory=list)
+    records: list[FixRecord] = field(default_factory=list)
     # Frame labels are shifted by this much: an estimate's bit error.
     label_shift_s: float = 0.0
     # By the labeled rows (as bytes) above the mask at a fix: their rows of
     # rx_orbits.
     selections: dict[bytes, cst.Orbits] = field(default_factory=dict)
+    # What the fixes read of the truth table they are on.
+    sky: _Sky | None = None
     # Session one's s1_* values, or a wake's {arm}_* ones.
     diagnostics: dict[str, float] = field(default_factory=dict)
     # Per channel row: frame-labeled yet, and the one-way delay the
@@ -277,6 +294,20 @@ class _State:
     def __post_init__(self) -> None:
         self.labeled = np.zeros(len(self.locks), bool)
         self.assumed_delay_s = np.full(len(self.locks), DEFAULT_PROPAGATION_DELAY_S)
+
+    @property
+    def fixes(self) -> list[FixRecord]:
+        if self.solved:
+            t_since, positions, users, sols = zip(*self.solved)
+            east, north, _ = pvt.enu_errors(np.array(positions), np.array(users))
+            for t, e, n, sol in zip(t_since, east.tolist(), north.tolist(), sols):
+                self.records.append(
+                    FixRecord(
+                        t, e, n, math.hypot(e, n), sol.b_u, sol.iterations, sol.converged
+                    )
+                )
+            self.solved.clear()
+        return self.records
 
 
 @dataclass(frozen=True)
@@ -293,6 +324,24 @@ class _Truth:
     tx: np.ndarray  # (m, n) true transmit time, relative seconds
     stale_rx: np.ndarray  # (m, n) ephemeris stale at the receive time
     stale_tx: np.ndarray  # (m, n) stale at some light-time iterate
+
+
+@dataclass(frozen=True)
+class _Sky:
+    """What a session's fixes read of one truth table, tabulated at once:
+    per row and channel, the transmit time the receiver believes (the true
+    one plus the session's label shift), where its decoded ephemeris puts
+    the satellite then and whether that cell is stale, and whether the
+    channel is above the mask. Each cell is bitwise equal to the per-fix
+    computation. fresh marks the rows with no stale cell of any kind,
+    where a fix can skip its stale checks."""
+
+    truth: _Truth
+    believed_tx: np.ndarray  # (m, n) relative seconds
+    believed_pos: np.ndarray  # (m, n, 3)
+    believed_stale: np.ndarray  # (m, n)
+    visible: np.ndarray  # (m, n)
+    fresh: np.ndarray  # (m,)
 
 
 # Rows of truth a session evaluates at once: bounds the table's memory.
@@ -503,12 +552,12 @@ class _Engine:
             propagation_delay_s=float(st.assumed_delay_s[st.anchor]),
         )
 
-    def _anchor_tx(self, st: _State, truth: _Truth, row: int) -> float:
+    def _anchor_tx(self, st: _State, sky: _Sky, row: int) -> float:
         """The anchor's believed transmit time at the truth row, which is
         now; the anchor need not be among the channels a fix selects."""
-        if truth.stale_tx[row, st.anchor]:
+        if sky.truth.stale_tx[row, st.anchor]:
             raise self.orbits.stale_error(self.t0_abs + st.t_rel, st.anchor)
-        return float(truth.tx[row, st.anchor]) + st.label_shift_s
+        return float(sky.believed_tx[row, st.anchor])
 
     def rco_error_s(self, st: _State) -> float:
         """Believed minus true clock offset, precise to float noise."""
@@ -517,57 +566,72 @@ class _Engine:
         )
         return st.rco.week * WEEK_S + st.rco.second - true_offset
 
-    def _fix(self, st: _State, t_since_wake: float, truth: _Truth, row: int) -> FixRecord:
+    def _sky(self, st: _State, truth: _Truth) -> _Sky:
+        """The session's _Sky of a truth table; st.rx_orbits has every
+        channel by the first fix."""
+        believed_tx = truth.tx + st.label_shift_s
+        pos, stale = st.rx_orbits.evaluate(self.t0_abs + believed_tx)
+        fresh = ~(truth.stale_rx | truth.stale_tx | stale).any(axis=1)
+        return _Sky(truth, believed_tx, pos, stale, truth.elevation >= self._mask, fresh)
+
+    def _believed_pos(self, st: _State, sky: _Sky, row: int, idx: np.ndarray) -> np.ndarray:
+        """Where channels idx are at their believed transmit times at the
+        sky's row; raises as st.rx_orbits[idx].positions would there, for
+        the first stale one."""
+        if not sky.fresh[row]:
+            bad = idx[sky.believed_stale[row, idx]]
+            if len(bad):
+                t_abs = self.t0_abs + sky.believed_tx[row, bad[0]]
+                raise st.rx_orbits.stale_error(t_abs, bad[0])
+        return sky.believed_pos[row, idx]
+
+    def _fix(self, st: _State, t_since_wake: float, truth: _Truth, row: int) -> None:
         """Solve one fix now, with the truth at row of truth; the session's
-        first uses the flat assumed delay."""
+        first uses the flat assumed delay. Only the steps that depend on
+        the previous fix run here: clock offset, pseudoranges, satellite
+        positions at the assumed delays, the solve, the new assumed delays
+        and the refined offset. The rest is tabulated once per truth table
+        (_sky), and the ENU errors wait for st.fixes to be read."""
+        sky = st.sky
+        if sky is None or sky.truth is not truth:
+            sky = st.sky = self._sky(st, truth)
         t = st.t_rel
         if st.rco is None:
             # A wake that decoded its labels takes its clock offset here.
-            self._refine_rco(st, self._anchor_tx(st, truth, row))
+            self._refine_rco(st, self._anchor_tx(st, sky, row))
         receive_gps = to_gps_time(st.clock.receiver_time(), st.rco)
         r_rel = receive_gps.diff(self.t0_gps)
 
-        # Labeled channels, then those of them above the mask; every channel
-        # has its ephemeris by the first fix, so st.rx_orbits covers them all.
+        # Labeled channels, then those of them above the mask. The stale
+        # checks run, in this order, only on a row with a stale cell.
         idx = st.labeled.nonzero()[0]
-        self._check_fresh(truth.stale_rx[row], idx, t)
-        idx = idx[truth.elevation[row, idx] >= self._mask]
+        fresh = sky.fresh[row]
+        if not fresh:
+            self._check_fresh(truth.stale_rx[row], idx, t)
+        idx = idx[sky.visible[row, idx]]
         if len(idx) < 4:
             raise ScenarioError("fewer than 4 usable channels at a fix epoch")
-        self._check_fresh(truth.stale_tx[row], idx, t)
+        if not fresh:
+            self._check_fresh(truth.stale_tx[row], idx, t)
         rx_orbits = st.selections.get(key := idx.tobytes())
         if rx_orbits is None:
             rx_orbits = st.selections[key] = st.rx_orbits[idx]
 
-        believed_tx = truth.tx[row, idx] + st.label_shift_s
+        believed_tx = sky.believed_tx[row, idx]
         rho = SPEED_OF_LIGHT_M_S * (r_rel - believed_tx) + self._noise(st, len(idx))
-        # Row 0: where the receiver puts each satellite for the solve, its
-        # assumed delay before the receive time. Row 1: at the believed
-        # transmit time, for the new assumed delays.
-        times = np.empty((2, len(idx)))
-        times[0] = r_rel - st.assumed_delay_s[idx]
-        times[1] = believed_tx
-        sat_pos = rx_orbits.positions(self.t0_abs + times)
+        # Where the receiver puts each satellite for the solve: its assumed
+        # delay before the receive time. A stale cell here raises before
+        # one at the believed transmit times.
+        sat_pos = rx_orbits.positions(self.t0_abs + (r_rel - st.assumed_delay_s[idx]))
+        believed_pos = self._believed_pos(st, sky, row, idx)
 
-        sol = pvt.solve(rho, sat_pos[0], st.last_known)
+        sol = pvt.solve(rho, sat_pos, st.last_known)
         st.last_known = position = sol.position
 
-        d = sat_pos[1] - position
+        d = believed_pos - position
         st.assumed_delay_s[idx] = np.sqrt(np.vecdot(d, d)) / SPEED_OF_LIGHT_M_S
-        self._refine_rco(st, self._anchor_tx(st, truth, row))
-
-        e, n, _ = pvt.enu_errors(position, truth.user[row])
-        rec = FixRecord(
-            t_since_wake,
-            e,
-            n,
-            math.hypot(e, n),
-            sol.b_u,
-            sol.iterations,
-            sol.converged,
-        )
-        st.fixes.append(rec)
-        return rec
+        self._refine_rco(st, self._anchor_tx(st, sky, row))
+        st.solved.append((t_since_wake, position, truth.user[row], sol))
 
     # --- session one --------------------------------------------------------
 
@@ -760,10 +824,11 @@ class _Engine:
         # A sample from the first fix on reads the errors of fix i - k, which
         # fell on it (or of the first fix, which float noise can put just
         # before sample k); one before reads session one's position.
+        fixes = st.fixes
         samples = []
         for i, t in enumerate(grid):
             if t >= t_first:
-                fix = st.fixes[max(i - k, 0)]
+                fix = fixes[max(i - k, 0)]
                 e, n = fix.err_east_m, fix.err_north_m
             else:
                 e, n, _ = pvt.enu_errors(base.last_known, self.user_pos(t))
@@ -772,7 +837,7 @@ class _Engine:
             arm=arm,
             time_to_first_fix_s=ttff,
             samples=samples,
-            fixes=st.fixes,
+            fixes=fixes,
             rms_2d_m=pvt.rms_2d(s.err_2d_m for s in samples if s.fix_valid),
             power_ratio=power_savings_ratio(off_duration_s, ttff + cfg.sample_period_s),
             used_estimate=used_estimate,

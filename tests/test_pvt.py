@@ -357,3 +357,42 @@ def test_rms_2d_values():
     assert pvt.rms_2d([0.0, 0.0, 0.0]) == 0.0
     with pytest.raises(ValueError):
         pvt.rms_2d([])
+
+
+# Truth points on the polar axis, or within 1e-12 of it in east norm, where
+# enu_basis picks +x for east; signed zeros included.
+_POLAR = [
+    (0.0, 0.0, 6.4e6),
+    (0.0, -0.0, -6.4e6),
+    (-0.0, 0.0, 6.4e6),
+    (1e-6, -2e-6, 6.4e6),
+]
+
+
+@given(
+    seed=st.integers(0, 2**16),
+    m=st.integers(1, 40),
+    speed=st.floats(0.0, 1000.0),
+    offset=st.floats(1e-3, 1e5),
+    polar=st.lists(st.sampled_from(range(len(_POLAR))), max_size=3),
+)
+@settings(max_examples=100, deadline=None)
+def test_enu_errors_rows_equal_one_point_calls(seed, m, speed, offset, polar):
+    """enu_errors on (m, 3) rows gives, element by element, the floats of m
+    one-point calls, bit for bit: a user moving along a track, with polar
+    truth rows mixed in."""
+    assert all(pvt.enu_basis(np.array(p))[0].tolist() == [1.0, 0.0, 0.0] for p in _POLAR)
+    rng = np.random.default_rng(seed)
+    start = rng.normal(0.0, 6.4e6, 3)
+    velocity = rng.normal(0.0, 1.0, 3)
+    velocity *= speed / np.linalg.norm(velocity)
+    truth = start + velocity * np.arange(m)[:, None]
+    for k, i in enumerate(polar):
+        truth[(k * 7) % m] = _POLAR[i]
+    position = truth + rng.normal(0.0, offset, (m, 3))
+    rows = pvt.enu_errors(position, truth)
+    for k in range(m):
+        one = pvt.enu_errors(position[k], truth[k])
+        assert all(type(v) is float for v in one)
+        got = tuple(float(axis[k]) for axis in rows)
+        assert np.array(got).tobytes() == np.array(one).tobytes()

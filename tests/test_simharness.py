@@ -94,6 +94,9 @@ def test_default_config_is_valid():
         ("user_vel_ecef", (0.0, 0.0, 1e300)),
         ("min_elevation_deg", -1e9),  # ran as if it were -90
         ("min_elevation_deg", 90.5),  # failed later: no satellite visible
+        # An RTC tick not shorter than the bit margin: 1000 ms, 1/32 ms.
+        ("rtc_nominal_hz", 1.0),
+        ("bit_margin_ms", 0.01),
     ],
 )
 def test_config_rejects_bad_values(field, value):
@@ -511,16 +514,19 @@ def test_planar_constellation_is_a_scenario_error():
 
 def test_a_sample_at_a_fix_reuses_its_errors(monkeypatch):
     """Only samples taken before a wake's first fix compute their own
-    errors; every later one falls on a fix and reads that fix's."""
-    calls = {"enu_errors": 0, "_fix": 0}
+    errors; every later one falls on a fix and reads that fix's. Each
+    wake fix's errors are evaluated once, as one row of its session's
+    call, and session one's, which no report reads, not at all."""
+    calls = {"rows": 0, "wake_fixes": 0}
     enu_errors, fix = sh.pvt.enu_errors, sh._Engine._fix
 
     def counting_enu_errors(position, truth):
-        calls["enu_errors"] += 1
+        calls["rows"] += len(np.atleast_2d(truth))
         return enu_errors(position, truth)
 
     def counting_fix(self, state, t_since_wake, truth, row):
-        calls["_fix"] += 1
+        # Session one's fixes pass t_since_wake = -1.
+        calls["wake_fixes"] += t_since_wake >= 0
         return fix(self, state, t_since_wake, truth, row)
 
     monkeypatch.setattr(sh.pvt, "enu_errors", counting_enu_errors)
@@ -530,7 +536,7 @@ def test_a_sample_at_a_fix_reuses_its_errors(monkeypatch):
         s for arm in report.arms.values() for s in arm.samples if not s.fix_valid
     ]
     assert before_first_fix
-    assert calls["enu_errors"] == calls["_fix"] + len(before_first_fix)
+    assert calls["rows"] == calls["wake_fixes"] + len(before_first_fix)
     for arm in report.arms.values():
         # The first fix lands between samples; each later one on a sample.
         valid = [s for s in arm.samples if s.fix_valid]
@@ -711,6 +717,45 @@ def test_truth_rows_equal_per_fix_truth(n_sats, vel, start, period, m):
             elevation, tx = ref_fix_truth(engine, idx, t)
             assert truth.elevation[row, idx].tobytes() == elevation.tobytes()
             assert truth.tx[row, idx].tobytes() == tx.tobytes()
+
+
+@given(
+    n_sats=st.integers(4, 16),
+    vel=st.tuples(*[st.floats(-300.0, 300.0)] * 3),
+    start=st.floats(880.0, 905.0),
+    period=st.floats(0.01, 3.0),
+    m=st.integers(1, 12),
+    shift_bits=st.integers(-60, 60),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_sky_equals_per_fix_believed_positions(n_sats, vel, start, period, m, shift_bits, seed):
+    """The believed-transmit positions tabulated once per truth table equal
+    the per-fix rx_orbits[idx].positions cell for cell, and where a cell
+    is stale the fix raises the same StaleEphemerisError, text included."""
+    cfg = replace(BASE, satellites=_varied_validity_sats(n_sats), user_vel_ecef=vel)
+    engine = sh._Engine(cfg)
+    state = sh._State(
+        clock=engine.clock_at(0.0),
+        t_rel=0.0,
+        locks=[rcv.LockState()] * n_sats,
+        rx_orbits=engine.orbits,
+        label_shift_s=shift_bits * sh.BIT_S,
+    )
+    truth = engine._truth([start + k * period for k in range(m)])
+    sky = engine._sky(state, truth)
+    rng = np.random.default_rng(seed)
+    for row in range(m):
+        idx = np.flatnonzero(rng.random(n_sats) < 0.7)
+        times = truth.tx[row, idx] + state.label_shift_s
+        try:
+            expected = state.rx_orbits[idx].positions(engine.t0_abs + times)
+        except cst.StaleEphemerisError as exc:
+            with pytest.raises(cst.StaleEphemerisError, match=f"^{re.escape(str(exc))}$"):
+                engine._believed_pos(state, sky, row, idx)
+            continue
+        assert sky.believed_tx[row, idx].tobytes() == times.tobytes()
+        assert engine._believed_pos(state, sky, row, idx).tobytes() == expected.tobytes()
 
 
 # --- session one's ephemeris timeline against the boundary chain ------------------
