@@ -44,19 +44,37 @@ class PvtSolution:
         return np.array([self.x_u, self.y_u, self.z_u])
 
 
+def _line_of_sight(
+    position: np.ndarray, sat_positions: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vectors from position to each satellite, and their lengths.
+
+    The lengths are what np.linalg.norm(los, axis=1) computes.
+    """
+    los = sat_positions - position
+    return los, np.sqrt(np.add.reduce(los * los, axis=1))
+
+
+def _fill_design(jac: np.ndarray, los: np.ndarray, ranges: np.ndarray) -> None:
+    """Write the first three columns of design_matrix's rows, for the line
+    of sight (los, ranges), into jac."""
+    if not ranges.all():
+        raise GeometryError("linearization point coincides with a satellite")
+    # los / -r is bitwise -(los / r): IEEE division is sign-symmetric.
+    np.divide(los, -ranges[:, None], out=jac[:, :3])
+
+
 def design_matrix(position: np.ndarray, sat_positions: np.ndarray) -> np.ndarray:
     """Jacobian of the measurement model at a linearization point.
 
     Row i is [-(unit vector to satellite i), 1]: the partial derivatives of
-    |s_i - x| + b with respect to (x, b). solve fills the same rows in place.
+    |s_i - x| + b with respect to (x, b).
     """
-    los = np.asarray(sat_positions, float) - np.asarray(position, float)
-    # The lengths are what np.linalg.norm(los, axis=1) computes.
-    ranges = np.sqrt(np.add.reduce(los * los, axis=1))
-    if not ranges.all():
-        raise GeometryError("linearization point coincides with a satellite")
+    los, ranges = _line_of_sight(
+        np.asarray(position, float), np.asarray(sat_positions, float)
+    )
     jac = np.empty((len(los), 4))
-    jac[:, :3] = -los / ranges[:, None]
+    _fill_design(jac, los, ranges)
     jac[:, 3] = 1.0
     return jac
 
@@ -98,17 +116,13 @@ def solve(
     iterations = 0
     converged = False
     # One Jacobian buffer, filled each iterate from that iterate's line of
-    # sight, which also gives its residual; the rows are design_matrix's.
+    # sight, which also gives its residual.
     jac = np.empty((len(rho), 4))
     jac[:, 3] = 1.0
-    los = sat_positions - state[:3]
-    ranges = np.sqrt(np.add.reduce(los * los, axis=1))
+    los, ranges = _line_of_sight(state[:3], sat_positions)
     residual = rho - ranges - state[3]
     for iterations in range(1, max_iterations + 1):
-        if not ranges.all():
-            raise GeometryError("linearization point coincides with a satellite")
-        # los / -r is bitwise -(los / r): IEEE division is sign-symmetric.
-        np.divide(los, -ranges[:, None], out=jac[:, :3])
+        _fill_design(jac, los, ranges)
         step, _, rank, s = np.linalg.lstsq(jac, residual, rcond=None)
         if iterations == 1:
             # np.linalg.cond(jac): the ratio of extreme singular values,
@@ -119,8 +133,7 @@ def solve(
         if rank < 4:
             raise GeometryError("rank-deficient geometry")
         state += step
-        los = sat_positions - state[:3]
-        ranges = np.sqrt(np.add.reduce(los * los, axis=1))
+        los, ranges = _line_of_sight(state[:3], sat_positions)
         residual = rho - ranges - state[3]
         # Both norms are np.linalg.norm's own formula for a vector.
         move = step[:3]
@@ -143,22 +156,24 @@ def enu_basis(ref_ecef: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     """East/north/up unit vectors of the tangent plane at ref_ecef.
 
     Up is the geocentric radial; nothing else in the simulator models an
-    ellipsoid, so neither does the error frame.
+    ellipsoid, so neither does the error frame. One point (3,) gives three
+    (3,) vectors; (m, 3) rows give three (m, 3) arrays, each row the basis
+    of that row alone.
     """
     ref = np.asarray(ref_ecef, float)
     # Both norms are np.linalg.norm's own formula for a vector.
-    up = ref / math.sqrt(ref.dot(ref))
+    up = ref / np.sqrt(np.vecdot(ref, ref))[..., None]
     # Both cross products are written out in np.cross's component formula,
     # zero terms included, so every bit (signed zeros too) matches it.
-    ux, uy, uz = up.tolist()
-    east = np.array([0.0 * uz - 1.0 * uy, 1.0 * ux - 0.0 * uz, 0.0 * uy - 0.0 * ux])
-    n = math.sqrt(east.dot(east))
-    if n < 1e-12:  # polar reference: east is arbitrary, pick +x
-        east = np.array([1.0, 0.0, 0.0])
-    else:
-        east = east / n
-    ex, ey, ez = east.tolist()
-    north = np.array([uy * ez - uz * ey, uz * ex - ux * ez, ux * ey - uy * ex])
+    ux, uy, uz = up.T
+    east = np.stack([0.0 * uz - 1.0 * uy, 1.0 * ux - 0.0 * uz, 0.0 * uy - 0.0 * ux], -1)
+    n = np.sqrt(np.vecdot(east, east))
+    # A polar reference has an arbitrary east: pick +x.
+    polar = n < 1e-12
+    east /= np.where(polar, 1.0, n)[..., None]
+    east[polar] = (1.0, 0.0, 0.0)
+    ex, ey, ez = east.T
+    north = np.stack([uy * ez - uz * ey, uz * ex - ux * ez, ux * ey - uy * ex], -1)
     return east, north, up
 
 
@@ -167,26 +182,16 @@ def enu_errors(
 ) -> tuple[float, float, float] | tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(east, north, up) components of position - truth.
 
-    One point (3,) gives three floats. (m, 3) rows give three (m,) arrays,
-    each element bitwise equal to that row's one-point call: the rows
-    repeat enu_basis's elementwise arithmetic, and np.vecdot is the same
-    dot product as a 1-D @.
+    One truth point (3,) gives three floats; (m, 3) truth rows give three
+    (m,) arrays, against one position or (m, 3) rows of them. Each element
+    is bitwise its row's one-point call.
     """
     truth = np.asarray(truth_ecef, float)
     delta = np.asarray(position, float) - truth
+    errors = tuple(np.vecdot(delta, axis) for axis in enu_basis(truth))
     if truth.ndim == 1:
-        east, north, up = enu_basis(truth)
-        return float(delta @ east), float(delta @ north), float(delta @ up)
-    up = truth / np.sqrt(np.vecdot(truth, truth))[:, None]
-    ux, uy, uz = up.T
-    east = np.stack([0.0 * uz - 1.0 * uy, 1.0 * ux - 0.0 * uz, 0.0 * uy - 0.0 * ux], 1)
-    n = np.sqrt(np.vecdot(east, east))
-    polar = n < 1e-12
-    east /= np.where(polar, 1.0, n)[:, None]
-    east[polar] = (1.0, 0.0, 0.0)
-    ex, ey, ez = east.T
-    north = np.stack([uy * ez - uz * ey, uz * ex - ux * ez, ux * ey - uy * ex], 1)
-    return np.vecdot(delta, east), np.vecdot(delta, north), np.vecdot(delta, up)
+        return tuple(map(float, errors))
+    return errors
 
 
 def horizontal_error(solution: PvtSolution | np.ndarray, truth_ecef: np.ndarray) -> float:

@@ -258,10 +258,10 @@ class _State:
     Channels are rows in sat_id order, the order of _Engine.sats; anchor
     is the row of the clock-offset anchor.
 
-    A fix keeps only what it solved (solved); reading fixes turns those
-    into FixRecords, with one pvt.enu_errors call on all of their rows. A
-    wake reads them after its last fix, and no report reads session one's,
-    so each fix's errors are computed at most once.
+    A fix keeps only what it solved (solved); record_fixes turns those
+    into FixRecords, with one pvt.enu_errors call on all of their rows. It
+    runs as each truth table is done with and whenever fixes is read, so
+    the solved fixes that wait for it are those of one table at most.
     """
 
     clock: ReceiverClockState
@@ -273,7 +273,7 @@ class _State:
     anchor: int | None = None
     rx_orbits: cst.Orbits | None = None
     last_known: np.ndarray | None = None
-    # Per fix since fixes was last read: (t_since_wake, solved position,
+    # Per fix since record_fixes last ran: (t_since_wake, solved position,
     # true user position, PvtSolution).
     solved: list[tuple] = field(default_factory=list)
     records: list[FixRecord] = field(default_factory=list)
@@ -282,8 +282,6 @@ class _State:
     # By the labeled rows (as bytes) above the mask at a fix: their rows of
     # rx_orbits.
     selections: dict[bytes, cst.Orbits] = field(default_factory=dict)
-    # What the fixes read of the truth table they are on.
-    sky: _Sky | None = None
     # Session one's s1_* values, or a wake's {arm}_* ones.
     diagnostics: dict[str, float] = field(default_factory=dict)
     # Per channel row: frame-labeled yet, and the one-way delay the
@@ -295,18 +293,21 @@ class _State:
         self.labeled = np.zeros(len(self.locks), bool)
         self.assumed_delay_s = np.full(len(self.locks), DEFAULT_PROPAGATION_DELAY_S)
 
+    def record_fixes(self) -> None:
+        """Turn the fixes solved since the last call into FixRecords."""
+        if not self.solved:
+            return
+        t_since, positions, users, sols = zip(*self.solved)
+        east, north, _ = pvt.enu_errors(np.array(positions), np.array(users))
+        for t, e, n, sol in zip(t_since, east.tolist(), north.tolist(), sols):
+            self.records.append(
+                FixRecord(t, e, n, math.hypot(e, n), sol.b_u, sol.iterations, sol.converged)
+            )
+        self.solved.clear()
+
     @property
     def fixes(self) -> list[FixRecord]:
-        if self.solved:
-            t_since, positions, users, sols = zip(*self.solved)
-            east, north, _ = pvt.enu_errors(np.array(positions), np.array(users))
-            for t, e, n, sol in zip(t_since, east.tolist(), north.tolist(), sols):
-                self.records.append(
-                    FixRecord(
-                        t, e, n, math.hypot(e, n), sol.b_u, sol.iterations, sol.converged
-                    )
-                )
-            self.solved.clear()
+        self.record_fixes()
         return self.records
 
 
@@ -333,15 +334,13 @@ class _Sky:
     one plus the session's label shift), where its decoded ephemeris puts
     the satellite then and whether that cell is stale, and whether the
     channel is above the mask. Each cell is bitwise equal to the per-fix
-    computation. fresh marks the rows with no stale cell of any kind,
-    where a fix can skip its stale checks."""
+    computation."""
 
     truth: _Truth
     believed_tx: np.ndarray  # (m, n) relative seconds
     believed_pos: np.ndarray  # (m, n, 3)
     believed_stale: np.ndarray  # (m, n)
     visible: np.ndarray  # (m, n)
-    fresh: np.ndarray  # (m,)
 
 
 # Rows of truth a session evaluates at once: bounds the table's memory.
@@ -419,13 +418,15 @@ class _Engine:
             t_tx = t - np.sqrt(np.vecdot(d, d)) / SPEED_OF_LIGHT_M_S
         return _Truth(user, elevation, t_tx, stale_rx, stale_tx)
 
-    def _truth_rows(self, times: list[float]):
-        """(truth, row) at each of times, from tables of up to _TRUTH_ROWS
-        rows, each made when its first row is reached."""
+    def _truth_rows(self, st: _State, times: list[float]):
+        """(sky, row) at each of times for the session st, from tables of up
+        to _TRUTH_ROWS rows, each made when its first row is reached. The
+        fixes of one table become records before the next is made."""
         for start in range(0, len(times), _TRUTH_ROWS):
-            truth = self._truth(times[start : start + _TRUTH_ROWS])
-            for row in range(len(truth.tx)):
-                yield truth, row
+            st.record_fixes()
+            sky = self._sky(st, self._truth(times[start : start + _TRUTH_ROWS]))
+            for row in range(len(sky.believed_tx)):
+                yield sky, row
 
     def _check_fresh(self, stale: np.ndarray, idx: np.ndarray, t_rel: float) -> None:
         """Raise for the first satellite of idx whose truth cell is stale."""
@@ -571,30 +572,26 @@ class _Engine:
         channel by the first fix."""
         believed_tx = truth.tx + st.label_shift_s
         pos, stale = st.rx_orbits.evaluate(self.t0_abs + believed_tx)
-        fresh = ~(truth.stale_rx | truth.stale_tx | stale).any(axis=1)
-        return _Sky(truth, believed_tx, pos, stale, truth.elevation >= self._mask, fresh)
+        return _Sky(truth, believed_tx, pos, stale, truth.elevation >= self._mask)
 
     def _believed_pos(self, st: _State, sky: _Sky, row: int, idx: np.ndarray) -> np.ndarray:
         """Where channels idx are at their believed transmit times at the
         sky's row; raises as st.rx_orbits[idx].positions would there, for
         the first stale one."""
-        if not sky.fresh[row]:
-            bad = idx[sky.believed_stale[row, idx]]
-            if len(bad):
-                t_abs = self.t0_abs + sky.believed_tx[row, bad[0]]
-                raise st.rx_orbits.stale_error(t_abs, bad[0])
+        bad = idx[sky.believed_stale[row, idx]]
+        if len(bad):
+            t_abs = self.t0_abs + sky.believed_tx[row, bad[0]]
+            raise st.rx_orbits.stale_error(t_abs, bad[0])
         return sky.believed_pos[row, idx]
 
-    def _fix(self, st: _State, t_since_wake: float, truth: _Truth, row: int) -> None:
-        """Solve one fix now, with the truth at row of truth; the session's
+    def _fix(self, st: _State, t_since_wake: float, sky: _Sky, row: int) -> None:
+        """Solve one fix now, with the truth at row of sky; the session's
         first uses the flat assumed delay. Only the steps that depend on
         the previous fix run here: clock offset, pseudoranges, satellite
         positions at the assumed delays, the solve, the new assumed delays
         and the refined offset. The rest is tabulated once per truth table
-        (_sky), and the ENU errors wait for st.fixes to be read."""
-        sky = st.sky
-        if sky is None or sky.truth is not truth:
-            sky = st.sky = self._sky(st, truth)
+        (_sky), and the ENU errors wait for st.record_fixes."""
+        truth = sky.truth
         t = st.t_rel
         if st.rco is None:
             # A wake that decoded its labels takes its clock offset here.
@@ -602,17 +599,14 @@ class _Engine:
         receive_gps = to_gps_time(st.clock.receiver_time(), st.rco)
         r_rel = receive_gps.diff(self.t0_gps)
 
-        # Labeled channels, then those of them above the mask. The stale
-        # checks run, in this order, only on a row with a stale cell.
+        # Labeled channels, then those of them above the mask; every channel
+        # has its ephemeris by the first fix, so st.rx_orbits covers them all.
         idx = st.labeled.nonzero()[0]
-        fresh = sky.fresh[row]
-        if not fresh:
-            self._check_fresh(truth.stale_rx[row], idx, t)
+        self._check_fresh(truth.stale_rx[row], idx, t)
         idx = idx[sky.visible[row, idx]]
         if len(idx) < 4:
             raise ScenarioError("fewer than 4 usable channels at a fix epoch")
-        if not fresh:
-            self._check_fresh(truth.stale_tx[row], idx, t)
+        self._check_fresh(truth.stale_tx[row], idx, t)
         rx_orbits = st.selections.get(key := idx.tobytes())
         if rx_orbits is None:
             rx_orbits = st.selections[key] = st.rx_orbits[idx]
@@ -675,9 +669,9 @@ class _Engine:
             while (r := self.clock_at(times[-1]).elapsed_rx_s + 1.0) < off_r - 1e-9:
                 times.append(self.t_of_r(r))
             rco_errors = []
-            for t, (truth, row) in zip(times, self._truth_rows(times)):
+            for t, (sky, row) in zip(times, self._truth_rows(st, times)):
                 self.advance_to_t(st, t)
-                self._fix(st, -1.0, truth, row)
+                self._fix(st, -1.0, sky, row)
                 rco_errors.append(self.rco_error_s(st))
             self.advance_to_t(st, self.t_of_r(off_r))
             snapshot = self._take_snapshot(st)
@@ -809,29 +803,33 @@ class _Engine:
             # or before the first fix, by the receiver's clock.
             k = math.floor(ttff / cfg.sample_period_s)
             times = [t_fix, *grid[k + 1 :]]
-            for t, (truth, truth_row) in zip(times, self._truth_rows(times)):
+            for t, (sky, truth_row) in zip(times, self._truth_rows(st, times)):
                 # The labels due at or before a fix go first, in (time, row) order.
                 while labels and labels[0][0] <= t:
                     t_label, row = labels.pop(0)
                     self.advance_to_t(st, t_label)
                     self._label(st, row)
                 self.advance_to_t(st, t)
-                self._fix(st, st.clock.elapsed_rx_s - r_wake, truth, truth_row)
+                self._fix(st, st.clock.elapsed_rx_s - r_wake, sky, truth_row)
             # Labels after the last fix still move the clock rco_error_s reads.
             for t, row in labels:
                 self.advance_to_t(st, t)
                 self._label(st, row)
         # A sample from the first fix on reads the errors of fix i - k, which
         # fell on it (or of the first fix, which float noise can put just
-        # before sample k); one before reads session one's position.
+        # before sample k); the ones before it read session one's position,
+        # all in one call on their rows.
         fixes = st.fixes
+        before = np.array([t for t in grid if t < t_first])
+        east, north, _ = pvt.enu_errors(base.last_known, self.user_pos(before[:, None]))
+        before_errors = [*zip(east.tolist(), north.tolist())]
         samples = []
         for i, t in enumerate(grid):
             if t >= t_first:
                 fix = fixes[max(i - k, 0)]
                 e, n = fix.err_east_m, fix.err_north_m
             else:
-                e, n, _ = pvt.enu_errors(base.last_known, self.user_pos(t))
+                e, n = before_errors[i]
             samples.append(Sample(i * cfg.sample_period_s, t >= t_first, e, n, math.hypot(e, n)))
         report = ArmReport(
             arm=arm,

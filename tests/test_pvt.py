@@ -325,9 +325,11 @@ def test_enu_basis_equals_cross_product_reference():
     refs = list(rng.normal(0.0, 6.4e6, (500, 3)))
     refs += [TRUTH, np.array([0.0, 0.0, 6.4e6]), np.array([0.0, 0.0, -6.4e6]),
              np.array([-6.4e6, -0.0, 0.0]), np.array([0.0, -6.4e6, 1.0])]
-    for ref in refs:
-        for got, want in zip(pvt.enu_basis(ref), _enu_basis_reference(ref)):
+    rows = pvt.enu_basis(np.array(refs))
+    for k, ref in enumerate(refs):
+        for got, in_rows, want in zip(pvt.enu_basis(ref), rows, _enu_basis_reference(ref)):
             assert got.tobytes() == want.tobytes()  # signed zeros included
+            assert in_rows[k].tobytes() == want.tobytes()
 
 
 def test_enu_errors_three_four_five():
@@ -379,7 +381,8 @@ _POLAR = [
 @settings(max_examples=100, deadline=None)
 def test_enu_errors_rows_equal_one_point_calls(seed, m, speed, offset, polar):
     """enu_errors on (m, 3) rows gives, element by element, the floats of m
-    one-point calls, bit for bit: a user moving along a track, with polar
+    one-point calls, bit for bit, and those of the cross-product reference
+    basis with 1-D dot products: a user moving along a track, with polar
     truth rows mixed in."""
     assert all(pvt.enu_basis(np.array(p))[0].tolist() == [1.0, 0.0, 0.0] for p in _POLAR)
     rng = np.random.default_rng(seed)
@@ -394,5 +397,7 @@ def test_enu_errors_rows_equal_one_point_calls(seed, m, speed, offset, polar):
     for k in range(m):
         one = pvt.enu_errors(position[k], truth[k])
         assert all(type(v) is float for v in one)
+        delta = position[k] - truth[k]
+        want = [float(delta @ axis) for axis in _enu_basis_reference(truth[k])]
         got = tuple(float(axis[k]) for axis in rows)
-        assert np.array(got).tobytes() == np.array(one).tobytes()
+        assert np.array(got).tobytes() == np.array(one).tobytes() == np.array(want).tobytes()

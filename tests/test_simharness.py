@@ -548,6 +548,23 @@ def test_a_sample_at_a_fix_reuses_its_errors(monkeypatch):
             )
 
 
+def test_fixes_wait_for_their_errors_one_table_at_most(monkeypatch):
+    """A session makes the records of one truth table's fixes before it
+    makes the next table, so the solved fixes that wait for their errors
+    never outnumber one table's rows, however long the wake."""
+    waiting = []
+    fix = sh._Engine._fix
+
+    def recording_fix(self, state, t_since_wake, sky, row):
+        fix(self, state, t_since_wake, sky, row)
+        waiting.append(len(state.solved))
+
+    monkeypatch.setattr(sh._Engine, "_fix", recording_fix)
+    monkeypatch.setattr(sh, "_TRUTH_ROWS", 4)
+    sh.run_scenario(sh.ScenarioConfig(wake_run_s=30.0))
+    assert len(waiting) > 3 * 4 and max(waiting) == 4
+
+
 @pytest.mark.parametrize("sleep_s", [14500.0, 20000.0])
 def test_sleep_past_ephemeris_validity_is_a_scenario_error(sleep_s):
     with pytest.raises(sh.ScenarioError, match=r"^stale ephemeris while simulating t=.* s: sat 1: ") as exc:
@@ -913,9 +930,10 @@ def ref_run_wake(engine, base, snapshot, arm, off_duration_s):
                     ttff = t_since
                     k = math.floor(t_since / cfg.sample_period_s)
                     truth = engine._truth([state.t_rel, *grid[k + 1 : k + sh._TRUTH_ROWS]])
+                    sky = engine._sky(state, truth)
                 elif row == 0:
-                    truth = engine._truth(grid[k : k + sh._TRUTH_ROWS])
-                engine._fix(state, t_since, truth, row)
+                    sky = engine._sky(state, engine._truth(grid[k : k + sh._TRUTH_ROWS]))
+                engine._fix(state, t_since, sky, row)
                 fix_t = state.t_rel
                 if k + 1 <= n_samples:
                     push(grid[k + 1], "fix", k + 1)
