@@ -25,8 +25,7 @@ WEEK_COUNT = 1 << 13
 
 TIC_S = 0.1
 
-PREAMBLE = 0b10001011
-PREAMBLE_BITS = 8
+PREAMBLE = 0b10001011  # one byte, which the packed preamble search relies on
 
 GM_EARTH_M3_S2 = 3.986004418e14
 EARTH_RADIUS_M = 6_378_137.0

@@ -26,13 +26,12 @@ does, which makes every subframe decodable with an assumed (0, 0) carry-in.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .constants import (
     PREAMBLE,
-    PREAMBLE_BITS,
     SUBFRAME_BITS,
     SUBFRAME_WORDS,
     TOW_COUNT,
@@ -181,33 +180,66 @@ def bits_to_word(bits: np.ndarray) -> list[int]:
     return [(packed >> k) & _WORD_MASK for k in range(last, -1, -WORD_BITS)]
 
 
-@dataclass(frozen=True)
-class Subframe:
-    """One decoded or built 300-bit subframe.
-
-    `words` carries the transmitted 30-bit integers (not compared for
-    equality; two subframes with identical fields are the same subframe even
-    if their parity chaining context differed).
-    """
-
+class _SubframeFields(NamedTuple):
     sat_id: int
     subframe_id: int
     tow: int
     week_number: int
     payload: bytes = b""
-    words: tuple[int, ...] = field(default=(), compare=False, repr=False)
+    words: tuple[int, ...] = ()
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.sat_id <= 32:
-            raise DecodeError(f"sat_id out of range: {self.sat_id}")
-        if not 1 <= self.subframe_id <= 5:
-            raise DecodeError(f"subframe_id out of range: {self.subframe_id}")
-        if not 0 <= self.tow < TOW_COUNT:
-            raise DecodeError(f"tow out of range: {self.tow}")
-        if not 0 <= self.week_number < WEEK_COUNT:
-            raise DecodeError(f"week_number out of range: {self.week_number}")
-        if len(self.payload) > PAYLOAD_BYTES:
+
+class Subframe(_SubframeFields):
+    """One decoded or built 300-bit subframe, an immutable value.
+
+    `words` carries the transmitted 30-bit integers (not compared for
+    equality, hashed or shown by repr; two subframes with identical fields
+    are the same subframe even if their parity chaining context differed).
+    The fields are checked once, when the subframe is made.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        sat_id: int,
+        subframe_id: int,
+        tow: int,
+        week_number: int,
+        payload: bytes = b"",
+        words: tuple[int, ...] = (),
+    ) -> "Subframe":
+        if not 1 <= sat_id <= 32:
+            raise DecodeError(f"sat_id out of range: {sat_id}")
+        if not 1 <= subframe_id <= 5:
+            raise DecodeError(f"subframe_id out of range: {subframe_id}")
+        if not 0 <= tow < TOW_COUNT:
+            raise DecodeError(f"tow out of range: {tow}")
+        if not 0 <= week_number < WEEK_COUNT:
+            raise DecodeError(f"week_number out of range: {week_number}")
+        if len(payload) > PAYLOAD_BYTES:
             raise DecodeError("payload longer than 20 bytes")
+        return tuple.__new__(cls, (sat_id, subframe_id, tow, week_number, payload, words))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self[:5] == other[:5]
+        # A plain tuple with the same items is not a subframe.
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other: object) -> bool:
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    def __hash__(self) -> int:
+        return hash(self[:5])
+
+    def __repr__(self) -> str:
+        return (
+            f"{self.__class__.__qualname__}(sat_id={self.sat_id!r}, "
+            f"subframe_id={self.subframe_id!r}, tow={self.tow!r}, "
+            f"week_number={self.week_number!r}, payload={self.payload!r})"
+        )
 
 
 def build_subframe(
@@ -221,6 +253,7 @@ def build_subframe(
     d30_prev: int = 0,
 ) -> Subframe:
     """Assemble and encode one subframe; returns it with transmitted words."""
+    # Checked first, so a bad field is a DecodeError before any word is encoded.
     sf = Subframe(sat_id, subframe_id, tow, week_number, payload)
     pay = payload.ljust(PAYLOAD_BYTES, b"\x00")
 
@@ -244,7 +277,7 @@ def build_subframe(
         emit((chunk[0] << 16) | (chunk[1] << 8) | chunk[2])
     emit_solved(((pay[18] << 8) | pay[19]) << 6)
 
-    return Subframe(sat_id, subframe_id, tow, week_number, payload, tuple(words))
+    return sf._replace(words=tuple(words))
 
 
 def subframe_bits(sf: Subframe) -> np.ndarray:
@@ -282,8 +315,10 @@ def decode_subframe(
     return Subframe(sat_id, subframe_id, tow, week_number, pay, tuple(words))
 
 
-@dataclass(frozen=True)
-class PreambleHit:
+class PreambleHit(NamedTuple):
+    """A validated subframe boundary: its offset in the stream, and whether
+    the stream there is read with every bit inverted."""
+
     offset: int
     inverted: bool
 
@@ -299,6 +334,27 @@ def _parity_array(data24: np.ndarray, d29: np.ndarray, d30: np.ndarray) -> np.nd
     )
 
 
+def _as_bits(bits) -> np.ndarray:
+    """A 1-D bit array as uint8, refusing anything but 0/1 integers or bools.
+
+    One reduction pass: viewed as unsigned, a negative value reads as a
+    large one, so the maximum alone finds every value outside 0/1.
+    """
+    arr = np.asarray(bits)
+    if arr.ndim != 1:
+        raise ValueError(f"expected a 1-D bit array, got shape {arr.shape}")
+    if arr.size == 0:
+        return np.zeros(0, dtype=np.uint8)
+    if arr.dtype == np.bool_:
+        return arr.view(np.uint8)
+    if arr.dtype.kind not in "iu":
+        raise ValueError(f"bits must be integers or bools, got dtype {arr.dtype}")
+    if arr.view(f"u{arr.itemsize}").max() > 1:
+        bad = arr[(arr != 0) & (arr != 1)][0]
+        raise ValueError(f"bits must be 0 or 1, got {bad}")
+    return arr.astype(np.uint8, copy=False)
+
+
 def find_subframe_boundaries(bits: np.ndarray) -> list[PreambleHit]:
     """All validated subframe boundaries in the stream, by offset.
 
@@ -308,17 +364,23 @@ def find_subframe_boundaries(bits: np.ndarray) -> list[PreambleHit]:
     the candidate (taken as (0, 0) at offsets 0 and 1). Word 1 needs zero
     TLM reserved bits and a sat_id in 1..32, word 2 a plausible TOW and a
     subframe id in 1..5. A flipped candidate is read with every bit
-    inverted, carry bits included.
+    inverted, carry bits included. ValueError unless every bit is 0 or 1.
     """
-    bits = np.asarray(bits, dtype=np.uint8)
+    bits = _as_bits(bits)
     n_offs = len(bits) - 2 * WORD_BITS + 1
     if n_offs <= 0:
         return []
-    head = bits[:n_offs].copy()
-    for k in range(1, PREAMBLE_BITS):
-        head = (head << 1) | bits[k : k + n_offs]
-    offs = np.flatnonzero((head == PREAMBLE) | (head == PREAMBLE ^ 0xFF))
-    inverted = head[offs] != PREAMBLE
+    # The preamble is one byte: the 8 bits at offset 8 * i + p are byte i
+    # of the stream packed from bit p. Each phase packs only the bytes of
+    # offsets below n_offs.
+    phases = []
+    for p in range(8):
+        head = np.packbits(bits[p : p + 8 * ((n_offs - p + 7) // 8)])
+        i = np.flatnonzero((head == PREAMBLE) | (head == PREAMBLE ^ 0xFF))
+        phases.append(8 * i + p)
+    offs = np.sort(np.concatenate(phases))
+    # The preamble's first bit is 1, so a candidate starting with 0 is flipped.
+    inverted = bits[offs] == 0
 
     flip = inverted.astype(np.int64)
     words = np.lib.stride_tricks.sliding_window_view(bits, WORD_BITS)
@@ -363,7 +425,11 @@ def unpack_bits(data: bytes, n_bits: int) -> np.ndarray:
 
 
 def write_bitstream(path, bits: np.ndarray) -> None:
-    """Write a packed stream: magic, version, big-endian bit count, bytes."""
+    """Write a packed stream: magic, version, big-endian bit count, bytes.
+
+    ValueError, before the file is opened, unless every bit is 0 or 1.
+    """
+    bits = _as_bits(bits)
     with open(path, "wb") as fh:
         fh.write(_BITSTREAM_MAGIC)
         fh.write(_HEADER.pack(_BITSTREAM_VERSION, len(bits)))

@@ -407,6 +407,15 @@ def test_decode_equals_per_word_reference_for_every_bit_flip(d29, d30):
         assert _decode_outcome(nav.decode_subframe, flipped, d29, d30) == want
 
 
+def _valid_words(data, d29=0, d30=0):
+    """Bits of ten words with valid parity carrying the given data fields."""
+    words = []
+    for d in data:
+        words.append(nav.encode_word(d, d29, d30))
+        d29, d30 = (words[-1] >> 1) & 1, words[-1] & 1
+    return np.concatenate([ref_word_to_bits(w) for w in words])
+
+
 @given(
     data=st.lists(st.integers(0, (1 << 24) - 1), min_size=10, max_size=10),
     preamble=st.booleans(),
@@ -419,26 +428,97 @@ def test_decode_equals_per_word_reference_on_arbitrary_words(data, preamble, d29
     """Words with valid parity but arbitrary fields reach every DecodeError."""
     if preamble:
         data[0] = (PREAMBLE << 16) | (data[0] & 0xFFFF)
-    words, c29, c30 = [], d29, d30
-    for d in data:
-        words.append(nav.encode_word(d, c29, c30))
-        c29, c30 = (words[-1] >> 1) & 1, words[-1] & 1
-    bits = np.concatenate([ref_word_to_bits(w) for w in words])
+    bits = _valid_words(data, d29, d30)
     if as_list:
         bits = bits.tolist()
     want = _decode_outcome(ref_decode_subframe, bits, d29, d30)
     assert _decode_outcome(nav.decode_subframe, bits, d29, d30) == want
 
 
+_FIELD_ERRORS = [
+    # (sat_id, subframe_id, tow, week_number, payload, message). The out-of-
+    # range values that fit no word field would make encode_word raise a
+    # plain ValueError if build_subframe encoded before it checked.
+    (0, 1, 0, 0, b"", "sat_id out of range: 0"),
+    (33, 1, 0, 0, b"", "sat_id out of range: 33"),
+    (1 << 14, 1, 0, 0, b"", f"sat_id out of range: {1 << 14}"),
+    (-1, 1, 0, 0, b"", "sat_id out of range: -1"),
+    (1, 0, 0, 0, b"", "subframe_id out of range: 0"),
+    (1, 6, 0, 0, b"", "subframe_id out of range: 6"),
+    (1, 1, -1, 0, b"", "tow out of range: -1"),
+    (1, 1, TOW_COUNT, 0, b"", f"tow out of range: {TOW_COUNT}"),
+    (1, 1, 1 << 17, 0, b"", f"tow out of range: {1 << 17}"),
+    (1, 1, 0, -1, b"", "week_number out of range: -1"),
+    (1, 1, 0, 1 << 13, b"", f"week_number out of range: {1 << 13}"),
+    (1, 1, 0, 0, b"\x00" * 21, "payload longer than 20 bytes"),
+]
+
+
 def test_build_rejects_out_of_range_fields():
-    with pytest.raises(ValueError):
-        nav.build_subframe(0, 1, 0, 0, b"")
-    with pytest.raises(ValueError):
-        nav.build_subframe(1, 6, 0, 0, b"")
-    with pytest.raises(ValueError):
-        nav.build_subframe(1, 1, TOW_COUNT, 0, b"")
-    with pytest.raises(ValueError):
-        nav.build_subframe(1, 1, 0, 0, b"\x00" * 21)
+    """Subframe and build_subframe raise the same DecodeError with a fixed
+    text, never encode_word's plain ValueError."""
+    for make in (nav.Subframe, nav.build_subframe):
+        for sat_id, sfid, tow, week, payload, message in _FIELD_ERRORS:
+            with pytest.raises(nav.DecodeError) as info:
+                make(sat_id, sfid, tow, week, payload)
+            assert type(info.value) is nav.DecodeError
+            assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "word1,word2,message",
+    [
+        (0x123456, 0, "missing preamble"),
+        (PREAMBLE << 16, 1 << 2, "sat_id out of range: 0"),
+        ((PREAMBLE << 16) | (33 << 10), 1 << 2, "sat_id out of range: 33"),
+        ((PREAMBLE << 16) | (5 << 10), 0, "subframe_id out of range: 0"),
+        ((PREAMBLE << 16) | (5 << 10), 7 << 2, "subframe_id out of range: 7"),
+        ((PREAMBLE << 16) | (5 << 10), (TOW_COUNT << 7) | (1 << 2),
+         f"tow out of range: {TOW_COUNT}"),
+    ],
+)
+def test_decode_error_texts(word1, word2, message):
+    bits = _valid_words([word1, word2] + [0] * 8)
+    with pytest.raises(nav.DecodeError) as info:
+        nav.decode_subframe(bits)
+    assert str(info.value) == message
+
+
+def test_subframe_is_an_immutable_value_that_ignores_its_words():
+    built = nav.build_subframe(17, 3, 2679, 901, bytes(range(20)), d29_prev=1, d30_prev=1)
+    plain = nav.build_subframe(17, 3, 2679, 901, bytes(range(20)))
+    bare = nav.Subframe(17, 3, 2679, 901, bytes(range(20)))
+    assert built.words != plain.words and bare.words == ()
+    assert built == plain == bare and not built != bare
+    assert len({hash(built), hash(plain), hash(bare)}) == 1
+    assert len({built, plain, bare}) == 1
+    assert built != nav.Subframe(17, 3, 2679, 902, bytes(range(20)))
+    assert built != tuple(built) and tuple(built) != built
+    assert built != nav.PreambleHit(0, False)
+    for name in ("sat_id", "subframe_id", "tow", "week_number", "payload", "words"):
+        with pytest.raises(AttributeError):
+            setattr(built, name, getattr(built, name))
+    with pytest.raises(AttributeError):
+        built.extra = 1
+    assert repr(bare) == repr(built) == (
+        "Subframe(sat_id=17, subframe_id=3, tow=2679, week_number=901, "
+        "payload=b'\\x00\\x01\\x02\\x03\\x04\\x05\\x06\\x07\\x08\\t\\n"
+        "\\x0b\\x0c\\r\\x0e\\x0f\\x10\\x11\\x12\\x13')"
+    )
+    assert repr(nav.Subframe(1, 5, 0, 0)) == (
+        "Subframe(sat_id=1, subframe_id=5, tow=0, week_number=0, payload=b'')"
+    )
+
+
+def test_preamble_hit_keeps_its_fields_and_repr():
+    hit = nav.PreambleHit(73, True)
+    assert (hit.offset, hit.inverted) == (73, True)
+    assert hit == nav.PreambleHit(offset=73, inverted=True)
+    assert not hit == nav.PreambleHit(73, False) and hit != nav.PreambleHit(72, True)
+    assert hash(hit) == hash(nav.PreambleHit(73, True))
+    assert repr(hit) == "PreambleHit(offset=73, inverted=True)"
+    with pytest.raises(AttributeError):
+        hit.offset = 0
 
 
 def test_tow_increments_across_generated_run():
@@ -487,18 +567,29 @@ def test_scanner_rejects_pattern_with_bad_handover():
     assert nav.find_subframe_boundaries(bits) == []
 
 
+def _as_other_bit_types(bits):
+    """The same 0/1 bits as other integer dtypes, bools, a strided view and lists."""
+    return [
+        bits.astype(bool), bits.astype(np.int8), bits.astype(np.int64),
+        bits.astype(np.uint16), np.repeat(bits, 2)[::2], bits.tolist(),
+        bits.astype(bool).tolist(),
+    ]
+
+
 def test_boundary_listing_reports_every_subframe():
     stream = _stream(n_subframes=6)
     hits = nav.find_subframe_boundaries(stream)
     assert [h.offset for h in hits] == [300 * k for k in range(6)]
     assert all(not h.inverted for h in hits)
+    for given in _as_other_bit_types(stream):
+        assert nav.find_subframe_boundaries(given) == hits
 
 
 def test_scanner_handles_short_streams():
     assert nav.find_subframe_boundaries(np.array([], dtype=np.uint8)) == []
     assert nav.find_subframe_boundaries(np.array([1, 0, 0], dtype=np.uint8)) == []
     rng = np.random.default_rng(5)
-    for n in (0, 1, 7, 8, 59, 60, 61):
+    for n in (0, 1, 7, 8, *range(59, 69)):
         for bits in (
             np.zeros(n, np.uint8),
             rng.integers(0, 2, n, dtype=np.uint8),
@@ -507,6 +598,36 @@ def test_scanner_handles_short_streams():
             want = ref_boundaries(bits)
             assert nav.find_subframe_boundaries(bits) == want
             assert nav.find_subframe_boundaries(list(bits)) == want
+
+
+def _one_written_as_two():
+    """One valid subframe with its first 1 bit written as 2."""
+    bits = _stream(n_subframes=1).astype(np.int64)
+    bits[np.flatnonzero(bits)[0]] = 2
+    return bits
+
+
+@pytest.mark.parametrize(
+    "bits,problem",
+    [
+        (_one_written_as_two(), "bits must be 0 or 1, got 2"),
+        (_stream(n_subframes=1).astype(np.int8) - 1, "bits must be 0 or 1, got -1"),
+        (np.full(400, 0.9), "bits must be integers or bools, got dtype float64"),
+        (np.array(["0", "1"] * 200), "bits must be integers or bools, got dtype <U1"),
+        (np.zeros((4, 100), np.uint8), r"expected a 1-D bit array, got shape \(4, 100\)"),
+    ],
+    ids=["two", "minus_one", "float", "str", "2d"],
+)
+def test_non_binary_bits_are_refused(bits, problem, tmp_path):
+    """The packed scan and the file writer would read any nonzero value as
+    1, so anything but 0/1 integers or bools is a ValueError naming it."""
+    path = tmp_path / "capture.navb"
+    for given in (bits, bits.tolist()):
+        with pytest.raises(ValueError, match=f"^{problem}$"):
+            nav.find_subframe_boundaries(given)
+        with pytest.raises(ValueError, match=f"^{problem}$"):
+            nav.write_bitstream(path, given)
+        assert not path.exists()
 
 
 def _embed(segments, rng):
@@ -598,10 +719,28 @@ def test_scanners_check_word_one_and_two_fields(sat_id, reserved, tow, sfid, val
 
 @pytest.mark.parametrize("cut", [0, 1, 2, 30, 59, 60, 61, 240])
 def test_scanners_drop_candidates_running_past_the_end(cut):
-    stream = _stream(n_subframes=2)[: 300 + 60 + 60 - cut]
-    want = ref_boundaries(stream)
-    assert [h.offset for h in want] == ([0, 300] if cut <= 60 else [0])
-    assert nav.find_subframe_boundaries(stream) == want
+    """Two subframes after 0..7 junk bits, in either polarity, so the
+    boundaries fall at every bit phase, the stream length at every residue
+    mod 8, and at cut 60 the second boundary is the last candidate."""
+    rng = np.random.default_rng(cut)
+    for lead in range(8):
+        junk = rng.integers(0, 2, lead, dtype=np.uint8)
+        carry = junk[-2:].tolist() if lead >= 2 else [0, 0]
+        first = nav.build_subframe(8, 1, 2679, 55, b"\x3c" * 20,
+                                   d29_prev=carry[0], d30_prev=carry[1])
+        second = nav.build_subframe(8, 2, 2680, 55, b"\x3c" * 20)
+        body = np.concatenate([nav.subframe_bits(first), nav.subframe_bits(second)])
+        stream = np.concatenate([junk, body[: 300 + 60 + 60 - cut]])
+        if cut == 60:
+            assert lead + 300 == len(stream) - 60
+        for invert in (False, True):
+            bits = 1 - stream if invert else stream
+            want = ref_boundaries(bits)
+            offsets = [lead, lead + 300] if cut <= 60 else [lead]
+            assert [h.offset for h in want] == offsets
+            assert [h.inverted for h in want][:1] == [invert ^ bool(carry[1])]
+            assert nav.find_subframe_boundaries(bits) == want
+            assert nav.find_subframe_boundaries(bits.tolist()) == want
 
 
 # --- bitstream files ----------------------------------------------------------
@@ -616,8 +755,9 @@ def test_pack_unpack_round_trip():
 def test_bitstream_file_round_trip(tmp_path):
     bits = _stream(n_subframes=2)
     path = tmp_path / "capture.navb"
-    nav.write_bitstream(path, bits)
-    assert np.array_equal(nav.read_bitstream(path), bits)
+    for given in [bits, *_as_other_bit_types(bits)]:
+        nav.write_bitstream(path, given)
+        assert np.array_equal(nav.read_bitstream(path), bits)
 
 
 def test_bitstream_rejects_foreign_file(tmp_path):
