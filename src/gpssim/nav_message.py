@@ -290,7 +290,12 @@ def subframe_bits(sf: Subframe) -> np.ndarray:
 def decode_subframe(
     bits: np.ndarray, *, d29_prev: int = 0, d30_prev: int = 0
 ) -> Subframe:
-    """Decode 300 bits into a Subframe, verifying every word's parity."""
+    """Decode 300 bits into a Subframe, verifying every word's parity.
+
+    The bits are not checked to be 0 or 1 here: find_subframe_boundaries
+    and write_bitstream check a whole stream once, and a check per
+    subframe would cost a measurable share of a stream scan.
+    """
     if len(bits) != SUBFRAME_BITS:
         raise ValueError("expected 300 bits")
     words = bits_to_word(np.asarray(bits).reshape(SUBFRAME_WORDS, WORD_BITS))
@@ -413,8 +418,11 @@ _HEADER = struct.Struct(">HQ")
 
 
 def pack_bits(bits: np.ndarray) -> bytes:
-    """Pack a bit array MSB-first (first bit becomes bit 7 of byte 0)."""
-    return np.packbits(np.asarray(bits, dtype=np.uint8)).tobytes()
+    """Pack a bit array MSB-first (first bit becomes bit 7 of byte 0).
+
+    ValueError unless every bit is 0 or 1.
+    """
+    return np.packbits(_as_bits(bits)).tobytes()
 
 
 def unpack_bits(data: bytes, n_bits: int) -> np.ndarray:
@@ -429,11 +437,11 @@ def write_bitstream(path, bits: np.ndarray) -> None:
 
     ValueError, before the file is opened, unless every bit is 0 or 1.
     """
-    bits = _as_bits(bits)
+    packed = pack_bits(bits)
     with open(path, "wb") as fh:
         fh.write(_BITSTREAM_MAGIC)
         fh.write(_HEADER.pack(_BITSTREAM_VERSION, len(bits)))
-        fh.write(pack_bits(bits))
+        fh.write(packed)
 
 
 def read_bitstream(path) -> np.ndarray:

@@ -13,14 +13,14 @@ same epoch-keyed measurement noise, so their outputs differ only through
 the frame-sync path. The simulation is fully deterministic for a given
 scenario and seed.
 
-Both sessions run as plain sequences. Session one: lock stages, frame
-labels, each channel's ephemeris (taken when the last of the subframes
-that carry it arrives; their indices say which), 1 Hz fixes, the snapshot.
-A wake: lock stages; at bit lock the estimate gate or the decode waits;
-the first fix, and one at each later sample instant, each after the
-labels due by then; then its samples. The receiver clock is read at each
-instant from zero time (_Engine.clock_at), so its bits depend only on the
-instant, and each session knows every fix time before it reaches it.
+Both sessions are plain sequences of shared steps: lock stages, decoded
+frame labels, then fixes, each after the labels due by then. Session one
+decodes each channel's ephemeris subframes at its label (their indices say
+which), fixes at 1 Hz once the last has ended, and takes the snapshot. A
+wake labels by the estimate gate or the decode waits, fixes first and then
+at each later sample instant, and builds its samples. The receiver clock
+is read at each instant from zero time (_Engine.clock_at), so its bits
+depend only on the instant, and each session knows every fix time first.
 
 All internal times are seconds relative to the scenario start; week-scale
 absolute floats would quantize transmit times to about 7.45 ns (2.2 m) at
@@ -31,10 +31,8 @@ clock-bias unknown.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import math
 from dataclasses import dataclass, field, replace
-from operator import itemgetter
 
 import numpy as np
 
@@ -346,9 +344,6 @@ class _Sky:
 # Rows of truth a session evaluates at once: bounds the table's memory.
 _TRUTH_ROWS = 1024
 
-# Tracking stages in acquisition order.
-_LOCK_STAGES = ("code", "carrier", "bit")
-
 
 class _Engine:
     def __init__(self, config: ScenarioConfig):
@@ -418,16 +413,6 @@ class _Engine:
             t_tx = t - np.sqrt(np.vecdot(d, d)) / SPEED_OF_LIGHT_M_S
         return _Truth(user, elevation, t_tx, stale_rx, stale_tx)
 
-    def _truth_rows(self, st: _State, times: list[float]):
-        """(sky, row) at each of times for the session st, from tables of up
-        to _TRUTH_ROWS rows, each made when its first row is reached. The
-        fixes of one table become records before the next is made."""
-        for start in range(0, len(times), _TRUTH_ROWS):
-            st.record_fixes()
-            sky = self._sky(st, self._truth(times[start : start + _TRUTH_ROWS]))
-            for row in range(len(sky.believed_tx)):
-                yield sky, row
-
     def _check_fresh(self, stale: np.ndarray, idx: np.ndarray, t_rel: float) -> None:
         """Raise for the first satellite of idx whose truth cell is stale."""
         bad = idx[stale[idx]]
@@ -488,34 +473,40 @@ class _Engine:
             st.t_rel = t_rel
             st.clock = self.clock_at(t_rel)
 
-    # --- acquisition --------------------------------------------------------
+    # --- steps both sessions take --------------------------------------------
 
-    def _lock_times(self, st: _State) -> list[float]:
-        """Receiver elapsed times of the _LOCK_STAGES, acquiring from now."""
-        cfg = self.config
-        latencies = (cfg.code_s, cfg.carrier_s, cfg.bit_s)
-        return list(itertools.accumulate(latencies, initial=st.clock.elapsed_rx_s))[1:]
+    def _acquire(self, st: _State) -> float:
+        """Lock code, carrier and bit on every channel, acquiring from now;
+        returns the receiver elapsed time of bit lock as the latencies sum
+        to it, which can differ in the last bit from the clock read there."""
+        r = st.clock.elapsed_rx_s
+        for stage in ("code", "carrier", "bit"):
+            r += getattr(self.config, f"{stage}_s")
+            self.advance_to_t(st, self.t_of_r(r))
+            self._step_locks(st, stage)
+        return r
 
     def _step_locks(self, st: _State, stage: str) -> None:
         event = rcv.LockEvent(stage, st.clock.elapsed_rx_s)
         st.locks = [lock.step(event) for lock in st.locks]
 
-    def _decode_waits(self, st: _State) -> list[float]:
-        """Each channel's wait, in receiver seconds from bit lock now, for
-        the preamble and handover word that label it."""
+    def _decoded_labels(self, st: _State, r_bit: float) -> list[tuple[float, int, float]]:
+        """Each channel's label when it has decoded a preamble and handover
+        word, bit-locked now at receiver time r_bit: (true time, row, wait
+        in receiver seconds), in (time, row) order."""
         truth = self._truth([st.t_rel])
         self._check_fresh(truth.stale_tx[0], np.arange(len(self.sats)), st.t_rel)
-        waits = []
-        for s in truth.tx[0].tolist():
+        labels = []
+        for row, s in enumerate(truth.tx[0].tolist()):
             _, _, word, bit, _ = self.decomp(s)
-            waits.append(rcv.hotstart_frame_lock_delay(word, bit))
-        return waits
+            wait = rcv.hotstart_frame_lock_delay(word, bit)
+            labels.append((self.t_of_r(r_bit + wait), row, wait))
+        return sorted(labels)
 
-    def _label(self, st: _State, row: int) -> int:
-        """Frame-lock one channel on its preamble; returns how many are labeled.
-
-        The first channel labeled becomes the clock-offset anchor.
-        """
+    def _label(self, st: _State, t_rel: float, row: int) -> int:
+        """Frame-lock one channel on its preamble at t_rel; returns how many
+        are labeled. The first labeled becomes the clock-offset anchor."""
+        self.advance_to_t(st, t_rel)
         st.locks[row] = st.locks[row].step(rcv.LockEvent("preamble", st.clock.elapsed_rx_s))
         st.labeled[row] = True
         n = int(np.count_nonzero(st.labeled))
@@ -627,52 +618,63 @@ class _Engine:
         self._refine_rco(st, self._anchor_tx(st, sky, row))
         st.solved.append((t_since_wake, position, truth.user[row], sol))
 
+    def _fixes(self, st: _State, times: list, labels: list, r_start: float) -> list[float]:
+        """Fix at each of times, each after the labels due at or before it,
+        then run the labels after the last; returns the clock-offset error
+        after each fix. labels are _decoded_labels rows, which this takes
+        off the list as it runs them. Each fix records its receiver time
+        since r_start. Truth comes in tables of up to _TRUTH_ROWS rows, each
+        made when its first row is reached, and the fixes of one table
+        become records before the next is made."""
+        rco_errors = []
+        for start in range(0, len(times), _TRUTH_ROWS):
+            st.record_fixes()
+            block = times[start : start + _TRUTH_ROWS]
+            sky = self._sky(st, self._truth(block))
+            for row, t in enumerate(block):
+                while labels and labels[0][0] <= t:
+                    t_label, channel, _ = labels.pop(0)
+                    self._label(st, t_label, channel)
+                self.advance_to_t(st, t)
+                self._fix(st, st.clock.elapsed_rx_s - r_start, sky, row)
+                rco_errors.append(self.rco_error_s(st))
+        # Labels after the last fix still move the clock rco_error_s reads.
+        for t_label, channel, _ in labels:
+            self._label(st, t_label, channel)
+        return rco_errors
+
     # --- session one --------------------------------------------------------
 
     def run_session_one(self) -> tuple[_State, fs.PersistedSnapshot]:
-        """Acquire, label every channel, collect every ephemeris, fix at
-        1 Hz and take the snapshot. Within a stage events go in time order,
-        and ties in row order."""
+        """Acquire; label each channel in time order (ties in row order),
+        collecting its ephemeris there; fix at 1 Hz, each fix recording its
+        receiver time since power-on; take the snapshot."""
         cfg = self.config
         st = _State(
             clock=self.clock_at(0.0), t_rel=0.0, locks=[rcv.LockState()] * len(self.sats)
         )
+        # Per channel row: (true time its ephemeris is in, decoded ephemeris).
+        collected = [None] * len(self.sats)
         with _simulating(st):
-            r_locks = self._lock_times(st)
-            for stage, r in zip(_LOCK_STAGES, r_locks):
-                self.advance_to_t(st, self.t_of_r(r))
-                self._step_locks(st, stage)
-            waits = self._decode_waits(st)
-            deliveries = []
-            for t, row in sorted(
-                (self.t_of_r(r_locks[-1] + wait), row) for row, wait in enumerate(waits)
-            ):
-                self.advance_to_t(st, t)
-                eph = self.sats[row]
-                s = self.tx_rel(eph, st.t_rel)
-                if self._label(st, row) == 1:
+            for t, row, _ in self._decoded_labels(st, self._acquire(st)):
+                n_labeled = self._label(st, t, row)
+                s = self.tx_rel(self.sats[row], st.t_rel)
+                if n_labeled == 1:
                     # Session one labels from decoded words: no shift to add.
                     self._refine_rco(st, s)
                     st.diagnostics["s1_rco_first_err_s"] = self.rco_error_s(st)
-                deliveries.append((*self._ephemeris_subframes(eph, s), row))
-
-            eph_rx: list[cst.EphemerisRecord | None] = [None] * len(self.sats)
-            for t, subframes, row in sorted(deliveries, key=itemgetter(0)):
-                self.advance_to_t(st, t)
-                eph_rx[row] = self._deliver_ephemeris(self.sats[row], subframes)
+                collected[row] = self._collect_ephemeris(self.sats[row], s)
+            t_done, eph_rx = zip(*collected)
             st.rx_orbits = cst.Orbits.of(eph_rx)
+            self.advance_to_t(st, max(t_done))
 
-            # 1 Hz fixes from the next whole receiver second; power-off comes
-            # session1_extra_s after the first.
+            # 1 Hz fixes from the next whole receiver second, every ephemeris
+            # in; power-off comes session1_extra_s after the first.
             times = [self.t_of_r(math.floor(st.clock.elapsed_rx_s) + 1.0)]
             off_r = self.clock_at(times[0]).elapsed_rx_s + cfg.session1_extra_s
             while (r := self.clock_at(times[-1]).elapsed_rx_s + 1.0) < off_r - 1e-9:
                 times.append(self.t_of_r(r))
-            rco_errors = []
-            for t, (sky, row) in zip(times, self._truth_rows(st, times)):
-                self.advance_to_t(st, t)
-                self._fix(st, -1.0, sky, row)
-                rco_errors.append(self.rco_error_s(st))
+            rco_errors = self._fixes(st, times, [], 0.0)
             self.advance_to_t(st, self.t_of_r(off_r))
             snapshot = self._take_snapshot(st)
         st.diagnostics["s1_rco_refined_err_s"] = self.rco_error_s(st)
@@ -680,31 +682,23 @@ class _Engine:
             st.diagnostics["s1_rco_jitter_s"] = max(rco_errors) - min(rco_errors)
         return st, snapshot
 
-    def _ephemeris_subframes(
+    def _collect_ephemeris(
         self, eph: cst.EphemerisRecord, s_rel: float
-    ) -> tuple[float, list[int]]:
-        """Indices of the subframes 1-3 a channel labeled on the signal sent
-        at s_rel hears next in full, and the true time at which the last of
-        them ends. Subframe k, counted from the start of week start_week,
-        has ID k % 5 + 1. The one in progress at s_rel is heard only in
-        part, so the first heard whole is b - 1 (the bias counts a label
-        just before a boundary as on it), and IDs 1-3 all fall in
-        b - 1 ... b + 3."""
+    ) -> tuple[float, cst.EphemerisRecord]:
+        """(true time the last of them ends, ephemeris decoded) for the
+        subframes 1-3 that a channel labeled on the signal sent at s_rel
+        hears next in full, each built, encoded and decoded. Subframe k,
+        counted from the start of week start_week, has ID k % 5 + 1. The one
+        in progress at s_rel is heard only in part, so the first heard whole
+        is b - 1 (the bias counts a label just before a boundary as on it),
+        and IDs 1-3 all fall in b - 1 ... b + 3."""
         start = self.config.start_tow_s
         b = int((start + s_rel + 1e-6) // SUBFRAME_S) + 2
         ks = [k for k in range(b - 1, b + 4) if k % 5 < cst.EPHEMERIS_SUBFRAMES]
-        return self.rx_time(eph, (ks[-1] + 1) * SUBFRAME_S - start), ks
-
-    def _deliver_ephemeris(
-        self, eph: cst.EphemerisRecord, subframes: list[int]
-    ) -> cst.EphemerisRecord:
-        """Generate, encode and decode one satellite's subframes 1-3, given
-        by index as _ephemeris_subframes returns them; returns the
-        ephemeris the receiver decodes from them."""
-        sat_id = eph.sat_id
+        t_done = self.rx_time(eph, (ks[-1] + 1) * SUBFRAME_S - start)
         packed = cst.pack_ephemeris(eph)
         payloads = [b""] * cst.EPHEMERIS_SUBFRAMES
-        for k in subframes:
+        for k in ks:
             # The TOW count wraps at the week end; count the wraps as weeks.
             week = self.config.start_week + (k + 1) // TOW_COUNT
             if week >= WEEK_COUNT:
@@ -713,10 +707,10 @@ class _Engine:
                     f"{week}, past the 13-bit week number"
                 )
             sfid = k % 5 + 1
-            sf = nav.build_subframe(sat_id, sfid, (k + 1) % TOW_COUNT, week, packed[k % 5])
+            sf = nav.build_subframe(eph.sat_id, sfid, (k + 1) % TOW_COUNT, week, packed[k % 5])
             decoded = nav.decode_subframe(nav.subframe_bits(sf))
             payloads[decoded.subframe_id - 1] = decoded.payload
-        return cst.unpack_ephemeris(decoded.sat_id, tuple(payloads))
+        return t_done, cst.unpack_ephemeris(decoded.sat_id, tuple(payloads))
 
     def _take_snapshot(self, st: _State) -> fs.PersistedSnapshot:
         eph = self.sats[st.anchor]
@@ -770,28 +764,23 @@ class _Engine:
         r_wake = st.clock.elapsed_rx_s
         n_samples = int(round(cfg.wake_run_s / cfg.sample_period_s))
         grid = [self.t_of_r(r_wake + k * cfg.sample_period_s) for k in range(n_samples + 1)]
-        labels: list[tuple[float, int]] = []
+        labels = []
         used_estimate = False
         label_shift_bits = 0
         hotstart_delay: float | None = None
         with _simulating(st):
-            for stage, r in zip(_LOCK_STAGES, self._lock_times(st)):
-                self.advance_to_t(st, self.t_of_r(r))
-                self._step_locks(st, stage)
+            self._acquire(st)
+            # A wake counts from its clock at bit lock, not the latencies' sum.
             r_bit = st.clock.elapsed_rx_s
             if arm == ARM_ESTIMATOR:
-                snap = self._load_snapshot_maybe(snapshot)
-                if snap is not None:
-                    used_estimate, label_shift_bits = self._try_estimate(st, snap)
+                used_estimate, label_shift_bits = self._try_estimate(st, snapshot)
             # The first fix: one epsilon after bit lock for an accepted
             # estimate, else at the fourth label.
             if used_estimate:
                 t_first = self.t_of_r(r_bit + cfg.estimator_epsilon_s)
             else:
-                waits = self._decode_waits(st)
-                hotstart_delay = sorted(waits)[3]
-                labels = sorted((self.t_of_r(r_bit + w), row) for row, w in enumerate(waits))
-                t_first = labels[3][0]
+                labels = self._decoded_labels(st, r_bit)
+                t_first, _, hotstart_delay = labels[3]
             if t_first > grid[-1]:
                 raise ScenarioError("wake session produced no fix inside wake_run_s")
             # t_of_r can put t_first an ulp before the session's time: the
@@ -802,19 +791,7 @@ class _Engine:
             # Then one fix at each later sample instant; k is the sample at
             # or before the first fix, by the receiver's clock.
             k = math.floor(ttff / cfg.sample_period_s)
-            times = [t_fix, *grid[k + 1 :]]
-            for t, (sky, truth_row) in zip(times, self._truth_rows(st, times)):
-                # The labels due at or before a fix go first, in (time, row) order.
-                while labels and labels[0][0] <= t:
-                    t_label, row = labels.pop(0)
-                    self.advance_to_t(st, t_label)
-                    self._label(st, row)
-                self.advance_to_t(st, t)
-                self._fix(st, st.clock.elapsed_rx_s - r_wake, sky, truth_row)
-            # Labels after the last fix still move the clock rco_error_s reads.
-            for t, row in labels:
-                self.advance_to_t(st, t)
-                self._label(st, row)
+            self._fixes(st, [t_fix, *grid[k + 1 :]], labels, r_wake)
         # A sample from the first fix on reads the errors of fix i - k, which
         # fell on it (or of the first fix, which float noise can put just
         # before sample k); the ones before it read session one's position,
@@ -846,22 +823,18 @@ class _Engine:
         st.diagnostics[f"{arm}_rco_refined_err_s"] = self.rco_error_s(st)
         return report, st.diagnostics
 
-    def _load_snapshot_maybe(
-        self, in_memory: fs.PersistedSnapshot
-    ) -> fs.PersistedSnapshot | None:
-        """Reload the snapshot from disk when persistence is configured."""
-        if not self.config.snapshot_path:
-            return in_memory
-        try:
-            return fs.load_snapshot(self.config.snapshot_path)
-        except (fs.SnapshotFormatError, OSError):
-            return None
-
     def _try_estimate(
         self, st: _State, snap: fs.PersistedSnapshot
     ) -> tuple[bool, int]:
-        """Run the acceptance gate and, if it passes, label every channel."""
+        """Run the acceptance gate on the snapshot, reloaded from disk when
+        persistence is configured (an unreadable file fails the gate), and,
+        if it passes, label every channel."""
         cfg = self.config
+        if cfg.snapshot_path:
+            try:
+                snap = fs.load_snapshot(cfg.snapshot_path)
+            except (fs.SnapshotFormatError, OSError):
+                return False, 0
         rtc_now = st.clock.rtc_count
         # A stored count ahead of the RTC cannot come from this sleep.
         if rtc_now < snap.rtc_count:

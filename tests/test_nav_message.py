@@ -619,12 +619,15 @@ def _one_written_as_two():
     ids=["two", "minus_one", "float", "str", "2d"],
 )
 def test_non_binary_bits_are_refused(bits, problem, tmp_path):
-    """The packed scan and the file writer would read any nonzero value as
-    1, so anything but 0/1 integers or bools is a ValueError naming it."""
+    """The packed scan, the packer and the file writer would read any
+    nonzero value as 1 (and the packer a float 0.9 as 0), so anything but
+    0/1 integers or bools is a ValueError naming it."""
     path = tmp_path / "capture.navb"
     for given in (bits, bits.tolist()):
         with pytest.raises(ValueError, match=f"^{problem}$"):
             nav.find_subframe_boundaries(given)
+        with pytest.raises(ValueError, match=f"^{problem}$"):
+            nav.pack_bits(given)
         with pytest.raises(ValueError, match=f"^{problem}$"):
             nav.write_bitstream(path, given)
         assert not path.exists()

@@ -56,6 +56,13 @@ GRID = {
     "labels_outlive_wake": dict(
         arms="hotstart", start_tow_s=86400.015, wake_run_s=2.67, sample_period_s=2.67
     ),
+    # Session one's paths. Started 10 ms into a bit, its labels straddle a
+    # bit boundary and come out of row order.
+    "labels_straddle_bit": dict(start_tow_s=6.01),
+    # Its subframes and fixes run across the week end.
+    "week_end_session_one": dict(start_tow_s=604795.0),
+    # A single session-one fix, so no clock-offset jitter.
+    "single_session_one_fix": dict(session1_extra_s=0.0),
 }
 
 DIGESTS = {
@@ -75,6 +82,9 @@ DIGESTS = {
     "zero_latency": "e3d59bedebf62116a78572e8d13640d0b084b5cf4affc22d4198801d81807fff",
     "quarter_second_samples": "2a67e0b7450db793cb523a71b821737b2d2389f79336782ea977cf9919ffac43",
     "labels_outlive_wake": "576ce20ceab435d26cfd963d91d1ebb4f5c1d9dda56f880d47c97f3fba243cb9",
+    "labels_straddle_bit": "d295a8bc3719f5e324f79418f38f07b78f73d75d8d6c867f10fce135eb3c5f12",
+    "week_end_session_one": "b0918b694707a326e0447c01c79f2e523c882be997ee4add9937844b8282533a",
+    "single_session_one_fix": "a2e59fabc1d65d37517b24e95df1b756d411fdeb2480afc4afa14c10bd04dbef",
 }
 
 

@@ -371,6 +371,32 @@ def test_session_one_tabulates_its_fixes_once(monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "overrides",
+    [{}, dict(rtc_ppm=0.0), dict(rtc_ppm=1000.0, start_tow_s=604795.0), dict(start_tow_s=6.01)],
+)
+def test_session_one_fixes_fall_on_whole_receiver_seconds(monkeypatch, overrides):
+    """Session one's fix records hold their receiver time since power-on:
+    consecutive whole seconds, the first the next one after the last
+    ephemeris is in."""
+    done = []
+    collect = sh._Engine._collect_ephemeris
+
+    def recording_collect(self, eph, s_rel):
+        t_done, decoded = collect(self, eph, s_rel)
+        done.append(t_done)
+        return t_done, decoded
+
+    monkeypatch.setattr(sh._Engine, "_collect_ephemeris", recording_collect)
+    engine = sh._Engine(replace(BASE, session1_extra_s=5.0, **overrides))
+    base, _ = engine.run_session_one()
+    times = [f.t_since_wake_s for f in base.fixes]
+    r_done = engine.clock_at(max(done)).elapsed_rx_s
+    first = math.floor(r_done) + 1
+    assert len(times) == 5 and first - 1 <= r_done < first
+    assert times == pytest.approx([first + i for i in range(5)], rel=0, abs=1e-9)
+
+
+@pytest.mark.parametrize(
     "validity_s,message",
     [
         (3.0, "t=6.680 s: sat 3: +7 s"),
@@ -479,18 +505,19 @@ def test_no_fix_inside_wake_run_is_an_error():
 
 
 def test_first_fix_after_the_last_sample_is_not_solved(monkeypatch):
-    """The wake that ends before its first fix fails without solving it."""
-    fixes = []
+    """The wake that ends before its first fix fails without solving it:
+    every fix solved is session one's, the first session to fix."""
+    fixed = []
     fix = sh._Engine._fix
 
     def counting_fix(self, state, t_since_wake, truth, row):
-        fixes.append(t_since_wake)
+        fixed.append(state)
         return fix(self, state, t_since_wake, truth, row)
 
     monkeypatch.setattr(sh._Engine, "_fix", counting_fix)
     with pytest.raises(sh.ScenarioError, match="no fix inside wake_run_s"):
         sh.run_scenario(sh.ScenarioConfig(wake_run_s=1.0))
-    assert fixes and [t for t in fixes if t >= 0] == []
+    assert fixed and all(state is fixed[0] for state in fixed)
 
 
 PLANAR_SATS = "[constellation]\n" + "".join(
@@ -517,7 +544,8 @@ def test_a_sample_at_a_fix_reuses_its_errors(monkeypatch):
     errors; every later one falls on a fix and reads that fix's. Each
     wake fix's errors are evaluated once, as one row of its session's
     call, and session one's, which no report reads, not at all."""
-    calls = {"rows": 0, "wake_fixes": 0}
+    calls = {"rows": 0}
+    fixed = []
     enu_errors, fix = sh.pvt.enu_errors, sh._Engine._fix
 
     def counting_enu_errors(position, truth):
@@ -525,8 +553,7 @@ def test_a_sample_at_a_fix_reuses_its_errors(monkeypatch):
         return enu_errors(position, truth)
 
     def counting_fix(self, state, t_since_wake, truth, row):
-        # Session one's fixes pass t_since_wake = -1.
-        calls["wake_fixes"] += t_since_wake >= 0
+        fixed.append(state)
         return fix(self, state, t_since_wake, truth, row)
 
     monkeypatch.setattr(sh.pvt, "enu_errors", counting_enu_errors)
@@ -536,7 +563,9 @@ def test_a_sample_at_a_fix_reuses_its_errors(monkeypatch):
         s for arm in report.arms.values() for s in arm.samples if not s.fix_valid
     ]
     assert before_first_fix
-    assert calls["rows"] == calls["wake_fixes"] + len(before_first_fix)
+    # Session one fixes first; every fix of another session is a wake's.
+    wake_fixes = [state for state in fixed if state is not fixed[0]]
+    assert calls["rows"] == len(wake_fixes) + len(before_first_fix)
     for arm in report.arms.values():
         # The first fix lands between samples; each later one on a sample.
         valid = [s for s in arm.samples if s.fix_valid]
@@ -848,10 +877,9 @@ def test_ephemeris_timeline_equals_boundary_chain(start_tow_s, vel, t_label, bou
             t_rx = ref_next_boundary_t(engine, eph, t_label) + boundary_offset_s
         times, expected = ref_ephemeris_timeline(engine, eph, t_rx)
 
-        t, subframes = engine._ephemeris_subframes(eph, engine.tx_rel(eph, t_rx))
         decoded.clear()
         with mock.patch.object(nav, "decode_subframe", recording_decode):
-            engine._deliver_ephemeris(eph, subframes)
+            t, _ = engine._collect_ephemeris(eph, engine.tx_rel(eph, t_rx))
         assert abs(t - times[-1]) <= 1e-9
         assert decoded == expected
 
@@ -886,7 +914,10 @@ def ref_run_wake(engine, base, snapshot, arm, off_duration_s):
     def push(t_rel, kind, data=None):
         heapq.heappush(queue, (t_rel, _REF_PRIORITY[kind], next(seq), kind, data))
 
-    for stage, r in zip(sh._LOCK_STAGES, engine._lock_times(state)):
+    # Each lock stage at the receiver time its latency adds up to.
+    r = state.clock.elapsed_rx_s
+    for stage, latency in (("code", cfg.code_s), ("carrier", cfg.carrier_s), ("bit", cfg.bit_s)):
+        r += latency
         push(engine.t_of_r(r), "lock", stage)
     for k, t in enumerate(grid):
         push(t, "sample", k)
@@ -906,18 +937,16 @@ def ref_run_wake(engine, base, snapshot, arm, off_duration_s):
                     continue
                 r_now = state.clock.elapsed_rx_s
                 if arm == sh.ARM_ESTIMATOR:
-                    snap = engine._load_snapshot_maybe(snapshot)
-                    if snap is not None:
-                        used_estimate, label_shift_bits = engine._try_estimate(state, snap)
+                    used_estimate, label_shift_bits = engine._try_estimate(state, snapshot)
                 if used_estimate:
                     push(engine.t_of_r(r_now + cfg.estimator_epsilon_s), "fix")
                     continue
-                waits = engine._decode_waits(state)
-                for row, wait in enumerate(waits):
-                    push(engine.t_of_r(r_now + wait), "label", row)
-                hotstart_delay = sorted(waits)[3]
+                labels = engine._decoded_labels(state, r_now)
+                for t_label, row, _ in labels:
+                    push(t_label, "label", row)
+                hotstart_delay = sorted(wait for _, _, wait in labels)[3]
             elif kind == "label":
-                if engine._label(state, data) == 4:
+                if engine._label(state, t, data) == 4:
                     push(state.t_rel, "fix")
             elif kind == "fix":
                 t_since = state.clock.elapsed_rx_s - r_wake
