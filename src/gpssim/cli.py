@@ -105,7 +105,11 @@ def _cmd_dump(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the help (code 0) or the usage and the error.
+        return EXIT_INVALID if exc.code else EXIT_OK
     try:
         if args.command == "run":
             return _cmd_run(args)

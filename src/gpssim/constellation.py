@@ -40,6 +40,8 @@ class EphemerisRecord:
 
     epoch is an absolute GPS time in seconds (week * 604800 + seconds).
     phase_at_epoch is the in-plane angle from the ascending node at epoch.
+    validity bounds where a receiver may use the record (propagate,
+    Orbits.positions); the orbit itself (position, evaluate) has no limit.
     """
 
     sat_id: int
@@ -100,8 +102,6 @@ def _orbit_point(
     The one scalar copy of the orbit formula; Orbits.evaluate repeats it
     elementwise in the same order.
     """
-    if abs(t - eph.epoch) > eph.validity:
-        raise _stale_error(eph.sat_id, t - eph.epoch, eph.validity)
     u = eph.phase_at_epoch + eph.mean_motion * (t - eph.epoch)
     cu, su = math.cos(u), math.sin(u)
     co, so, ci, si = eph.plane
@@ -118,13 +118,17 @@ def _orbit_point(
 def position(eph: EphemerisRecord, t: float) -> tuple[float, float, float]:
     """Satellite ECI position at absolute GPS time t, as three floats.
 
-    Bitwise equal to propagate(eph, t).position, without the velocity.
+    Bitwise equal to propagate(eph, t).position, without the velocity and
+    without the validity window: the true orbit never goes stale.
     """
     return _orbit_point(eph, t)[2:]
 
 
 def propagate(eph: EphemerisRecord, t: float) -> SatState:
-    """Satellite ECI state at absolute GPS time t."""
+    """Satellite ECI state at absolute GPS time t; raises StaleEphemerisError
+    outside the ephemeris validity window."""
+    if abs(t - eph.epoch) > eph.validity:
+        raise _stale_error(eph.sat_id, t - eph.epoch, eph.validity)
     cu, su, x, y, z = _orbit_point(eph, t)
     co, so, ci, si = eph.plane
     rn = eph.orbit_radius * eph.mean_motion

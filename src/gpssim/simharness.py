@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -66,20 +67,15 @@ class ScenarioError(ValueError):
     """Scenario configuration is invalid or produces unusable geometry."""
 
 
-def _expired(exc: cst.StaleEphemerisError, t_rel: float) -> ScenarioError:
-    """A stale ephemeris met while simulating time t_rel (relative seconds);
-    exc names the satellite and the offset from its epoch."""
-    return ScenarioError(f"stale ephemeris while simulating t={t_rel:.3f} s: {exc}")
-
-
 @contextlib.contextmanager
 def _simulating(st: _State):
-    """Raise a stale ephemeris or unusable fix geometry met while simulating
-    a session as a ScenarioError at the session's time."""
+    """Raise a stale decoded ephemeris or unusable fix geometry met while
+    simulating a session as a ScenarioError at the session's time; the
+    StaleEphemerisError names the satellite and the offset from its epoch."""
     try:
         yield
     except cst.StaleEphemerisError as exc:
-        raise _expired(exc, st.t_rel) from exc
+        raise ScenarioError(f"stale ephemeris while simulating t={st.t_rel:.3f} s: {exc}") from exc
     except pvt.GeometryError as exc:
         raise ScenarioError(
             f"unusable geometry in the fix at t={st.t_rel:.3f} s: {exc}"
@@ -153,6 +149,14 @@ class ScenarioConfig:
         for name, value in numbers:
             if isinstance(value, float) and not math.isfinite(value):
                 raise ScenarioError(f"{name} must be finite")
+        for name in ("seed", "start_week", "n_sats"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ScenarioError(f"{name} must be an integer") from None
+        for name in ("user_pos_ecef", "user_vel_ecef"):
+            if len(getattr(self, name)) != 3:
+                raise ScenarioError(f"{name} must have 3 components")
         for name, bound in _UPPER_BOUNDS.items():
             if abs(getattr(self, name)) > bound:
                 raise ScenarioError(f"|{name}| must not exceed {bound:g}")
@@ -314,15 +318,13 @@ class _Truth:
     """Truth at receive times (rows) for every true satellite (columns).
 
     Each row is bitwise equal to the same quantities computed at that one
-    time. Stale cells hold values outside the validity window; a fix that
-    selects one raises instead of reading it.
+    time. The true orbits have no validity window: only the receiver's
+    decoded copy goes stale.
     """
 
     user: np.ndarray  # (m, 3) true user position
     elevation: np.ndarray  # (m, n) rad
     tx: np.ndarray  # (m, n) true transmit time, relative seconds
-    stale_rx: np.ndarray  # (m, n) ephemeris stale at the receive time
-    stale_tx: np.ndarray  # (m, n) stale at some light-time iterate
 
 
 @dataclass(frozen=True)
@@ -402,22 +404,14 @@ class _Engine:
         t = np.array(times)[:, None]
         user = self.user_pos(t)
         user_b = user[:, None, :]
-        pos, stale_rx = self.orbits.evaluate(self.t0_abs + t)
+        pos, _ = self.orbits.evaluate(self.t0_abs + t)
         elevation = cst.elevation_angle(pos, user_b)
-        stale_tx = np.zeros_like(stale_rx)
         t_tx = t - DEFAULT_PROPAGATION_DELAY_S
         for _ in range(3):
-            pos, stale = self.orbits.evaluate(self.t0_abs + t_tx)
-            stale_tx |= stale
+            pos, _ = self.orbits.evaluate(self.t0_abs + t_tx)
             d = pos - user_b
             t_tx = t - np.sqrt(np.vecdot(d, d)) / SPEED_OF_LIGHT_M_S
-        return _Truth(user, elevation, t_tx, stale_rx, stale_tx)
-
-    def _check_fresh(self, stale: np.ndarray, idx: np.ndarray, t_rel: float) -> None:
-        """Raise for the first satellite of idx whose truth cell is stale."""
-        bad = idx[stale[idx]]
-        if len(bad):
-            raise self.orbits.stale_error(self.t0_abs + t_rel, bad[0])
+        return _Truth(user, elevation, t_tx)
 
     def decomp(self, s_rel: float) -> tuple[int, int, int, int, float]:
         """(subframe_index, tow, word, bit, bit_fraction) of a signal time."""
@@ -432,10 +426,7 @@ class _Engine:
 
     def _check_geometry(self, t_rel: float) -> None:
         user = self.user_pos(t_rel)
-        try:
-            sats = self.orbits.positions(self.t0_abs + t_rel)
-        except cst.StaleEphemerisError as exc:
-            raise _expired(exc, t_rel) from exc
+        sats, _ = self.orbits.evaluate(self.t0_abs + t_rel)
         up = sats[cst.elevation_angle(sats, user) >= self._mask]
         if len(up) < 4:
             raise ScenarioError(
@@ -494,10 +485,8 @@ class _Engine:
         """Each channel's label when it has decoded a preamble and handover
         word, bit-locked now at receiver time r_bit: (true time, row, wait
         in receiver seconds), in (time, row) order."""
-        truth = self._truth([st.t_rel])
-        self._check_fresh(truth.stale_tx[0], np.arange(len(self.sats)), st.t_rel)
         labels = []
-        for row, s in enumerate(truth.tx[0].tolist()):
+        for row, s in enumerate(self._truth([st.t_rel]).tx[0].tolist()):
             _, _, word, bit, _ = self.decomp(s)
             wait = rcv.hotstart_frame_lock_delay(word, bit)
             labels.append((self.t_of_r(r_bit + wait), row, wait))
@@ -544,13 +533,6 @@ class _Engine:
             propagation_delay_s=float(st.assumed_delay_s[st.anchor]),
         )
 
-    def _anchor_tx(self, st: _State, sky: _Sky, row: int) -> float:
-        """The anchor's believed transmit time at the truth row, which is
-        now; the anchor need not be among the channels a fix selects."""
-        if sky.truth.stale_tx[row, st.anchor]:
-            raise self.orbits.stale_error(self.t0_abs + st.t_rel, st.anchor)
-        return float(sky.believed_tx[row, st.anchor])
-
     def rco_error_s(self, st: _State) -> float:
         """Believed minus true clock offset, precise to float noise."""
         true_offset = (
@@ -582,22 +564,20 @@ class _Engine:
         positions at the assumed delays, the solve, the new assumed delays
         and the refined offset. The rest is tabulated once per truth table
         (_sky), and the ENU errors wait for st.record_fixes."""
-        truth = sky.truth
-        t = st.t_rel
+        # The anchor's believed transmit time now; the anchor need not be
+        # among the channels the fix selects.
+        s_anchor = float(sky.believed_tx[row, st.anchor])
         if st.rco is None:
             # A wake that decoded its labels takes its clock offset here.
-            self._refine_rco(st, self._anchor_tx(st, sky, row))
+            self._refine_rco(st, s_anchor)
         receive_gps = to_gps_time(st.clock.receiver_time(), st.rco)
         r_rel = receive_gps.diff(self.t0_gps)
 
-        # Labeled channels, then those of them above the mask; every channel
-        # has its ephemeris by the first fix, so st.rx_orbits covers them all.
-        idx = st.labeled.nonzero()[0]
-        self._check_fresh(truth.stale_rx[row], idx, t)
-        idx = idx[sky.visible[row, idx]]
+        # Labeled channels above the mask; every channel has its ephemeris
+        # by the first fix, so st.rx_orbits covers them all.
+        idx = (st.labeled & sky.visible[row]).nonzero()[0]
         if len(idx) < 4:
             raise ScenarioError("fewer than 4 usable channels at a fix epoch")
-        self._check_fresh(truth.stale_tx[row], idx, t)
         rx_orbits = st.selections.get(key := idx.tobytes())
         if rx_orbits is None:
             rx_orbits = st.selections[key] = st.rx_orbits[idx]
@@ -615,8 +595,8 @@ class _Engine:
 
         d = believed_pos - position
         st.assumed_delay_s[idx] = np.sqrt(np.vecdot(d, d)) / SPEED_OF_LIGHT_M_S
-        self._refine_rco(st, self._anchor_tx(st, sky, row))
-        st.solved.append((t_since_wake, position, truth.user[row], sol))
+        self._refine_rco(st, s_anchor)
+        st.solved.append((t_since_wake, position, sky.truth.user[row], sol))
 
     def _fixes(self, st: _State, times: list, labels: list, r_start: float) -> list[float]:
         """Fix at each of times, each after the labels due at or before it,

@@ -126,9 +126,25 @@ def test_snapshot_dump_corrupt_file(tmp_path, capsys):
     assert cli.main(["snapshot-dump", str(path)]) == cli.EXIT_INVALID
 
 
-def test_missing_subcommand_exits_with_usage():
-    with pytest.raises(SystemExit):
-        cli.main([])
+def test_missing_subcommand_exits_with_usage(capsys):
+    assert cli.main([]) == cli.EXIT_INVALID
+    assert capsys.readouterr().err.startswith("usage: gpssim")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["run", "--seed", "x"], ["run", "--arm", "nope"], ["budget"], ["warp"]],
+)
+def test_invalid_argument_exits_invalid(argv, capsys):
+    """An argument argparse rejects is invalid (1), not an I/O error (2)."""
+    assert cli.main(argv) == cli.EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("usage: gpssim") and "error: " in err
+
+
+def test_help_exits_ok(capsys):
+    assert cli.main(["--help"]) == cli.EXIT_OK
+    assert capsys.readouterr().out.startswith("usage: gpssim")
 
 
 def test_console_script_is_installed():

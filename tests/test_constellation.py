@@ -218,25 +218,27 @@ class TestOrbits:
 @given(eph=_ephemerides, frac=st.floats(-1.0, 1.0))
 @settings(max_examples=200, deadline=None)
 def test_position_equals_propagate(eph, frac):
-    # epoch + validity can round past the window edge; then both must raise.
     t = eph.epoch + frac * eph.validity
     try:
         want = con.propagate(eph, t).position.tobytes()
-    except con.StaleEphemerisError as exc:
-        with pytest.raises(con.StaleEphemerisError) as got:
-            con.position(eph, t)
-        assert str(got.value) == str(exc)
-        return
+    except con.StaleEphemerisError:
+        # epoch + validity rounded past the window edge. position has no
+        # window, so it still equals propagate on the same orbit with a
+        # window that covers t.
+        wide = dataclasses.replace(eph, validity=2 * eph.validity)
+        want = con.propagate(wide, t).position.tobytes()
     assert np.array(con.position(eph, t)).tobytes() == want
 
 
-def test_position_raises_like_propagate():
+def test_position_has_no_window_and_propagate_does():
+    """The true orbit never goes stale; propagate keeps the window."""
     eph = _eph(epoch=1000.0, validity=600.0)
-    with pytest.raises(con.StaleEphemerisError) as exc:
-        con.position(eph, 1601.0)
-    with pytest.raises(con.StaleEphemerisError) as ref:
-        con.propagate(eph, 1601.0)
-    assert str(exc.value) == str(ref.value)
+    wide = dataclasses.replace(eph, validity=1e6)
+    for t in (1601.0, 399.0, 1e5):
+        got = np.array(con.position(eph, t))
+        assert got.tobytes() == con.propagate(wide, t).position.tobytes()
+        with pytest.raises(con.StaleEphemerisError):
+            con.propagate(eph, t)
 
 
 def test_record_validation():
