@@ -41,7 +41,8 @@ class EphemerisRecord:
     epoch is an absolute GPS time in seconds (week * 604800 + seconds).
     phase_at_epoch is the in-plane angle from the ascending node at epoch.
     validity bounds where a receiver may use the record (propagate,
-    Orbits.positions); the orbit itself (position, evaluate) has no limit.
+    Orbits.positions); the orbit itself (Orbits.evaluate, Orbits.velocities)
+    has no limit.
     """
 
     sat_id: int
@@ -66,7 +67,7 @@ class EphemerisRecord:
         if self.validity <= 0:
             raise ValueError("validity must be positive")
 
-    # Computed once per record: the orbit formula reads them on every call.
+    # Computed once per record: every Orbits built from it reads them.
     @cached_property
     def mean_motion(self) -> float:
         return math.sqrt(GM_EARTH_M3_S2 / self.orbit_radius**3)
@@ -94,62 +95,14 @@ def _stale_error(sat_id: int, dt: float, validity: float) -> StaleEphemerisError
     )
 
 
-def _orbit_point(
-    eph: EphemerisRecord, t: float
-) -> tuple[float, float, float, float, float]:
-    """cos u, sin u and the ECI position (x, y, z) at absolute GPS time t.
-
-    The one scalar copy of the orbit formula; Orbits.evaluate repeats it
-    elementwise in the same order.
-    """
-    u = eph.phase_at_epoch + eph.mean_motion * (t - eph.epoch)
-    cu, su = math.cos(u), math.sin(u)
-    co, so, ci, si = eph.plane
-    r = eph.orbit_radius
-    return (
-        cu,
-        su,
-        r * (co * cu - so * su * ci),
-        r * (so * cu + co * su * ci),
-        r * su * si,
-    )
-
-
-def position(eph: EphemerisRecord, t: float) -> tuple[float, float, float]:
-    """Satellite ECI position at absolute GPS time t, as three floats.
-
-    Bitwise equal to propagate(eph, t).position, without the velocity and
-    without the validity window: the true orbit never goes stale.
-    """
-    return _orbit_point(eph, t)[2:]
-
-
-def propagate(eph: EphemerisRecord, t: float) -> SatState:
-    """Satellite ECI state at absolute GPS time t; raises StaleEphemerisError
-    outside the ephemeris validity window."""
-    if abs(t - eph.epoch) > eph.validity:
-        raise _stale_error(eph.sat_id, t - eph.epoch, eph.validity)
-    cu, su, x, y, z = _orbit_point(eph, t)
-    co, so, ci, si = eph.plane
-    rn = eph.orbit_radius * eph.mean_motion
-    vel = np.array(
-        [
-            rn * (-co * su - so * cu * ci),
-            rn * (-so * su + co * cu * ci),
-            rn * cu * si,
-        ]
-    )
-    return SatState(np.array([x, y, z]), vel)
-
-
 @dataclass(frozen=True, eq=False)
 class Orbits:
     """Several ephemerides as per-satellite arrays, evaluated all at once.
 
     Build one with Orbits.of(records); index it with an integer or boolean
-    array to select satellites. evaluate() repeats the scalar orbit
-    formula's elementwise arithmetic in the same order, so each row is
-    bitwise equal to propagate(record, t).position.
+    array to select satellites. This is the one copy of the orbit formula:
+    evaluate() gives positions and velocities() velocities, elementwise, so
+    each cell is bitwise equal to the same record and time evaluated alone.
     """
 
     sat_id: np.ndarray
@@ -194,12 +147,8 @@ class Orbits:
         their satellite's validity window; those hold the formula's value
         and nothing raises.
         """
-        dt = t - self.epoch
+        dt, cu, su = self._angle(t)
         stale = np.abs(dt) > self.validity
-        # u and everything after it carry a trailing axis of one, against
-        # the (n, 1) columns of radius and inclination.
-        u = (self.phase_at_epoch + self.mean_motion * dt)[..., None]
-        cu, su = np.cos(u), np.sin(u)
         r, ci, si = self._columns
         pos = np.empty(stale.shape + (3,))
         # x and y in one pass. x = r * (co * cu - so * su * ci) is computed
@@ -207,6 +156,28 @@ class Orbits:
         np.multiply(r, self.node * cu + self.node_east * su * ci, out=pos[..., :2])
         np.multiply(r * su, si, out=pos[..., 2:])
         return pos, stale
+
+    def velocities(self, t: float | np.ndarray) -> np.ndarray:
+        """ECI velocities at absolute GPS times t, broadcast as evaluate()
+        broadcasts them, with no validity window. Kept out of evaluate(),
+        which the truth and the fixes call and which needs no velocity."""
+        _, cu, su = self._angle(t)
+        r, ci, si = self._columns
+        rn = r * self.mean_motion[:, None]
+        vel = np.empty(cu.shape[:-1] + (3,))
+        # vx = rn * (-co * su - so * cu * ci) is computed as
+        # rn * ((-co) * su + (-so) * cu * ci), and vy as written.
+        np.multiply(rn, -self.node * su + self.node_east * cu * ci, out=vel[..., :2])
+        np.multiply(rn * cu, si, out=vel[..., 2:])
+        return vel
+
+    def _angle(self, t: float | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """t minus each epoch, then cos and sin of the argument of latitude
+        at t. Those two carry a trailing axis of one, against the (n, 1)
+        columns of radius and inclination."""
+        dt = t - self.epoch
+        u = (self.phase_at_epoch + self.mean_motion * dt)[..., None]
+        return dt, np.cos(u), np.sin(u)
 
     @cached_property
     def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -225,6 +196,13 @@ class Orbits:
     def stale_error(self, t: float, i: int) -> StaleEphemerisError:
         """The error for satellite row i evaluated at absolute GPS time t."""
         return _stale_error(self.sat_id[i], t - self.epoch[i], self.validity[i])
+
+
+def propagate(eph: EphemerisRecord, t: float) -> SatState:
+    """Satellite ECI state at absolute GPS time t, as a one-record Orbits
+    gives it; raises StaleEphemerisError outside the validity window."""
+    orbit = Orbits.of([eph])
+    return SatState(orbit.positions(t)[0], orbit.velocities(t)[0])
 
 
 def carrier_doppler(

@@ -72,6 +72,12 @@ def hotstart_frame_lock_delay(word_index: int, bit_index: int) -> float:
 
     clamped into [1.2, 6.0] s, linear in the bit offset between the word
     boundaries it interpolates.
+
+    The clamp shortens the wait. A real receiver that bit-locks just after
+    a subframe start waits for the next one and its first two words, up to
+    ~7.2 s. Over a uniform lock phase the clamp gives the estimator a mean
+    lead of ~3.6 s where ~4.2 s would be expected. Acceptance criterion 06
+    pins the clamp, so the model keeps it.
     """
     if not 1 <= word_index <= SUBFRAME_WORDS:
         raise ValueError("word_index out of range")

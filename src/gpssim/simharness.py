@@ -33,6 +33,7 @@ from __future__ import annotations
 import contextlib
 import math
 import operator
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -376,42 +377,40 @@ class _Engine:
     def user_pos(self, t_rel: float) -> np.ndarray:
         return self.user0 + self.user_vel * t_rel
 
-    def tx_rel(self, eph: cst.EphemerisRecord, t_rel: float) -> float:
-        """Transmit time (relative seconds) of one satellite's signal received
-        at t_rel, bitwise equal to the one _truth gives."""
-        user = self.user_pos(t_rel)
-        t_tx = t_rel - DEFAULT_PROPAGATION_DELAY_S
+    def transmit_times(self, t_rel: float | np.ndarray) -> np.ndarray:
+        """True transmit times (relative seconds) of the signals received at
+        t_rel, for every satellite. t_rel broadcasts against the satellites
+        as Orbits.evaluate's times do: a scalar or one time per satellite
+        gives (n,), an (m, 1) column (m, n). Every cell is bitwise equal to
+        the same time solved alone."""
+        t = np.asarray(t_rel)
+        user = self.user_pos(t[..., None])
+        t_tx = t - DEFAULT_PROPAGATION_DELAY_S
         for _ in range(3):
-            d = np.subtract(cst.position(eph, self.t0_abs + t_tx), user)
-            # d.dot(d) is bitwise equal to _truth's np.vecdot(d, d);
-            # x*x + y*y + z*z is not (it differs in about a fifth of inputs).
-            t_tx = t_rel - math.sqrt(d.dot(d)) / SPEED_OF_LIGHT_M_S
+            pos, _ = self.orbits.evaluate(self.t0_abs + t_tx)
+            d = pos - user
+            t_tx = t - np.sqrt(np.vecdot(d, d)) / SPEED_OF_LIGHT_M_S
         return t_tx
-
-    def rx_time(self, eph: cst.EphemerisRecord, s_rel: float) -> float:
-        """True receive time (relative seconds) of the signal one satellite
-        sends at s_rel. A user at up to 1000 m/s shrinks the error about
-        3e-6-fold a pass, so three passes reach float noise."""
-        sat = cst.position(eph, self.t0_abs + s_rel)
-        t = s_rel + DEFAULT_PROPAGATION_DELAY_S
-        for _ in range(3):
-            d = np.subtract(sat, self.user_pos(t))
-            t = s_rel + math.sqrt(d.dot(d)) / SPEED_OF_LIGHT_M_S
-        return t
 
     def _truth(self, times: list[float]) -> _Truth:
         """Truth for every satellite at each receive time, in one array pass."""
         t = np.array(times)[:, None]
         user = self.user_pos(t)
-        user_b = user[:, None, :]
         pos, _ = self.orbits.evaluate(self.t0_abs + t)
-        elevation = cst.elevation_angle(pos, user_b)
-        t_tx = t - DEFAULT_PROPAGATION_DELAY_S
+        elevation = cst.elevation_angle(pos, user[:, None, :])
+        return _Truth(user, elevation, self.transmit_times(t))
+
+    def receive_times(self, s_rel: np.ndarray) -> np.ndarray:
+        """True receive times (relative seconds) of the signals the
+        satellites send at s_rel, one time per satellite. A user at up to
+        1000 m/s shrinks the error about 3e-6-fold a pass, so three passes
+        reach float noise."""
+        sat, _ = self.orbits.evaluate(self.t0_abs + s_rel)
+        t = s_rel + DEFAULT_PROPAGATION_DELAY_S
         for _ in range(3):
-            pos, _ = self.orbits.evaluate(self.t0_abs + t_tx)
-            d = pos - user_b
-            t_tx = t - np.sqrt(np.vecdot(d, d)) / SPEED_OF_LIGHT_M_S
-        return _Truth(user, elevation, t_tx)
+            d = sat - self.user_pos(t[:, None])
+            t = s_rel + np.sqrt(np.vecdot(d, d)) / SPEED_OF_LIGHT_M_S
+        return t
 
     def decomp(self, s_rel: float) -> tuple[int, int, int, int, float]:
         """(subframe_index, tow, word, bit, bit_fraction) of a signal time."""
@@ -486,7 +485,7 @@ class _Engine:
         word, bit-locked now at receiver time r_bit: (true time, row, wait
         in receiver seconds), in (time, row) order."""
         labels = []
-        for row, s in enumerate(self._truth([st.t_rel]).tx[0].tolist()):
+        for row, s in enumerate(self.transmit_times(st.t_rel).tolist()):
             _, _, word, bit, _ = self.decomp(s)
             wait = rcv.hotstart_frame_lock_delay(word, bit)
             labels.append((self.t_of_r(r_bit + wait), row, wait))
@@ -598,15 +597,14 @@ class _Engine:
         self._refine_rco(st, s_anchor)
         st.solved.append((t_since_wake, position, sky.truth.user[row], sol))
 
-    def _fixes(self, st: _State, times: list, labels: list, r_start: float) -> list[float]:
+    def _fixes(self, st: _State, times: list, labels: list, r_start: float) -> Iterator[None]:
         """Fix at each of times, each after the labels due at or before it,
-        then run the labels after the last; returns the clock-offset error
-        after each fix. labels are _decoded_labels rows, which this takes
-        off the list as it runs them. Each fix records its receiver time
-        since r_start. Truth comes in tables of up to _TRUTH_ROWS rows, each
-        made when its first row is reached, and the fixes of one table
-        become records before the next is made."""
-        rco_errors = []
+        then run the labels after the last; yields after each fix, so the
+        caller can read the session there. labels are _decoded_labels rows,
+        which this takes off the list as it runs them. Each fix records its
+        receiver time since r_start. Truth comes in tables of up to
+        _TRUTH_ROWS rows, each made when its first row is reached, and the
+        fixes of one table become records before the next is made."""
         for start in range(0, len(times), _TRUTH_ROWS):
             st.record_fixes()
             block = times[start : start + _TRUTH_ROWS]
@@ -617,11 +615,10 @@ class _Engine:
                     self._label(st, t_label, channel)
                 self.advance_to_t(st, t)
                 self._fix(st, st.clock.elapsed_rx_s - r_start, sky, row)
-                rco_errors.append(self.rco_error_s(st))
+                yield
         # Labels after the last fix still move the clock rco_error_s reads.
         for t_label, channel, _ in labels:
             self._label(st, t_label, channel)
-        return rco_errors
 
     # --- session one --------------------------------------------------------
 
@@ -633,20 +630,26 @@ class _Engine:
         st = _State(
             clock=self.clock_at(0.0), t_rel=0.0, locks=[rcv.LockState()] * len(self.sats)
         )
-        # Per channel row: (true time its ephemeris is in, decoded ephemeris).
+        # Per channel row: (signal time its ephemeris ends, decoded ephemeris).
         collected = [None] * len(self.sats)
         with _simulating(st):
-            for t, row, _ in self._decoded_labels(st, self._acquire(st)):
+            labels = self._decoded_labels(st, self._acquire(st))
+            # Each channel's transmit time at its label, the session's time
+            # there, in one pass: the labels hold every row once.
+            t_label = np.empty(len(self.sats))
+            t_label[[row for _, row, _ in labels]] = [t for t, _, _ in labels]
+            s_label = self.transmit_times(t_label).tolist()
+            for t, row, _ in labels:
                 n_labeled = self._label(st, t, row)
-                s = self.tx_rel(self.sats[row], st.t_rel)
+                s = s_label[row]
                 if n_labeled == 1:
                     # Session one labels from decoded words: no shift to add.
                     self._refine_rco(st, s)
                     st.diagnostics["s1_rco_first_err_s"] = self.rco_error_s(st)
                 collected[row] = self._collect_ephemeris(self.sats[row], s)
-            t_done, eph_rx = zip(*collected)
+            s_done, eph_rx = zip(*collected)
             st.rx_orbits = cst.Orbits.of(eph_rx)
-            self.advance_to_t(st, max(t_done))
+            self.advance_to_t(st, self.receive_times(np.array(s_done)).max().item())
 
             # 1 Hz fixes from the next whole receiver second, every ephemeris
             # in; power-off comes session1_extra_s after the first.
@@ -654,7 +657,7 @@ class _Engine:
             off_r = self.clock_at(times[0]).elapsed_rx_s + cfg.session1_extra_s
             while (r := self.clock_at(times[-1]).elapsed_rx_s + 1.0) < off_r - 1e-9:
                 times.append(self.t_of_r(r))
-            rco_errors = self._fixes(st, times, [], 0.0)
+            rco_errors = [self.rco_error_s(st) for _ in self._fixes(st, times, [], 0.0)]
             self.advance_to_t(st, self.t_of_r(off_r))
             snapshot = self._take_snapshot(st)
         st.diagnostics["s1_rco_refined_err_s"] = self.rco_error_s(st)
@@ -665,7 +668,7 @@ class _Engine:
     def _collect_ephemeris(
         self, eph: cst.EphemerisRecord, s_rel: float
     ) -> tuple[float, cst.EphemerisRecord]:
-        """(true time the last of them ends, ephemeris decoded) for the
+        """(signal time the last of them ends, ephemeris decoded) for the
         subframes 1-3 that a channel labeled on the signal sent at s_rel
         hears next in full, each built, encoded and decoded. Subframe k,
         counted from the start of week start_week, has ID k % 5 + 1. The one
@@ -675,7 +678,7 @@ class _Engine:
         start = self.config.start_tow_s
         b = int((start + s_rel + 1e-6) // SUBFRAME_S) + 2
         ks = [k for k in range(b - 1, b + 4) if k % 5 < cst.EPHEMERIS_SUBFRAMES]
-        t_done = self.rx_time(eph, (ks[-1] + 1) * SUBFRAME_S - start)
+        s_done = (ks[-1] + 1) * SUBFRAME_S - start
         packed = cst.pack_ephemeris(eph)
         payloads = [b""] * cst.EPHEMERIS_SUBFRAMES
         for k in ks:
@@ -690,12 +693,12 @@ class _Engine:
             sf = nav.build_subframe(eph.sat_id, sfid, (k + 1) % TOW_COUNT, week, packed[k % 5])
             decoded = nav.decode_subframe(nav.subframe_bits(sf))
             payloads[decoded.subframe_id - 1] = decoded.payload
-        return t_done, cst.unpack_ephemeris(decoded.sat_id, tuple(payloads))
+        return s_done, cst.unpack_ephemeris(decoded.sat_id, tuple(payloads))
 
     def _take_snapshot(self, st: _State) -> fs.PersistedSnapshot:
         eph = self.sats[st.anchor]
         t = st.t_rel
-        s = self.tx_rel(eph, t) + st.label_shift_s
+        s = float(self.transmit_times(t)[st.anchor]) + st.label_shift_s
         _, tow, word, bit, frac = self.decomp(s)
         sat = cst.propagate(eph, self.t0_abs + s)
         snapshot = fs.take_snapshot(
@@ -771,7 +774,8 @@ class _Engine:
             # Then one fix at each later sample instant; k is the sample at
             # or before the first fix, by the receiver's clock.
             k = math.floor(ttff / cfg.sample_period_s)
-            self._fixes(st, [t_fix, *grid[k + 1 :]], labels, r_wake)
+            for _ in self._fixes(st, [t_fix, *grid[k + 1 :]], labels, r_wake):
+                pass
         # A sample from the first fix on reads the errors of fix i - k, which
         # fell on it (or of the first fix, which float noise can put just
         # before sample k); the ones before it read session one's position,
@@ -841,7 +845,7 @@ class _Engine:
             + est.bit_index * BIT_S
             + est.residual_ms / 1000.0
         )
-        true_week_s = self.config.start_tow_s + self.tx_rel(self.sats[st.anchor], st.t_rel)
+        true_week_s = self.config.start_tow_s + float(self.transmit_times(st.t_rel)[st.anchor])
         # est_week_s wraps at the week end and true_week_s does not.
         err_s = est_week_s - true_week_s
         err_s -= WEEK_S * round(err_s / WEEK_S)

@@ -41,6 +41,20 @@ def oracle_state(eph, t):
     return rz @ rx @ in_plane
 
 
+def ref_orbit_point(eph, t):
+    """The scalar orbit formula, kept as an oracle for Orbits: the ECI
+    position and velocity at absolute GPS time t, with no validity window,
+    in math's scalar floats and in the order Orbits must keep bit for bit."""
+    u = eph.phase_at_epoch + eph.mean_motion * (t - eph.epoch)
+    cu, su = math.cos(u), math.sin(u)
+    co, so, ci, si = eph.plane
+    r = eph.orbit_radius
+    rn = r * eph.mean_motion
+    pos = (r * (co * cu - so * su * ci), r * (so * cu + co * su * ci), r * su * si)
+    vel = (rn * (-co * su - so * cu * ci), rn * (-so * su + co * cu * ci), rn * cu * si)
+    return np.array(pos), np.array(vel)
+
+
 class TestPropagate:
     def test_equatorial_orbit_starts_on_x_axis(self):
         st = con.propagate(_eph(), 0.0)
@@ -140,7 +154,7 @@ class TestOrbits:
     @settings(max_examples=150, deadline=None)
     def test_time_grid_rows_equal_per_row_calls(self, ephs, fracs, m, dt):
         """An (m, 1) column of times gives (m, n, 3); each row equals the
-        scalar call and each valid cell equals position(), stale cells
+        scalar call and each cell equals the scalar formula, stale cells
         included (their mask marks them and nothing raises)."""
         moved = [
             dataclasses.replace(e, epoch=1e6 + f * e.validity)
@@ -156,8 +170,7 @@ class TestOrbits:
             assert stale[row].tolist() == single_stale.tolist()
             for eph, cell, cell_stale in zip(moved, pos[row], stale[row]):
                 assert cell_stale == (abs(t - eph.epoch) > eph.validity)
-                if not cell_stale:
-                    assert np.array(con.position(eph, t)).tobytes() == cell.tobytes()
+                assert ref_orbit_point(eph, t)[0].tobytes() == cell.tobytes()
 
     @given(
         ephs=st.lists(_ephemerides, min_size=1, max_size=12),
@@ -215,30 +228,51 @@ class TestOrbits:
             orbits.positions(np.array([1000.0, 1000.0, 1201.0]))
 
 
-@given(eph=_ephemerides, frac=st.floats(-1.0, 1.0))
-@settings(max_examples=200, deadline=None)
-def test_position_equals_propagate(eph, frac):
-    t = eph.epoch + frac * eph.validity
-    try:
-        want = con.propagate(eph, t).position.tobytes()
-    except con.StaleEphemerisError:
-        # epoch + validity rounded past the window edge. position has no
-        # window, so it still equals propagate on the same orbit with a
-        # window that covers t.
-        wide = dataclasses.replace(eph, validity=2 * eph.validity)
-        want = con.propagate(wide, t).position.tobytes()
-    assert np.array(con.position(eph, t)).tobytes() == want
+def _assert_cells_equal_scalar_formula(ephs, orbits, t):
+    pos, _ = orbits.evaluate(t)
+    vel = orbits.velocities(t)
+    cells = np.broadcast_shapes(np.shape(t), (len(ephs),))
+    assert pos.shape == vel.shape == cells + (3,)
+    times = np.broadcast_to(t, cells)
+    for cell in np.ndindex(cells):
+        want_pos, want_vel = ref_orbit_point(ephs[cell[-1]], float(times[cell]))
+        assert pos[cell].tobytes() == want_pos.tobytes()
+        assert vel[cell].tobytes() == want_vel.tobytes()
 
 
-def test_position_has_no_window_and_propagate_does():
-    """The true orbit never goes stale; propagate keeps the window."""
-    eph = _eph(epoch=1000.0, validity=600.0)
-    wide = dataclasses.replace(eph, validity=1e6)
+@given(
+    ephs=st.lists(_ephemerides, min_size=1, max_size=12),
+    fracs=st.lists(st.floats(-1.5, 1.5), min_size=24, max_size=24),
+    m=st.integers(1, 6),
+    dt=st.floats(0.0, 5e4),
+)
+@settings(max_examples=150, deadline=None)
+def test_positions_and_velocities_equal_scalar_formula(ephs, fracs, m, dt):
+    """Every cell of evaluate() and velocities() equals the scalar formula
+    bit for bit, inside and outside the validity window, for a scalar time,
+    one time per satellite and an (m, 1) column of times."""
+    t = 1e6
+    moved = [dataclasses.replace(e, epoch=t + f * e.validity) for e, f in zip(ephs, fracs)]
+    orbits = con.Orbits.of(moved)
+    _assert_cells_equal_scalar_formula(moved, orbits, t)
+    each = np.array([e.epoch + f * e.validity for e, f in zip(moved, fracs[12:])])
+    _assert_cells_equal_scalar_formula(moved, orbits, each)
+    _assert_cells_equal_scalar_formula(moved, orbits, (t + np.linspace(0.0, dt, m))[:, None])
+
+
+def test_propagate_is_one_record_of_orbits_with_the_window():
+    """propagate gives a one-record Orbits' position and velocity, and
+    raises outside the window, where evaluate and velocities do not."""
+    eph = _eph(inc=0.9, raan=2.1, phase=0.4, epoch=1000.0, validity=600.0)
+    orbits = con.Orbits.of([eph])
+    state = con.propagate(eph, 1600.0)
+    assert state.position.tobytes() == orbits.evaluate(1600.0)[0][0].tobytes()
+    assert state.velocity.tobytes() == orbits.velocities(1600.0)[0].tobytes()
     for t in (1601.0, 399.0, 1e5):
-        got = np.array(con.position(eph, t))
-        assert got.tobytes() == con.propagate(wide, t).position.tobytes()
         with pytest.raises(con.StaleEphemerisError):
             con.propagate(eph, t)
+        assert orbits.evaluate(t)[1].all()
+        assert np.isfinite(orbits.velocities(t)).all()
 
 
 def test_record_validation():

@@ -366,8 +366,8 @@ def test_session_one_labels_in_time_order():
 
 def test_session_one_tabulates_its_fixes_once(monkeypatch):
     """Session one knows all of its 1 Hz fix times before the first, so it
-    makes one truth table for them; the only other is the one-row table of
-    its decode waits."""
+    makes one truth table for them and no other: its decode waits read the
+    light-time solve alone."""
     tables = []
     truth = sh._Engine._truth
 
@@ -378,7 +378,7 @@ def test_session_one_tabulates_its_fixes_once(monkeypatch):
     monkeypatch.setattr(sh._Engine, "_truth", counting_truth)
     base, _ = sh._Engine(replace(BASE, session1_extra_s=5.0)).run_session_one()
     assert len(base.fixes) == 5
-    assert tables == [1, 5]
+    assert tables == [5]
 
 
 @pytest.mark.parametrize(
@@ -389,19 +389,20 @@ def test_session_one_fixes_fall_on_whole_receiver_seconds(monkeypatch, overrides
     """Session one's fix records hold their receiver time since power-on:
     consecutive whole seconds, the first the next one after the last
     ephemeris is in."""
-    done = []
+    done = {}
     collect = sh._Engine._collect_ephemeris
 
     def recording_collect(self, eph, s_rel):
-        t_done, decoded = collect(self, eph, s_rel)
-        done.append(t_done)
-        return t_done, decoded
+        s_done, decoded = collect(self, eph, s_rel)
+        done[eph.sat_id] = s_done
+        return s_done, decoded
 
     monkeypatch.setattr(sh._Engine, "_collect_ephemeris", recording_collect)
     engine = sh._Engine(replace(BASE, session1_extra_s=5.0, **overrides))
     base, _ = engine.run_session_one()
     times = [f.t_since_wake_s for f in base.fixes]
-    r_done = engine.clock_at(max(done)).elapsed_rx_s
+    t_done = engine.receive_times(np.array([done[e.sat_id] for e in engine.sats]))
+    r_done = engine.clock_at(t_done.max().item()).elapsed_rx_s
     first = math.floor(r_done) + 1
     assert len(times) == 5 and first - 1 <= r_done < first
     assert times == pytest.approx([first + i for i in range(5)], rel=0, abs=1e-9)
@@ -701,16 +702,6 @@ def test_wake_across_the_week_end_matches_one_day_earlier(start_tow_s, sleep_s):
         )
 
 
-def test_batched_tx_rel_equals_per_record():
-    """The truth table's light time equals the one-satellite solve."""
-    engine = sh._Engine(replace(BASE, n_sats=12, user_vel_ecef=(10.0, -4.0, 3.0)))
-    times = [0.0, 61.25, 2000.0]
-    truth = engine._truth(times)
-    for row, t_rx in enumerate(times):
-        single = [engine.tx_rel(eph, t_rx) for eph in engine.sats]
-        assert truth.tx[row].tobytes() == np.array(single).tobytes()
-
-
 # --- truth against its earlier, per-fix form ------------------------------------
 # ref_tx_rel is the light-time solve as it was: propagate() (or Orbits.positions
 # for several satellites) per iterate and the range as sqrt(vecdot(d, d)).
@@ -744,14 +735,19 @@ def ref_fix_truth(engine, idx, t):
 )
 @settings(max_examples=150, deadline=None)
 def test_one_satellite_light_time_equals_propagate_reference(n_sats, vel, t_rx):
-    """Past the validity window too: the true orbit has none, so there the
+    """Each satellite's cell of the light-time solve, for one receive time
+    and for one time per satellite, equals the one-satellite reference.
+    Past the validity window too: the true orbit has none, so there the
     reference runs on the same orbit with a window that covers t_rx."""
     engine = sh._Engine(replace(BASE, n_sats=n_sats, user_vel_ecef=vel))
-    for eph in engine.sats:
-        expected = ref_tx_rel(engine, replace(eph, validity=WEEK_S), t_rx)
-        got = engine.tx_rel(eph, t_rx)
-        assert type(got) is float
-        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+    per_row = t_rx + 0.37 * np.arange(n_sats)
+    common, each = engine.transmit_times(t_rx), engine.transmit_times(per_row)
+    for row, eph in enumerate(engine.sats):
+        wide = replace(eph, validity=WEEK_S)
+        expected = ref_tx_rel(engine, wide, t_rx)
+        assert common[row].tobytes() == np.float64(expected).tobytes()
+        expected = ref_tx_rel(engine, wide, float(per_row[row]))
+        assert each[row].tobytes() == np.float64(expected).tobytes()
 
 
 def _varied_validity_sats(n):
@@ -832,7 +828,7 @@ def test_sky_equals_per_fix_believed_positions(n_sats, vel, start, period, m, sh
 # --- session one's ephemeris timeline against the boundary chain ------------------
 # ref_ephemeris_timeline is session one's ephemeris collection as it was: from
 # the label, one event at every subframe boundary, each found by Newton steps
-# on tx_rel, until subframes 1-3 are in; every subframe heard is decoded.
+# on ref_tx_rel, until subframes 1-3 are in; every subframe heard is decoded.
 
 
 def ref_next_boundary_t(engine, eph, t_rel, s=None):
@@ -840,12 +836,12 @@ def ref_next_boundary_t(engine, eph, t_rel, s=None):
     is its transmit time at t_rel, if known. The bias keeps a call made
     exactly at a boundary from finding that same boundary again."""
     if s is None:
-        s = engine.tx_rel(eph, t_rel)
+        s = ref_tx_rel(engine, eph, t_rel)
     k = int((engine.config.start_tow_s + s + 1e-6) // SUBFRAME_S) + 1
     target = k * SUBFRAME_S - engine.config.start_tow_s
     t = t_rel + (target - s)
     for _ in range(2):
-        t += target - engine.tx_rel(eph, t)
+        t += target - ref_tx_rel(engine, eph, t)
     return t
 
 
@@ -857,7 +853,7 @@ def ref_ephemeris_timeline(engine, eph, t_label):
     times, delivered = [], {}
     t = ref_next_boundary_t(engine, eph, ref_next_boundary_t(engine, eph, t_label))
     while True:
-        s = engine.tx_rel(eph, t)
+        s = ref_tx_rel(engine, eph, t)
         times.append(t)
         k = int(round((cfg.start_tow_s + s) / SUBFRAME_S)) - 1
         sfid = k % 5 + 1
@@ -896,7 +892,8 @@ def test_ephemeris_timeline_equals_boundary_chain(start_tow_s, vel, t_label, bou
         decoded.append((sf.sat_id, sf.subframe_id, sf.tow, sf.week_number))
         return sf
 
-    for eph in engine.sats:
+    n = len(engine.sats)
+    for row, eph in enumerate(engine.sats):
         t_rx = t_label
         if boundary_offset_s is not None:
             t_rx = ref_next_boundary_t(engine, eph, t_label) + boundary_offset_s
@@ -904,7 +901,8 @@ def test_ephemeris_timeline_equals_boundary_chain(start_tow_s, vel, t_label, bou
 
         decoded.clear()
         with mock.patch.object(nav, "decode_subframe", recording_decode):
-            t, _ = engine._collect_ephemeris(eph, engine.tx_rel(eph, t_rx))
+            s_done, _ = engine._collect_ephemeris(eph, float(engine.transmit_times(t_rx)[row]))
+        t = engine.receive_times(np.full(n, s_done))[row]
         assert abs(t - times[-1]) <= 1e-9
         assert decoded == expected
 
@@ -1100,7 +1098,7 @@ def test_tx_rel_solution_is_self_consistent():
     engine = sh._Engine(replace(BASE, user_vel_ecef=(10.0, -4.0, 3.0)))
     eph = engine.sats[0]
     t_rx = 2000.0
-    t_tx = engine.tx_rel(eph, t_rx)
+    t_tx = engine.transmit_times(t_rx)[0]
     sat = cst.propagate(eph, engine.t0_abs + t_tx).position
     rng = np.linalg.norm(sat - engine.user_pos(t_rx))
     assert t_rx - t_tx == pytest.approx(rng / SPEED_OF_LIGHT_M_S, abs=1e-12)
