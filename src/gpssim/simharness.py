@@ -9,8 +9,9 @@ in one or both arms:
 * hotstart arm: frame sync waits for a real preamble plus handover word.
 
 Both arms share the same truth, the same receiver clock errors, and the
-same epoch-keyed measurement noise, so their outputs differ only through
-the frame-sync path. The simulation is fully deterministic for a given
+same measurement noise, each value a function of the seed, the fix epoch
+and the satellite alone, so their outputs differ only through the
+frame-sync path. The simulation is fully deterministic for a given
 scenario and seed.
 
 Both sessions are plain sequences of shared steps: lock stages, decoded
@@ -316,7 +317,9 @@ class _State:
 
 @dataclass(frozen=True)
 class _Truth:
-    """Truth at receive times (rows) for every true satellite (columns).
+    """Truth at receive times (rows) for every true satellite (columns),
+    with the pseudorange noise of a fix there, which depends on the time
+    and the satellite alone too.
 
     Each row is bitwise equal to the same quantities computed at that one
     time. The true orbits have no validity window: only the receiver's
@@ -326,6 +329,7 @@ class _Truth:
     user: np.ndarray  # (m, 3) true user position
     elevation: np.ndarray  # (m, n) rad
     tx: np.ndarray  # (m, n) true transmit time, relative seconds
+    noise: np.ndarray  # (m, n) pseudorange noise, metres
 
 
 @dataclass(frozen=True)
@@ -346,6 +350,37 @@ class _Sky:
 
 # Rows of truth a session evaluates at once: bounds the table's memory.
 _TRUTH_ROWS = 1024
+
+# SplitMix64's increments (the first two outputs of a stream) and finaliser.
+_GAMMAS = np.array([0x9E3779B97F4A7C15, 2 * 0x9E3779B97F4A7C15 % 2**64], np.uint64)[:, None, None]
+_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
+_MUL2 = np.uint64(0x94D049BB133111EB)
+_S11, _S27, _S30, _S31 = (np.uint64(s) for s in (11, 27, 30, 31))
+
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finaliser, a bijection of uint64 arrays, as a new
+    array; the products wrap, which numpy does silently only for arrays."""
+    z = z ^ (z >> _S30)
+    z *= _MUL1
+    z ^= z >> _S27
+    z *= _MUL2
+    z ^= z >> _S31
+    return z
+
+
+def _standard_normals(words: np.ndarray, keys: np.ndarray, sat_ids: np.ndarray) -> np.ndarray:
+    """(m, n) standard normals, cell (i, j) a function of the seed's two
+    key words, keys[i] and sat_ids[j] alone: a counter-based draw (Salmon
+    et al., SC 2011). keys are float64 integers and enter as their bits,
+    which every key has, however large. The cell's hash seeds a SplitMix64
+    stream whose first two outputs give two 53-bit uniforms, u1 in (0, 1]
+    and u2 in [0, 1), and Box-Muller turns them into one normal."""
+    row = _mix64(keys.view(np.uint64) ^ words[0])
+    cell = _mix64(row[:, None] ^ _mix64(sat_ids.astype(np.uint64) ^ words[1]))
+    bits = (_mix64(cell + _GAMMAS) >> _S11).astype(np.float64)
+    u1 = (bits[0] + 1.0) * 2.0**-53
+    return np.sqrt(-2.0 * np.log(u1)) * np.cos((2.0 * np.pi * 2.0**-53) * bits[1])
 
 
 class _Engine:
@@ -370,7 +405,9 @@ class _Engine:
         self.orbits = cst.Orbits.of(self.sats)
         self._mask = math.radians(config.min_elevation_deg)
         self._check_geometry(0.0)
-        self._draws: dict[int, np.ndarray] = {}  # noise by epoch key
+        # The measurement noise's key material: two 64-bit words, which any
+        # non-negative integer seed gives.
+        self._noise_words = np.random.SeedSequence(config.seed).generate_state(2, np.uint64)
 
     # --- truth helpers ----------------------------------------------------
 
@@ -398,7 +435,20 @@ class _Engine:
         user = self.user_pos(t)
         pos, _ = self.orbits.evaluate(self.t0_abs + t)
         elevation = cst.elevation_angle(pos, user[:, None, :])
-        return _Truth(user, elevation, self.transmit_times(t))
+        sigma = self.config.noise_sigma_m
+        if sigma == 0:
+            noise = np.zeros(elevation.shape)
+        else:
+            keys = self.epoch_keys(t[:, 0])
+            noise = sigma * _standard_normals(self._noise_words, keys, self.orbits.sat_id)
+        return _Truth(user, elevation, self.transmit_times(t), noise)
+
+    def epoch_keys(self, t_rel: np.ndarray) -> np.ndarray:
+        """The noise keys of fixes at t_rel: the receiver's elapsed time
+        there in whole milliseconds, int(round(clock_at(t).elapsed_rx_s *
+        1000)) as float64 integers; a time past float range keys as inf."""
+        with np.errstate(over="ignore"):
+            return np.rint(t_rel * self._scale() * 1000.0)
 
     def receive_times(self, s_rel: np.ndarray) -> np.ndarray:
         """True receive times (relative seconds) of the signals the
@@ -504,19 +554,6 @@ class _Engine:
 
     # --- measurement and fixes ---------------------------------------------
 
-    def _noise(self, st: _State, n: int) -> np.ndarray:
-        sigma = self.config.noise_sigma_m
-        if sigma == 0:
-            return np.zeros(n)
-        key = int(round(st.clock.elapsed_rx_s * 1000.0))
-        # Both arms draw the same key at every shared grid epoch; the first
-        # n normals of a longer draw are the n-normal draw.
-        draws = self._draws.get(key)
-        if draws is None:
-            rng = np.random.default_rng((self.config.seed, key))
-            draws = self._draws[key] = rng.normal(0.0, sigma, len(self.sats))
-        return draws[:n]
-
     def _refine_rco(self, st: _State, s_bel: float) -> None:
         """Recompute the clock offset from the anchor channel's counters;
         s_bel is the anchor's believed transmit time now."""
@@ -582,7 +619,7 @@ class _Engine:
             rx_orbits = st.selections[key] = st.rx_orbits[idx]
 
         believed_tx = sky.believed_tx[row, idx]
-        rho = SPEED_OF_LIGHT_M_S * (r_rel - believed_tx) + self._noise(st, len(idx))
+        rho = SPEED_OF_LIGHT_M_S * (r_rel - believed_tx) + sky.truth.noise[row, idx]
         # Where the receiver puts each satellite for the solve: its assumed
         # delay before the receive time. A stale cell here raises before
         # one at the believed transmit times.

@@ -66,25 +66,25 @@ GRID = {
 }
 
 DIGESTS = {
-    "default": "d7046ff68a1865a4e4759521febcce89779094f9ccee95ae0bbf27d3bdf27910",
-    "estimator_0.5ppm_60s": "16db80c6fc532b9795a306c100526991f600208a8b4f9c8c8224ff03255e4ac7",
-    "hotstart_30ppm_0s": "9aa1d7cd444465fc723e010877acd2b77dcb47f2d41b30e1a9427399cae19019",
-    "fallback_1500s": "af1f14a036c9c54f19c5e64cfd4a7ec62958e18bf212376117963639fdac0a8d",
-    "moving_user": "2afb4fec4b19cff8ff769e717319f290d079247710e10fc549378a8c70f2902d",
-    "wake_run_120s": "1b823f7f00d627d121e07ee7a22e7e5f0e762ae31358bc7b489c02d41f471ada",
-    "snapshot_file": "7bdb570aac2ed6eebfae2c664c74d3ce8f5f3fb80bf1e89728ff2385ef6915d0",
-    "week_end_604600_600": "f41b490cb1784e8d9d7fdf14eaaf413a3bee18374487cb4c1e0ae686025a3ad2",
-    "explicit_masked": "dfaa269210a032808b1c36e9f231de80efac479131465b4c3e61f2a76db9f98c",
-    "n_sats_4": "5d4b3bfb0a3ada428d88edc4bd0decb385dfc3ef8b726d3107cf5aa786a0aa7f",
-    "n_sats_32": "1459c581bfbff9e9ea52278fe78b865188dfc3cfbaf9dc898f5017b50f09fff0",
+    "default": "29f3195a98eb970df1abc3ad2bbd5a7c0673a7b755e3e68b556bd4ada91335ae",
+    "estimator_0.5ppm_60s": "1f46b55c9db9d461337d21a34685f408a3da4f06f6afbba07cbeefa04c2d405a",
+    "hotstart_30ppm_0s": "78d24a4bebcd34f6a7c37507283840a3bcd1427ecf4b3e87fc3be8b4427baeab",
+    "fallback_1500s": "2fe4ecad45d7baf2e08528d57de7336a6086b33440ac4845ca6fa561fd3da2de",
+    "moving_user": "353743f6f52d0eaff7a1bf44f5a9e4d27faf44563dd4e6a967cc4d638bcb6545",
+    "wake_run_120s": "1b24684c4602106b68e803a47ec6ca8cfdb20de491a32d6506adb1cf2bf4d6d8",
+    "snapshot_file": "8167873aa9241bcd90c2f09a145047fc4c4a1eefb587b92cef4d1537685b9129",
+    "week_end_604600_600": "2a6492d70237939bc65eb514b9b9bc68840d572862b50b724914884e2e158f8e",
+    "explicit_masked": "ac53b6f9e3bba7a96273470feb5d11dc81410c43b26cdfd98f7e1fe923bbe03d",
+    "n_sats_4": "e7ce7355f8d297ed6860a9e0086644b815bcf982f276594b0a0ebb6a58fac852",
+    "n_sats_32": "0211f249e853ac70e58a4a20c5b4751d7a41c41d4f176299dff7562e7cdcce0b",
     "zero_noise": "d089e0745167aaeb8f0eba830000a376c46e6039e1a7afdaea7abbed475f0b29",
-    "changing_selection": "0917b5fba5322ee48b94a0fab874a9c07c750ae27d528d41520fed0a96bead61",
-    "zero_latency": "e3d59bedebf62116a78572e8d13640d0b084b5cf4affc22d4198801d81807fff",
-    "quarter_second_samples": "2a67e0b7450db793cb523a71b821737b2d2389f79336782ea977cf9919ffac43",
-    "labels_outlive_wake": "576ce20ceab435d26cfd963d91d1ebb4f5c1d9dda56f880d47c97f3fba243cb9",
-    "labels_straddle_bit": "d295a8bc3719f5e324f79418f38f07b78f73d75d8d6c867f10fce135eb3c5f12",
-    "week_end_session_one": "b0918b694707a326e0447c01c79f2e523c882be997ee4add9937844b8282533a",
-    "single_session_one_fix": "a2e59fabc1d65d37517b24e95df1b756d411fdeb2480afc4afa14c10bd04dbef",
+    "changing_selection": "c9c848fc872a6b2555ab5d2215a79379a983b0f768ca8d95f66b95d3fdafbd7a",
+    "zero_latency": "db3d49826af296b0fa943f6073ef01415064daee3d7a2fea6a78e413d32705d2",
+    "quarter_second_samples": "1e69eba02621b4aa1859c94909f7c2366a91626c8412924f76d4381ddd65bd26",
+    "labels_outlive_wake": "cacc21f24cb6ed456a3baf36a203eaf9cacfa2f53a491a18b65b0966b83fc2f4",
+    "labels_straddle_bit": "8c2ce20936b18d57d0b12552cee996524a6e314533e67c696717d83b9c9f6091",
+    "week_end_session_one": "74bac3e95ebe6d914ca77d8cae64cdf47c963c977494f21f9934a4533b4580dd",
+    "single_session_one_fix": "0b5f5dc655de94bf58804f6ab7a19e3598740361304a55b7954f2ed4dfdc0df4",
 }
 
 

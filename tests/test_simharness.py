@@ -1,4 +1,5 @@
 """Scenario engine tests: the full sleep/wake loop, parsing, and CSV export."""
+import copy
 import csv
 import heapq
 import io
@@ -6,6 +7,7 @@ import itertools
 import math
 import re
 import struct
+import warnings
 import zlib
 from dataclasses import fields, replace
 from types import SimpleNamespace
@@ -432,16 +434,248 @@ def test_session_one_stale_ephemeris_names_its_time(validity_s, message):
     assert isinstance(exc.value.__cause__, cst.StaleEphemerisError)
 
 
-def test_noise_for_n_channels_equals_a_fresh_draw():
-    """One draw per epoch key serves every channel count: its first n
-    values are bitwise the n-value draw a fresh generator gives."""
-    engine = sh._Engine(replace(BASE, n_sats=32, noise_sigma_m=5.0, seed=17))
-    for elapsed_rx_s in (0.0, 12.3456, 901.2):
-        state = SimpleNamespace(clock=SimpleNamespace(elapsed_rx_s=elapsed_rx_s))
-        key = int(round(elapsed_rx_s * 1000.0))
-        for n in range(4, 33):
-            fresh = np.random.default_rng((17, key)).normal(0.0, 5.0, n)
-            assert engine._noise(state, n).tobytes() == fresh.tobytes()
+# --- measurement noise ------------------------------------------------------------
+# Each noise cell is a counter-based draw keyed by (seed, epoch key, sat_id):
+# ref_splitmix_normal is the same draw in Python integers and math.
+
+
+_MASK64 = 2**64 - 1
+
+
+def _ref_mix64(z: int) -> int:
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def ref_splitmix_normal(seed: int, key: int, sat_id: int) -> float:
+    """One cell's standard normal: the seed's two SeedSequence words key
+    the epoch key's float64 bits and the sat_id, the cell's hash seeds a
+    SplitMix64 stream, and its first two outputs are the uniforms."""
+    key_word, sat_word = map(int, np.random.SeedSequence(seed).generate_state(2, np.uint64))
+    key_bits = struct.unpack("<Q", struct.pack("<d", float(key)))[0]
+    cell = _ref_mix64(_ref_mix64(key_bits ^ key_word) ^ _ref_mix64(sat_id ^ sat_word))
+    gamma = 0x9E3779B97F4A7C15
+    u1 = ((_ref_mix64((cell + gamma) & _MASK64) >> 11) + 1) * 2.0**-53
+    u2 = (_ref_mix64((cell + 2 * gamma) & _MASK64) >> 11) * 2.0**-53
+    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+
+def _one_cell(engine, key: int, sat_ids) -> np.ndarray:
+    """The noise of satellites sat_ids at one epoch key, drawn alone."""
+    z = sh._standard_normals(engine._noise_words, np.array([float(key)]), np.array(sat_ids))
+    return engine.config.noise_sigma_m * z[0]
+
+
+def _clock_key(engine, t_rel: float) -> int:
+    return int(round(engine.clock_at(t_rel).elapsed_rx_s * 1000.0))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**64, 2**100 + 7])
+def test_noise_equals_the_integer_reference(seed):
+    """The array draw equals the reference cell for cell, to float noise,
+    and its finaliser equals the integer one exactly."""
+    words = np.random.default_rng(seed % 2**32).integers(0, 2**64, 1000, np.uint64, endpoint=False)
+    assert sh._mix64(words).tolist() == [_ref_mix64(w) for w in words.tolist()]
+    engine = sh._Engine(replace(BASE, noise_sigma_m=1.0, n_sats=12, seed=seed))
+    keys = [0, 1, 999, 900_000, 2**40 + 3, 10**300]
+    z = sh._standard_normals(
+        engine._noise_words, np.array(keys, float), engine.orbits.sat_id
+    )
+    for i, key in enumerate(keys):
+        for j, sat_id in enumerate(engine.orbits.sat_id.tolist()):
+            assert z[i, j] == pytest.approx(ref_splitmix_normal(seed, key, sat_id), rel=1e-12)
+
+
+@given(
+    rtc_ppm=st.one_of(st.sampled_from([0.0, 10.0, 1000.0]), st.floats(0.0, 1000.0)),
+    times=st.lists(
+        st.one_of(
+            st.floats(0.0, 20000.0),
+            st.floats(0.0, 1e300),
+            # At 0 ppm, elapsed milliseconds at or an ulp from .5: ties.
+            st.integers(0, 10**7).map(lambda k: (k + 0.5) / 1000.0),
+        ),
+        min_size=1,
+        max_size=20,
+    ),
+)
+@settings(max_examples=100, deadline=None)
+def test_noise_keys_equal_the_clock_rule(rtc_ppm, times):
+    """Each row's key is int(round(clock_at(t).elapsed_rx_s * 1000)), for
+    every finite time the validator lets a run reach."""
+    engine = sh._Engine(replace(BASE, rtc_ppm=rtc_ppm))
+    keys = engine.epoch_keys(np.array(times))
+    for key, t in zip(keys.tolist(), times):
+        assert key == _clock_key(engine, t)
+
+
+def test_noise_keys_past_float_range_are_inf_without_a_warning():
+    engine = sh._Engine(replace(BASE, rtc_ppm=1000.0, noise_sigma_m=5.0))
+    keys = engine.epoch_keys(np.array([1e300, 1.7e308]))
+    assert keys[0] == _clock_key(engine, 1e300) and keys[1] == math.inf
+    z = sh._standard_normals(engine._noise_words, keys, engine.orbits.sat_id)
+    assert np.isfinite(z).all()
+
+
+@pytest.mark.parametrize(
+    "off_duration_s,arms", [(1e300, "both"), (1.8698939612971745e305, "hotstart")]
+)
+def test_a_huge_sleep_ends_in_the_stale_ephemeris_error(off_duration_s, arms):
+    """The wake's truth table is drawn at ~1e303 ms keys, or at inf keys
+    past float range, without a warning; its first fix then meets the
+    stale decoded ephemeris."""
+    config = sh.ScenarioConfig(off_duration_s=off_duration_s, arms=arms, noise_sigma_m=5.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(sh.ScenarioError, match="^stale ephemeris while simulating t=1"):
+            sh.run_scenario(config)
+
+
+@pytest.mark.parametrize("rows", [sh._TRUTH_ROWS, 7])
+def test_noise_cell_depends_on_seed_key_and_satellite_only(monkeypatch, rows):
+    """Every cell of every truth table, in session one and both wake arms,
+    however _TRUTH_ROWS splits the tables, equals the cell drawn alone
+    from the key of the clock at its row. The two arms share keys at their
+    shared sample instants, and so read the same noise there."""
+    tables = []
+    truth = sh._Engine._truth
+
+    def recording_truth(self, times):
+        table = truth(self, times)
+        tables.append((self, list(times), table.noise))
+        return table
+
+    monkeypatch.setattr(sh._Engine, "_truth", recording_truth)
+    monkeypatch.setattr(sh, "_TRUTH_ROWS", rows)
+    sh.run_scenario(replace(BASE, noise_sigma_m=5.0, wake_run_s=30.0, seed=9))
+    keys = []
+    for engine, times, noise in tables:
+        for t, values in zip(times, noise):
+            keys.append(_clock_key(engine, t))
+            assert values.tobytes() == _one_cell(engine, keys[-1], engine.orbits.sat_id).tobytes()
+    assert len(tables) >= 3 and len(set(keys)) < len(keys)
+
+
+def test_noise_of_a_satellite_does_not_depend_on_the_others():
+    """Dropping a satellite from the constellation leaves every other
+    satellite's noise as it was, cell for cell."""
+    t0 = sh.GpsTime(BASE.start_week, BASE.start_tow_s).total_seconds()
+    sats = cst.default_constellation(np.array(BASE.user_pos_ecef), t0, 10)
+    config = replace(BASE, noise_sigma_m=5.0, seed=21, satellites=tuple(sats))
+    times = [960.0 + k for k in range(50)]
+    full = sh._Engine(config)._truth(times).noise
+    fewer = sh._Engine(replace(config, satellites=tuple(sats[:4] + sats[5:])))._truth(times).noise
+    assert fewer.tobytes() == np.delete(full, 4, axis=1).tobytes()
+
+
+def test_a_fix_reads_noise_by_channel(monkeypatch):
+    """A fix adds each selected channel's own cell to its pseudorange, so
+    a channel left out of the selection leaves the others' unchanged."""
+    engine = sh._Engine(replace(BASE, noise_sigma_m=5.0, seed=4))
+    base, _ = engine.run_session_one()
+    t = base.t_rel + 1.0
+    truth = engine._truth([t])
+    quiet = replace(truth, noise=np.zeros_like(truth.noise))
+    solve = pvt.solve
+    rhos = []
+
+    def recording_solve(rho, sat_pos, guess):
+        rhos.append(rho)
+        return solve(rho, sat_pos, guess)
+
+    monkeypatch.setattr(pvt, "solve", recording_solve)
+
+    def fix_rho(table, dropped):
+        st = copy.deepcopy(base)
+        st.labeled[dropped] = False
+        engine.advance_to_t(st, t)
+        engine._fix(st, 0.0, engine._sky(st, table), 0)
+        return rhos[-1]
+
+    every = np.arange(len(engine.sats))
+    kept = np.delete(every, 2)
+    noisy, noisy_kept = fix_rho(truth, []), fix_rho(truth, [2])
+    assert noisy_kept.tobytes() == noisy[kept].tobytes()
+    added = noisy - fix_rho(quiet, [])
+    assert added == pytest.approx(truth.noise[0], rel=0, abs=1e-6)
+
+
+@pytest.mark.parametrize("spacing_ms", [1, 1000])
+def test_noise_is_standard_normal_and_uncorrelated(spacing_ms):
+    """100,000 draws over 12,500 keys (1 ms apart, or 1 s as 1 Hz fixes
+    are) and 8 satellites. For the mean, the standard deviation, the
+    Kolmogorov-Smirnov distance to the normal CDF and the correlations
+    the tolerances are about 4.5 standard errors (1 / sqrt(N) for the mean
+    and each correlation, 1 / sqrt(2 N) for the standard deviation), and
+    1.95 / sqrt(N) for the KS distance (a 0.1% level)."""
+    engine = sh._Engine(replace(BASE, noise_sigma_m=1.0, seed=1))
+    keys = 900_000.0 + spacing_ms * np.arange(12_500.0)
+    z = sh._standard_normals(engine._noise_words, keys, engine.orbits.sat_id)
+    n = z.size
+    assert n >= 100_000
+    assert abs(z.mean()) < 4.5 / math.sqrt(n)
+    assert abs(z.std() - 1.0) < 4.5 / math.sqrt(2 * n)
+    ordered = np.sort(z.ravel())
+    cdf = np.array([0.5 * (1.0 + math.erf(x / math.sqrt(2.0))) for x in ordered.tolist()])
+    ks = max((np.arange(1, n + 1) / n - cdf).max(), (cdf - np.arange(n) / n).max())
+    assert ks < 1.95 / math.sqrt(n)
+    # Neighbouring keys of each satellite, and neighbouring satellites.
+    for a, b in ((z[:-1], z[1:]), (z[:, :-1], z[:, 1:])):
+        assert abs(np.corrcoef(a.ravel(), b.ravel())[0, 1]) < 4.5 / math.sqrt(a.size)
+
+
+@pytest.mark.parametrize("seed", [2**64 - 1, 2**64, 2**64 + 1, 2**100])
+def test_seeds_past_64_bits_draw_their_own_noise(seed):
+    """A seed of 2**64 or more keys the noise through SeedSequence, runs
+    without a warning, and draws noise no other of these seeds draws."""
+    config = replace(BASE, noise_sigma_m=5.0, seed=seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = sh.run_scenario(config)
+    assert all(math.isfinite(a.rms_2d_m) for a in report.arms.values())
+    times = [960.0 + k for k in range(20)]
+    noise = sh._Engine(config)._truth(times).noise.tobytes()
+    for other in (2**64 - 1, 2**64, 2**64 + 1, 2**100, seed % 2**64):
+        if other != seed:
+            assert sh._Engine(replace(config, seed=other))._truth(times).noise.tobytes() != noise
+
+
+def test_zero_noise_is_exact_zeros_without_hashing(monkeypatch):
+    def no_hashing(*args):
+        raise AssertionError("hashed with noise_sigma_m = 0")
+
+    monkeypatch.setattr(sh, "_mix64", no_hashing)
+    monkeypatch.setattr(sh, "_standard_normals", no_hashing)
+    engine = sh._Engine(replace(BASE, noise_sigma_m=0.0))
+    noise = engine._truth([960.0 + k for k in range(20)]).noise
+    assert noise.tobytes() == np.zeros((20, len(engine.sats))).tobytes()
+    assert sh.run_scenario(replace(BASE, noise_sigma_m=0.0, wake_run_s=30.0)).arms
+
+
+def _engine_state(engine) -> dict:
+    """Each attribute's identity, and the size or bytes of what it holds."""
+    state = {}
+    for name, value in vars(engine).items():
+        held = None
+        if isinstance(value, (dict, list, set, tuple)):
+            held = len(value)
+        elif isinstance(value, np.ndarray):
+            held = value.tobytes()
+        state[name] = (id(value), held)
+    return state
+
+
+def test_the_engine_keeps_no_per_epoch_state():
+    """Two 120 s wakes leave the engine as session one left it: the same
+    attributes, the same objects, holding as much as before."""
+    engine = sh._Engine(replace(BASE, noise_sigma_m=5.0, wake_run_s=120.0))
+    base, snapshot = engine.run_session_one()
+    before = _engine_state(engine)
+    for arm in (sh.ARM_ESTIMATOR, sh.ARM_HOTSTART):
+        report, _ = engine.run_wake(base, snapshot, arm, 60.0)
+        assert len(report.fixes) >= 119
+    assert _engine_state(engine) == before
 
 
 class TestClockBookkeeping:
@@ -799,8 +1033,16 @@ def test_truth_rows_equal_per_fix_truth(n_sats, vel, start, period, m):
 def test_sky_equals_per_fix_believed_positions(n_sats, vel, start, period, m, shift_bits, seed):
     """The believed-transmit positions tabulated once per truth table equal
     the per-fix rx_orbits[idx].positions cell for cell, and where a cell
-    is stale the fix raises the same StaleEphemerisError, text included."""
-    cfg = replace(BASE, satellites=_varied_validity_sats(n_sats), user_vel_ecef=vel)
+    is stale the fix raises the same StaleEphemerisError, text included.
+    The noise of the selected channels equals their cells drawn alone,
+    keyed by the clock at the row's time."""
+    cfg = replace(
+        BASE,
+        satellites=_varied_validity_sats(n_sats),
+        user_vel_ecef=vel,
+        noise_sigma_m=5.0,
+        seed=seed,
+    )
     engine = sh._Engine(cfg)
     state = sh._State(
         clock=engine.clock_at(0.0),
@@ -809,11 +1051,14 @@ def test_sky_equals_per_fix_believed_positions(n_sats, vel, start, period, m, sh
         rx_orbits=engine.orbits,
         label_shift_s=shift_bits * sh.BIT_S,
     )
-    truth = engine._truth([start + k * period for k in range(m)])
+    fix_times = [start + k * period for k in range(m)]
+    truth = engine._truth(fix_times)
     sky = engine._sky(state, truth)
     rng = np.random.default_rng(seed)
-    for row in range(m):
+    for row, t in enumerate(fix_times):
         idx = np.flatnonzero(rng.random(n_sats) < 0.7)
+        noise = _one_cell(engine, _clock_key(engine, t), engine.orbits.sat_id[idx])
+        assert sky.truth.noise[row, idx].tobytes() == noise.tobytes()
         times = truth.tx[row, idx] + state.label_shift_s
         try:
             expected = state.rx_orbits[idx].positions(engine.t0_abs + times)
@@ -911,6 +1156,7 @@ def test_ephemeris_timeline_equals_boundary_chain(start_tow_s, vel, t_label, bou
 # ref_run_wake is the wake as it ran before it became a plain sequence: one
 # time-ordered heap of lock, label, fix and sample events, ties broken by
 # kind (lock, label, fix, sample) and then by the order they were queued.
+# Each fix draws its own noise, keyed by the clock it reads.
 
 _REF_PRIORITY = {"lock": 0, "label": 1, "fix": 2, "sample": 3}
 
@@ -985,7 +1231,10 @@ def ref_run_wake(engine, base, snapshot, arm, off_duration_s):
                     sky = engine._sky(state, truth)
                 elif row == 0:
                     sky = engine._sky(state, engine._truth(grid[k : k + sh._TRUTH_ROWS]))
-                engine._fix(state, t_since, sky, row)
+                noise = sky.truth.noise.copy()
+                key = int(round(state.clock.elapsed_rx_s * 1000.0))
+                noise[row] = _one_cell(engine, key, engine.orbits.sat_id)
+                engine._fix(state, t_since, replace(sky, truth=replace(sky.truth, noise=noise)), row)
                 fix_t = state.t_rel
                 if k + 1 <= n_samples:
                     push(grid[k + 1], "fix", k + 1)
