@@ -22,6 +22,10 @@ wake labels by the estimate gate or the decode waits, fixes first and then
 at each later sample instant, and builds its samples. The receiver clock
 is read at each instant from zero time (_Engine.clock_at), so its bits
 depend only on the instant, and each session knows every fix time first.
+A session's instants (lock stages, decode-wait labels, the estimator's
+epsilon, fixes, samples) are whole nanoseconds of receiver time since its
+start, Python ints, so which of two comes first is decided on integers;
+only _Engine.true_time turns one into a time.
 
 All internal times are seconds relative to the scenario start; week-scale
 absolute floats would quantize transmit times to about 7.45 ns (2.2 m) at
@@ -203,6 +207,12 @@ class ScenarioConfig:
             {e.sat_id for e in self.satellites}
         ) != len(self.satellites):
             raise ScenarioError("satellites repeat a sat_id")
+        # Instants are whole ns: floats resolve them below ~2.1e6 s; a sample spans 1000+.
+        for name in ("off_duration_s", "wake_run_s"):
+            if getattr(self, name) > 1e6:
+                raise ScenarioError(f"{name} must not exceed 1e+06 s")
+        if self.sample_period_s < 1e-6:
+            raise ScenarioError("sample_period_s must be at least 1e-06 s")
 
 
 @dataclass(frozen=True)
@@ -256,8 +266,9 @@ def power_savings_ratio(off_duration_s: float, on_duration_s: float) -> float:
 class _State:
     """Everything that evolves during one session. A wake starts a new one
     from session one's end state and leaves that state as it was; its
-    fix times, truth and samples stay local to run_wake. clock is always
-    _Engine.clock_at(t_rel).
+    fix times, truth and samples stay local to run_wake. It starts at true
+    time t_start (0, or the wake time); ns is the instant it has reached,
+    t_rel its true time and clock always _Engine.clock_at(t_rel).
 
     Channels are rows in sat_id order, the order of _Engine.sats; anchor
     is the row of the clock-offset anchor.
@@ -268,8 +279,8 @@ class _State:
     the solved fixes that wait for it are those of one table at most.
     """
 
+    t_start: float
     clock: ReceiverClockState
-    t_rel: float
     locks: list[rcv.LockState]
     # Set by session one's first label or an accepted estimate; a wake that
     # decodes its labels leaves it to its first fix.
@@ -292,8 +303,11 @@ class _State:
     # receiver assumes (flat until a fix solves it).
     labeled: np.ndarray = field(init=False)
     assumed_delay_s: np.ndarray = field(init=False)
+    ns: int = field(default=0, init=False)
+    t_rel: float = field(init=False)
 
     def __post_init__(self) -> None:
+        self.t_rel = self.t_start
         self.labeled = np.zeros(len(self.locks), bool)
         self.assumed_delay_s = np.full(len(self.locks), DEFAULT_PROPAGATION_DELAY_S)
 
@@ -490,9 +504,10 @@ class _Engine:
     def _scale(self) -> float:
         return 1.0 + self.config.rtc_ppm * 1e-6
 
-    def t_of_r(self, r: float) -> float:
-        """True time at which receiver elapsed time reaches r."""
-        return r / self._scale()
+    def true_time(self, st: _State, ns: int | np.ndarray):
+        """The true time of the session's instant ns (an int or int array):
+        its start plus the time its clock takes to run ns nanoseconds."""
+        return st.t_start + ns / 1e9 / self._scale()
 
     def clock_at(self, t_rel: float) -> ReceiverClockState:
         """The receiver clock at t_rel, advanced from zero time in one step,
@@ -504,47 +519,47 @@ class _Engine:
         clock.advance(t_rel)
         return clock
 
-    def advance_to_t(self, st: _State, t_rel: float) -> None:
-        """Advance the session to t_rel. Only a misordered session can ask
-        for a time in the past, so that is a bug, not a scenario error."""
-        if t_rel - st.t_rel < -1e-9:
-            raise RuntimeError(f"t={t_rel} s is before the session's t={st.t_rel} s")
-        if t_rel > st.t_rel:
-            st.t_rel = t_rel
-            st.clock = self.clock_at(t_rel)
+    def advance_to(self, st: _State, ns: int) -> None:
+        """Advance the session to its instant ns. Only a misordered session
+        can ask for an earlier one, so that is a bug, not a scenario error."""
+        if ns < st.ns:
+            raise RuntimeError(f"instant {ns} ns is before the session's {st.ns} ns")
+        if ns > st.ns:
+            st.ns = ns
+            st.t_rel = self.true_time(st, ns)
+            st.clock = self.clock_at(st.t_rel)
 
     # --- steps both sessions take --------------------------------------------
 
-    def _acquire(self, st: _State) -> float:
+    def _acquire(self, st: _State) -> int:
         """Lock code, carrier and bit on every channel, acquiring from now;
-        returns the receiver elapsed time of bit lock as the latencies sum
-        to it, which can differ in the last bit from the clock read there."""
-        r = st.clock.elapsed_rx_s
+        returns the instant of bit lock, the sum of the rounded latencies."""
+        ns = st.ns
         for stage in ("code", "carrier", "bit"):
-            r += getattr(self.config, f"{stage}_s")
-            self.advance_to_t(st, self.t_of_r(r))
+            ns += round(getattr(self.config, f"{stage}_s") * 1e9)
+            self.advance_to(st, ns)
             self._step_locks(st, stage)
-        return r
+        return ns
 
     def _step_locks(self, st: _State, stage: str) -> None:
         event = rcv.LockEvent(stage, st.clock.elapsed_rx_s)
         st.locks = [lock.step(event) for lock in st.locks]
 
-    def _decoded_labels(self, st: _State, r_bit: float) -> list[tuple[float, int, float]]:
+    def _decoded_labels(self, st: _State) -> list[tuple[int, int, float]]:
         """Each channel's label when it has decoded a preamble and handover
-        word, bit-locked now at receiver time r_bit: (true time, row, wait
-        in receiver seconds), in (time, row) order."""
+        word, bit-locked now: (instant, row, wait in receiver seconds), in
+        (instant, row) order."""
         labels = []
         for row, s in enumerate(self.transmit_times(st.t_rel).tolist()):
             _, _, word, bit, _ = self.decomp(s)
             wait = rcv.hotstart_frame_lock_delay(word, bit)
-            labels.append((self.t_of_r(r_bit + wait), row, wait))
+            labels.append((st.ns + round(wait * 1e9), row, wait))
         return sorted(labels)
 
-    def _label(self, st: _State, t_rel: float, row: int) -> int:
-        """Frame-lock one channel on its preamble at t_rel; returns how many
-        are labeled. The first labeled becomes the clock-offset anchor."""
-        self.advance_to_t(st, t_rel)
+    def _label(self, st: _State, ns: int, row: int) -> int:
+        """Frame-lock one channel on its preamble at instant ns; returns how
+        many are labeled. The first labeled becomes the clock-offset anchor."""
+        self.advance_to(st, ns)
         st.locks[row] = st.locks[row].step(rcv.LockEvent("preamble", st.clock.elapsed_rx_s))
         st.labeled[row] = True
         n = int(np.count_nonzero(st.labeled))
@@ -634,28 +649,28 @@ class _Engine:
         self._refine_rco(st, s_anchor)
         st.solved.append((t_since_wake, position, sky.truth.user[row], sol))
 
-    def _fixes(self, st: _State, times: list, labels: list, r_start: float) -> Iterator[None]:
-        """Fix at each of times, each after the labels due at or before it,
-        then run the labels after the last; yields after each fix, so the
-        caller can read the session there. labels are _decoded_labels rows,
-        which this takes off the list as it runs them. Each fix records its
-        receiver time since r_start. Truth comes in tables of up to
-        _TRUTH_ROWS rows, each made when its first row is reached, and the
-        fixes of one table become records before the next is made."""
-        for start in range(0, len(times), _TRUTH_ROWS):
+    def _fixes(self, st: _State, instants: list[int], labels: list) -> Iterator[None]:
+        """Fix at each of instants, each after the labels due at or before
+        it, then run the labels after the last; yields after each fix, so
+        the caller can read the session there. labels are _decoded_labels
+        rows, which this takes off the list as it runs them. Truth comes in
+        tables of up to _TRUTH_ROWS rows, each made when its first row is
+        reached, and the fixes of one table become records before the next
+        is made."""
+        for start in range(0, len(instants), _TRUTH_ROWS):
             st.record_fixes()
-            block = times[start : start + _TRUTH_ROWS]
-            sky = self._sky(st, self._truth(block))
-            for row, t in enumerate(block):
-                while labels and labels[0][0] <= t:
-                    t_label, channel, _ = labels.pop(0)
-                    self._label(st, t_label, channel)
-                self.advance_to_t(st, t)
-                self._fix(st, st.clock.elapsed_rx_s - r_start, sky, row)
+            block = instants[start : start + _TRUTH_ROWS]
+            sky = self._sky(st, self._truth(self.true_time(st, np.array(block))))
+            for row, ns in enumerate(block):
+                while labels and labels[0][0] <= ns:
+                    ns_label, channel, _ = labels.pop(0)
+                    self._label(st, ns_label, channel)
+                self.advance_to(st, ns)
+                self._fix(st, ns / 1e9, sky, row)
                 yield
         # Labels after the last fix still move the clock rco_error_s reads.
-        for t_label, channel, _ in labels:
-            self._label(st, t_label, channel)
+        for ns_label, channel, _ in labels:
+            self._label(st, ns_label, channel)
 
     # --- session one --------------------------------------------------------
 
@@ -664,20 +679,19 @@ class _Engine:
         collecting its ephemeris there; fix at 1 Hz, each fix recording its
         receiver time since power-on; take the snapshot."""
         cfg = self.config
-        st = _State(
-            clock=self.clock_at(0.0), t_rel=0.0, locks=[rcv.LockState()] * len(self.sats)
-        )
+        st = _State(0.0, self.clock_at(0.0), locks=[rcv.LockState()] * len(self.sats))
         # Per channel row: (signal time its ephemeris ends, decoded ephemeris).
         collected = [None] * len(self.sats)
         with _simulating(st):
-            labels = self._decoded_labels(st, self._acquire(st))
+            self._acquire(st)
+            labels = self._decoded_labels(st)
             # Each channel's transmit time at its label, the session's time
             # there, in one pass: the labels hold every row once.
-            t_label = np.empty(len(self.sats))
-            t_label[[row for _, row, _ in labels]] = [t for t, _, _ in labels]
-            s_label = self.transmit_times(t_label).tolist()
-            for t, row, _ in labels:
-                n_labeled = self._label(st, t, row)
+            ns_label = np.empty(len(self.sats), np.int64)
+            ns_label[[row for _, row, _ in labels]] = [ns for ns, _, _ in labels]
+            s_label = self.transmit_times(self.true_time(st, ns_label)).tolist()
+            for ns, row, _ in labels:
+                n_labeled = self._label(st, ns, row)
                 s = s_label[row]
                 if n_labeled == 1:
                     # Session one labels from decoded words: no shift to add.
@@ -686,16 +700,13 @@ class _Engine:
                 collected[row] = self._collect_ephemeris(self.sats[row], s)
             s_done, eph_rx = zip(*collected)
             st.rx_orbits = cst.Orbits.of(eph_rx)
-            self.advance_to_t(st, self.receive_times(np.array(s_done)).max().item())
-
-            # 1 Hz fixes from the next whole receiver second, every ephemeris
-            # in; power-off comes session1_extra_s after the first.
-            times = [self.t_of_r(math.floor(st.clock.elapsed_rx_s) + 1.0)]
-            off_r = self.clock_at(times[0]).elapsed_rx_s + cfg.session1_extra_s
-            while (r := self.clock_at(times[-1]).elapsed_rx_s + 1.0) < off_r - 1e-9:
-                times.append(self.t_of_r(r))
-            rco_errors = [self.rco_error_s(st) for _ in self._fixes(st, times, [], 0.0)]
-            self.advance_to_t(st, self.t_of_r(off_r))
+            t_done = self.receive_times(np.array(s_done)).max().item()
+            # 1 Hz fixes at whole receiver seconds from the next one after every
+            # ephemeris is in; power-off comes session1_extra_s after the first.
+            first = (math.floor(self.clock_at(t_done).elapsed_rx_s) + 1) * 10**9
+            fixes = [first + j * 10**9 for j in range(max(1, math.ceil(cfg.session1_extra_s)))]
+            rco_errors = [self.rco_error_s(st) for _ in self._fixes(st, fixes, [])]
+            self.advance_to(st, first + round(cfg.session1_extra_s * 1e9))
             snapshot = self._take_snapshot(st)
         st.diagnostics["s1_rco_refined_err_s"] = self.rco_error_s(st)
         if len(rco_errors) >= 2:
@@ -768,10 +779,10 @@ class _Engine:
         one arm; returns its report and its diagnostics. base is left as it
         was, so any number of wakes can start from it."""
         cfg = self.config
+        t_wake = base.t_rel + off_duration_s
         st = _State(
-            # Never written in place: advance_to_t rebinds it.
-            clock=base.clock,
-            t_rel=base.t_rel,
+            t_start=t_wake,
+            clock=self.clock_at(t_wake),
             # The receiver re-acquires every channel after the sleep.
             locks=[rcv.LockState()] * len(self.sats),
             anchor=base.anchor,
@@ -779,56 +790,45 @@ class _Engine:
             # Rebound, never written in place, by each fix.
             last_known=base.last_known,
         )
-        self.advance_to_t(st, base.t_rel + off_duration_s)
-
-        r_wake = st.clock.elapsed_rx_s
+        period = round(cfg.sample_period_s * 1e9)
         n_samples = int(round(cfg.wake_run_s / cfg.sample_period_s))
-        grid = [self.t_of_r(r_wake + k * cfg.sample_period_s) for k in range(n_samples + 1)]
         labels = []
         used_estimate = False
         label_shift_bits = 0
         hotstart_delay: float | None = None
         with _simulating(st):
-            self._acquire(st)
-            # A wake counts from its clock at bit lock, not the latencies' sum.
-            r_bit = st.clock.elapsed_rx_s
+            bit = self._acquire(st)
             if arm == ARM_ESTIMATOR:
                 used_estimate, label_shift_bits = self._try_estimate(st, snapshot)
             # The first fix: one epsilon after bit lock for an accepted
             # estimate, else at the fourth label.
             if used_estimate:
-                t_first = self.t_of_r(r_bit + cfg.estimator_epsilon_s)
+                first = bit + round(cfg.estimator_epsilon_s * 1e9)
             else:
-                labels = self._decoded_labels(st, r_bit)
-                t_first, _, hotstart_delay = labels[3]
-            if t_first > grid[-1]:
+                labels = self._decoded_labels(st)
+                first, _, hotstart_delay = labels[3]
+            if first > n_samples * period:
                 raise ScenarioError("wake session produced no fix inside wake_run_s")
-            # t_of_r can put t_first an ulp before the session's time: the
-            # first fix is then solved at the session's time, and every
-            # sample from t_first on still sees it.
-            t_fix = max(st.t_rel, t_first)
-            ttff = self.clock_at(t_fix).elapsed_rx_s - r_wake
-            # Then one fix at each later sample instant; k is the sample at
-            # or before the first fix, by the receiver's clock.
-            k = math.floor(ttff / cfg.sample_period_s)
-            for _ in self._fixes(st, [t_fix, *grid[k + 1 :]], labels, r_wake):
+            # Then one fix at each later sample instant; sample k is the one
+            # at or before the first fix.
+            k = first // period
+            instants = [first, *range((k + 1) * period, n_samples * period + 1, period)]
+            for _ in self._fixes(st, instants, labels):
                 pass
-        # A sample from the first fix on reads the errors of fix i - k, which
-        # fell on it (or of the first fix, which float noise can put just
-        # before sample k); the ones before it read session one's position,
-        # all in one call on their rows.
+        # The samples before the first fix read session one's position, all
+        # in one call on their rows; sample i from the first fix on reads
+        # fix i - k, which fell on it (the first fix, if on sample k).
+        n_before = -(-first // period)
+        t_before = self.true_time(st, np.arange(n_before)[:, None] * period)
+        east, north, _ = pvt.enu_errors(base.last_known, self.user_pos(t_before))
         fixes = st.fixes
-        before = np.array([t for t in grid if t < t_first])
-        east, north, _ = pvt.enu_errors(base.last_known, self.user_pos(before[:, None]))
-        before_errors = [*zip(east.tolist(), north.tolist())]
-        samples = []
-        for i, t in enumerate(grid):
-            if t >= t_first:
-                fix = fixes[max(i - k, 0)]
-                e, n = fix.err_east_m, fix.err_north_m
-            else:
-                e, n = before_errors[i]
-            samples.append(Sample(i * cfg.sample_period_s, t >= t_first, e, n, math.hypot(e, n)))
+        errors = [*zip(east.tolist(), north.tolist())]
+        errors += [(f.err_east_m, f.err_north_m) for f in fixes[n_before - k :]]
+        samples = [
+            Sample(i * cfg.sample_period_s, i >= n_before, e, n, math.hypot(e, n))
+            for i, (e, n) in enumerate(errors)
+        ]
+        ttff = first / 1e9
         report = ArmReport(
             arm=arm,
             time_to_first_fix_s=ttff,

@@ -18,9 +18,12 @@ It prints, per field, the largest |delta| between the two trees where both
 ran the scenario to the same shape of report (sample errors, time to first
 fix, power ratio, RMS error, hotstart delay, each diagnostic) and each
 side's mean rms_2d_m, per part of the corpus and over all of it. Then it
-lists every discrete change by scenario: an error text (or an error on one
-side only), the arms, an arm's fix count, a sample's fix_valid, and
-used_estimate. It exits 1 when it finds a discrete change, else 0.
+lists, by name, each scenario with no discrete change whose largest sample
+|delta| exceeds MOVED_M (pvt.solve's 1e-4 m tolerance), such as a fix that
+now sees another set of channels, and every discrete change by scenario:
+an error text (or an error on one side only), the arms, an arm's fix
+count, a sample's fix_valid, and used_estimate. It exits 1 when it finds a
+discrete change, else 0.
 """
 from __future__ import annotations
 
@@ -39,6 +42,8 @@ FUZZ_SCENARIOS = 200
 FUZZ_SEED = 2015
 ARM_FIELDS = ("time_to_first_fix_s", "power_ratio", "rms_2d_m", "hotstart_delay_s")
 SAMPLE_FIELDS = ("err_east_m", "err_north_m", "err_2d_m")
+# pvt.solve's tolerance: a sample moved further than this is listed by name.
+MOVED_M = 1e-4
 
 
 # --- the corpus ----------------------------------------------------------------
@@ -163,6 +168,8 @@ class Diff:
         self.items = items
         self.fields: dict[str, list] = {}
         self.discrete: list[tuple[str, str]] = []
+        # (scenario, largest sample |delta|) past MOVED_M, no discrete change.
+        self.moved: list[tuple[str, float]] = []
         self.both_ran = self.both_rejected = 0
         for item, p, c in zip(items, parent, change):
             self._scenario(item["name"], p, c)
@@ -180,6 +187,7 @@ class Diff:
                 self.both_rejected += 1
             return
         self.both_ran += 1
+        n_discrete = len(self.discrete)
         if sorted(p["arms"]) != sorted(c["arms"]):
             self.discrete.append((name, f"arms {sorted(p['arms'])} -> {sorted(c['arms'])}"))
             return
@@ -204,6 +212,12 @@ class Diff:
                 self.discrete.append((name, f"diagnostic {key} only on one side"))
             else:
                 deltas[f"diagnostic {key}"] = [_delta(pd[key], cd[key])]
+        worst_sample = max(
+            (max(v, default=0.0) for f, v in deltas.items() if f.startswith("sample ")),
+            default=0.0,
+        )
+        if worst_sample > MOVED_M and len(self.discrete) == n_discrete:
+            self.moved.append((name, worst_sample))
         # Per field: the largest |delta|, the scenarios where it is not 0
         # and the one where it is largest.
         for field, values in deltas.items():
@@ -245,6 +259,8 @@ class Diff:
         lines += ["", f"{'mean rms_2d_m':<40} {'parent':>12} {'change':>12}"]
         for part, (p, c) in self.means.items():
             lines.append(f"{part:<40} {p:>12.6f} {c:>12.6f}")
+        lines += ["", f"moved past {MOVED_M:g} m with no discrete change: {len(self.moved)}"]
+        lines += [f"  {name}: largest sample |delta| {worst:.6g} m" for name, worst in self.moved]
         lines += ["", f"discrete changes: {len(self.discrete)}"]
         lines += [f"  {name}: {what}" for name, what in self.discrete]
         return "\n".join(lines)

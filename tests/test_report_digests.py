@@ -66,25 +66,25 @@ GRID = {
 }
 
 DIGESTS = {
-    "default": "29f3195a98eb970df1abc3ad2bbd5a7c0673a7b755e3e68b556bd4ada91335ae",
-    "estimator_0.5ppm_60s": "1f46b55c9db9d461337d21a34685f408a3da4f06f6afbba07cbeefa04c2d405a",
-    "hotstart_30ppm_0s": "78d24a4bebcd34f6a7c37507283840a3bcd1427ecf4b3e87fc3be8b4427baeab",
-    "fallback_1500s": "2fe4ecad45d7baf2e08528d57de7336a6086b33440ac4845ca6fa561fd3da2de",
-    "moving_user": "353743f6f52d0eaff7a1bf44f5a9e4d27faf44563dd4e6a967cc4d638bcb6545",
-    "wake_run_120s": "1b24684c4602106b68e803a47ec6ca8cfdb20de491a32d6506adb1cf2bf4d6d8",
-    "snapshot_file": "8167873aa9241bcd90c2f09a145047fc4c4a1eefb587b92cef4d1537685b9129",
-    "week_end_604600_600": "2a6492d70237939bc65eb514b9b9bc68840d572862b50b724914884e2e158f8e",
-    "explicit_masked": "ac53b6f9e3bba7a96273470feb5d11dc81410c43b26cdfd98f7e1fe923bbe03d",
-    "n_sats_4": "e7ce7355f8d297ed6860a9e0086644b815bcf982f276594b0a0ebb6a58fac852",
-    "n_sats_32": "0211f249e853ac70e58a4a20c5b4751d7a41c41d4f176299dff7562e7cdcce0b",
-    "zero_noise": "d089e0745167aaeb8f0eba830000a376c46e6039e1a7afdaea7abbed475f0b29",
-    "changing_selection": "c9c848fc872a6b2555ab5d2215a79379a983b0f768ca8d95f66b95d3fdafbd7a",
-    "zero_latency": "db3d49826af296b0fa943f6073ef01415064daee3d7a2fea6a78e413d32705d2",
-    "quarter_second_samples": "1e69eba02621b4aa1859c94909f7c2366a91626c8412924f76d4381ddd65bd26",
-    "labels_outlive_wake": "cacc21f24cb6ed456a3baf36a203eaf9cacfa2f53a491a18b65b0966b83fc2f4",
-    "labels_straddle_bit": "8c2ce20936b18d57d0b12552cee996524a6e314533e67c696717d83b9c9f6091",
-    "week_end_session_one": "74bac3e95ebe6d914ca77d8cae64cdf47c963c977494f21f9934a4533b4580dd",
-    "single_session_one_fix": "0b5f5dc655de94bf58804f6ab7a19e3598740361304a55b7954f2ed4dfdc0df4",
+    "default": "1f522694648ef5fb72ae68440895929f1e894e0f45768ae32c72071f32805b72",
+    "estimator_0.5ppm_60s": "751439b20386a9981a059b00a1cf03931b6e6b1a37478602901e78a8e0c24954",
+    "hotstart_30ppm_0s": "3811872aaf735fad72cbc35f0c3761acc6794953c03d134f80c7b280e6e45f1c",
+    "fallback_1500s": "a4e1211619c0aba0780ee52dec82e500f7136e1de58cd52d11da996aeeff7f67",
+    "moving_user": "a289bc46419631899ed829f9f68704c69538b31f9d4c4980fd18089d53356cdd",
+    "wake_run_120s": "8bd0f9794fdf7284eccb04f141d30215353b476127f77fc6fe06272cf4b8f217",
+    "snapshot_file": "60a46aa5888e2746141debf71d5bb912123f9055e03e1235df995bd7c02bfc46",
+    "week_end_604600_600": "3738a0abb3155d08232e7d382fbadd8366fca3a948ae22aab0a97719f676ef63",
+    "explicit_masked": "b271e218a724c416a9b679688d303185ae2c180d2430990c05779ffc7df7da64",
+    "n_sats_4": "9098ec3282126117bcec7a94841531b6a6c7e0a5d182ff92c95bad8e422a5b1e",
+    "n_sats_32": "3bc3123ac74c7e3984d1c99a81ae5404d4f8f32821c62623bd596184941a5728",
+    "zero_noise": "4bb4a1519d1db5038ccc40e66491eb997edb82f49c6ade24137b1aaa7766cdc1",
+    "changing_selection": "9399d50c46a3be773304ea548a0b56ece60b3c77cd4a7927fdd432882d848cde",
+    "zero_latency": "1b91024f195dfe8185e4980d5a80c39c25b7388c43ff6242f52b6973f1d3601a",
+    "quarter_second_samples": "e82d3fe25dcca5344d0ddacb505567be33ea43dd96b9b1e83995ab663d1673be",
+    "labels_outlive_wake": "0fd39cbf4766a98891d2b9a0e9dd80e84102f87fc642d4e9bca1a76fef56227a",
+    "labels_straddle_bit": "783a4ddda58eee8492769e3863a429918448bb0ebf27374519840615461becca",
+    "week_end_session_one": "5037dcd3d277db258fc6e8d6938f97726be93ded40ec3fa49d0c1eaf8a4bcfc4",
+    "single_session_one_fix": "4b8b495f5a82b1319800b3532bfa43f803388ac762ea1e7992f24c65fa7e18f9",
 }
 
 

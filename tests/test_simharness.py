@@ -305,6 +305,56 @@ def test_first_fix_does_not_depend_on_the_sample_period(rtc_ppm, seed, sleep_s):
     assert all(len(reprs) == 1 for reprs in firsts.values())
 
 
+def test_no_wake_makes_two_fixes_at_one_sample():
+    """500 hotstart wakes from one session one, sleeps 900 + 0.013 i s. Each
+    fixes at its first fix and then once at each later sample, so no two
+    fixes lie within 1 us and the count is n_samples - k + 1, k the sample
+    at or before the first fix, however near a sample that fix lands."""
+    config = sh.ScenarioConfig(noise_sigma_m=0.0, arms=sh.ARM_HOTSTART)
+    engine = sh._Engine(config)
+    base, snapshot = engine.run_session_one()
+    n_samples = round(config.wake_run_s / config.sample_period_s)
+    period = round(config.sample_period_s * 1e9)
+    bad = []
+    for i in range(500):
+        report, _ = engine.run_wake(base, snapshot, sh.ARM_HOTSTART, 900.0 + 0.013 * i)
+        first = round(report.time_to_first_fix_s * 1e9)
+        times = [f.t_since_wake_s for f in report.fixes]
+        if len(times) != n_samples - first // period + 1 or min(np.diff(times)) < 1e-6:
+            bad.append(i)
+    assert bad == []
+
+
+def test_a_label_due_at_a_fix_is_taken_before_it(monkeypatch):
+    """With 20 ms samples every decode wait ends on a sample instant, so
+    labels fall on the instants of fixes. Each is taken first, and that
+    fix solves with its channel."""
+    events = []
+    label, fix = sh._Engine._label, sh._Engine._fix
+
+    def recording_label(self, st, ns, row):
+        events.append((ns, "label", row))
+        return label(self, st, ns, row)
+
+    def recording_fix(self, st, t_since_wake, sky, row):
+        events.append((st.ns, "fix", int(np.count_nonzero(st.labeled))))
+        return fix(self, st, t_since_wake, sky, row)
+
+    config = replace(BASE, arms=sh.ARM_HOTSTART, sample_period_s=0.02, wake_run_s=8.0)
+    engine = sh._Engine(config)
+    base, snapshot = engine.run_session_one()
+    monkeypatch.setattr(sh._Engine, "_label", recording_label)
+    monkeypatch.setattr(sh._Engine, "_fix", recording_fix)
+    engine.run_wake(base, snapshot, sh.ARM_HOTSTART, 60.0)
+    fixes = {ns: n_labeled for ns, kind, n_labeled in events if kind == "fix"}
+    labels = [ns for ns, kind, _ in events if kind == "label"]
+    shared = [ns for ns in labels if ns in fixes]
+    assert len(labels) == len(engine.sats) and len(shared) >= 5
+    assert events == sorted(events, key=lambda e: (e[0], e[1] == "fix"))
+    for ns in shared:
+        assert fixes[ns] == sum(other <= ns for other in labels)
+
+
 def test_failed_wake_leaves_nothing_for_the_next():
     """Satellite 3's ephemeris runs out during a wake after a 900 s sleep.
     A 60 s sleep woken next from the same session one is unaffected."""
@@ -321,15 +371,20 @@ def test_failed_wake_leaves_nothing_for_the_next():
 
 
 def test_advancing_into_the_past_is_a_bug():
-    """Only a misordered session asks for an earlier time: that raises a
-    RuntimeError, which no scenario check accepts as a rejection. A time
-    one ulp early is float noise and leaves the state as it was."""
+    """Only a misordered session asks for an earlier instant, even by 1 ns:
+    that raises a RuntimeError, which no scenario check accepts as a
+    rejection, and leaves the state as it was. The same instant again is
+    no step at all."""
     engine = sh._Engine(BASE)
-    state = SimpleNamespace(t_rel=100.0, clock=sh.ReceiverClockState(engine.t0_gps))
-    with pytest.raises(RuntimeError, match="before"):
-        engine.advance_to_t(state, 100.0 - 1e-3)
-    engine.advance_to_t(state, np.nextafter(100.0, 0.0))
-    assert state.t_rel == 100.0 and state.clock.elapsed_rx_s == 0.0
+    state = sh._State(100.0, engine.clock_at(100.0), locks=[])
+    engine.advance_to(state, 10**9)
+    before = (state.ns, state.t_rel, state.clock)
+    for earlier in (10**9 - 1, 0):
+        with pytest.raises(RuntimeError, match="before"):
+            engine.advance_to(state, earlier)
+    engine.advance_to(state, 10**9)
+    assert (state.ns, state.t_rel, state.clock) == before
+    assert state.t_rel == engine.true_time(state, 10**9) == 100.0 + 1.0 / engine._scale()
 
 
 @pytest.mark.parametrize("start_tow_s", [5.999999, 6.0, 604799.9])
@@ -407,7 +462,17 @@ def test_session_one_fixes_fall_on_whole_receiver_seconds(monkeypatch, overrides
     r_done = engine.clock_at(t_done.max().item()).elapsed_rx_s
     first = math.floor(r_done) + 1
     assert len(times) == 5 and first - 1 <= r_done < first
-    assert times == pytest.approx([first + i for i in range(5)], rel=0, abs=1e-9)
+    assert times == [first + i for i in range(5)]
+
+
+@pytest.mark.parametrize("extra_s,n_fixes", [(0.0, 1), (1e-9, 1), (2.5, 3), (3.0, 3), (3.2, 4)])
+def test_session_one_fixes_until_power_off(extra_s, n_fixes):
+    """Session one fixes at the whole receiver seconds before its power-off
+    (one at least), which comes session1_extra_s after the first fix."""
+    base, _ = sh._Engine(replace(BASE, session1_extra_s=extra_s)).run_session_one()
+    first = base.fixes[0].t_since_wake_s
+    assert [f.t_since_wake_s for f in base.fixes] == [first + j for j in range(n_fixes)]
+    assert base.ns == round(first * 1e9) + round(extra_s * 1e9)
 
 
 @pytest.mark.parametrize(
@@ -518,18 +583,58 @@ def test_noise_keys_past_float_range_are_inf_without_a_warning():
     assert np.isfinite(z).all()
 
 
+_SLEEP_BOUND = "off_duration_s must not exceed 1e+06 s"
+
+
 @pytest.mark.parametrize(
-    "off_duration_s,arms", [(1e300, "both"), (1.8698939612971745e305, "hotstart")]
+    "overrides,message",
+    [
+        # A sleep that ended in the stale-ephemeris error at a key past
+        # float range, and one whose RTC count overflowed to inf (an
+        # OverflowError from rtc_count).
+        pytest.param(dict(off_duration_s=1e300), _SLEEP_BOUND, id="sleep_1e300"),
+        pytest.param(
+            dict(off_duration_s=1.87e305, arms="hotstart"), _SLEEP_BOUND, id="sleep_1.87e305"
+        ),
+        pytest.param(dict(off_duration_s=1e305), _SLEEP_BOUND, id="sleep_1e305"),
+        # A wake whose orbits came out NaN, with numpy RuntimeWarnings.
+        pytest.param(
+            dict(wake_run_s=1.5e308, sample_period_s=1e308),
+            "wake_run_s must not exceed 1e+06 s",
+            id="wake_1.5e308",
+        ),
+        # A sample period that rounds to a step of 0 ns.
+        pytest.param(
+            dict(code_s=0.0, carrier_s=0.0, bit_s=0.0, sample_period_s=1e-10, wake_run_s=1e-6),
+            "sample_period_s must be at least 1e-06 s",
+            id="period_1e-10",
+        ),
+    ],
 )
-def test_a_huge_sleep_ends_in_the_stale_ephemeris_error(off_duration_s, arms):
-    """The wake's truth table is drawn at ~1e303 ms keys, or at inf keys
-    past float range, without a warning; its first fix then meets the
-    stale decoded ephemeris."""
-    config = sh.ScenarioConfig(off_duration_s=off_duration_s, arms=arms, noise_sigma_m=5.0)
+def test_times_past_the_instants_range_are_rejected(overrides, message):
+    """Session times stay below ~2.1e6 s, where a float still resolves the
+    1 ns of an instant, and a sample period spans 1000 instants at least:
+    the validator rejects anything else with a ScenarioError naming the
+    field, and nothing warns."""
+    config = sh.ScenarioConfig(noise_sigma_m=5.0, **overrides)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(sh.ScenarioError, match="^stale ephemeris while simulating t=1"):
+        with pytest.raises(sh.ScenarioError, match=f"^{re.escape(message)}$"):
             sh.run_scenario(config)
+
+
+def test_the_instants_range_ends_at_its_bounds():
+    """1e6 s of sleep or wake and a 1 us sample period pass; one ulp past
+    either is rejected."""
+    for field, value, step, others in (
+        ("off_duration_s", 1e6, math.inf, {}),
+        ("wake_run_s", 1e6, math.inf, dict(sample_period_s=100.0)),
+        ("sample_period_s", 1e-6, 0.0, dict(wake_run_s=0.01)),
+    ):
+        replace(BASE, **others, **{field: value}).validate()
+        config = replace(BASE, **others, **{field: np.nextafter(value, step)})
+        with pytest.raises(sh.ScenarioError, match=f"^{field} must"):
+            config.validate()
 
 
 @pytest.mark.parametrize("rows", [sh._TRUTH_ROWS, 7])
@@ -574,8 +679,8 @@ def test_a_fix_reads_noise_by_channel(monkeypatch):
     a channel left out of the selection leaves the others' unchanged."""
     engine = sh._Engine(replace(BASE, noise_sigma_m=5.0, seed=4))
     base, _ = engine.run_session_one()
-    t = base.t_rel + 1.0
-    truth = engine._truth([t])
+    ns = base.ns + 10**9
+    truth = engine._truth([engine.true_time(base, ns)])
     quiet = replace(truth, noise=np.zeros_like(truth.noise))
     solve = pvt.solve
     rhos = []
@@ -589,7 +694,7 @@ def test_a_fix_reads_noise_by_channel(monkeypatch):
     def fix_rho(table, dropped):
         st = copy.deepcopy(base)
         st.labeled[dropped] = False
-        engine.advance_to_t(st, t)
+        engine.advance_to(st, ns)
         engine._fix(st, 0.0, engine._sky(st, table), 0)
         return rhos[-1]
 
@@ -1045,8 +1150,8 @@ def test_sky_equals_per_fix_believed_positions(n_sats, vel, start, period, m, sh
     )
     engine = sh._Engine(cfg)
     state = sh._State(
+        t_start=0.0,
         clock=engine.clock_at(0.0),
-        t_rel=0.0,
         locks=[rcv.LockState()] * n_sats,
         rx_orbits=engine.orbits,
         label_shift_s=shift_bits * sh.BIT_S,
@@ -1154,9 +1259,10 @@ def test_ephemeris_timeline_equals_boundary_chain(start_tow_s, vel, t_label, bou
 
 # --- the wake's sequence against its event queue -----------------------------------
 # ref_run_wake is the wake as it ran before it became a plain sequence: one
-# time-ordered heap of lock, label, fix and sample events, ties broken by
-# kind (lock, label, fix, sample) and then by the order they were queued.
-# Each fix draws its own noise, keyed by the clock it reads.
+# heap of lock, label, fix and sample events ordered by their integer
+# instants, ties broken by kind (lock, label, fix, sample) and then by the
+# order they were queued. Each fix draws its own noise, keyed by the clock it
+# reads.
 
 _REF_PRIORITY = {"lock": 0, "label": 1, "fix": 2, "sample": 3}
 
@@ -1164,82 +1270,82 @@ _REF_PRIORITY = {"lock": 0, "label": 1, "fix": 2, "sample": 3}
 def ref_run_wake(engine, base, snapshot, arm, off_duration_s):
     """_Engine.run_wake as an event loop: (ArmReport, diagnostics)."""
     cfg = engine.config
+    t_wake = base.t_rel + off_duration_s
     state = sh._State(
-        clock=base.clock,
-        t_rel=base.t_rel,
+        t_start=t_wake,
+        clock=engine.clock_at(t_wake),
         locks=[rcv.LockState()] * len(engine.sats),
         anchor=base.anchor,
         rx_orbits=base.rx_orbits,
         last_known=base.last_known,
     )
-    engine.advance_to_t(state, base.t_rel + off_duration_s)
-
-    r_wake = state.clock.elapsed_rx_s
+    period = round(cfg.sample_period_s * 1e9)
     n_samples = int(round(cfg.wake_run_s / cfg.sample_period_s))
-    grid = [engine.t_of_r(r_wake + k * cfg.sample_period_s) for k in range(n_samples + 1)]
+    grid = [k * period for k in range(n_samples + 1)]
     queue = []
     seq = itertools.count()
 
-    def push(t_rel, kind, data=None):
-        heapq.heappush(queue, (t_rel, _REF_PRIORITY[kind], next(seq), kind, data))
+    def push(ns, kind, data=None):
+        heapq.heappush(queue, (ns, _REF_PRIORITY[kind], next(seq), kind, data))
 
-    # Each lock stage at the receiver time its latency adds up to.
-    r = state.clock.elapsed_rx_s
+    def truth(instants):
+        return engine._sky(state, engine._truth(engine.true_time(state, np.array(instants))))
+
+    # Each lock stage at the instant its rounded latency adds up to.
+    ns = 0
     for stage, latency in (("code", cfg.code_s), ("carrier", cfg.carrier_s), ("bit", cfg.bit_s)):
-        r += latency
-        push(engine.t_of_r(r), "lock", stage)
-    for k, t in enumerate(grid):
-        push(t, "sample", k)
+        ns += round(latency * 1e9)
+        push(ns, "lock", stage)
+    for k, ns in enumerate(grid):
+        push(ns, "sample", k)
 
     used_estimate = False
     label_shift_bits = 0
     hotstart_delay = None
     samples = []
-    ttff = fix_t = None
+    ttff = fix_ns = None
     with sh._simulating(state):
         while queue:
-            t, _, _, kind, data = heapq.heappop(queue)
-            engine.advance_to_t(state, t)
+            ns, _, _, kind, data = heapq.heappop(queue)
+            engine.advance_to(state, ns)
             if kind == "lock":
                 engine._step_locks(state, data)
                 if data != "bit":
                     continue
-                r_now = state.clock.elapsed_rx_s
                 if arm == sh.ARM_ESTIMATOR:
                     used_estimate, label_shift_bits = engine._try_estimate(state, snapshot)
                 if used_estimate:
-                    push(engine.t_of_r(r_now + cfg.estimator_epsilon_s), "fix")
+                    push(ns + round(cfg.estimator_epsilon_s * 1e9), "fix")
                     continue
-                labels = engine._decoded_labels(state, r_now)
-                for t_label, row, _ in labels:
-                    push(t_label, "label", row)
+                labels = engine._decoded_labels(state)
+                for ns_label, row, _ in labels:
+                    push(ns_label, "label", row)
                 hotstart_delay = sorted(wait for _, _, wait in labels)[3]
             elif kind == "label":
-                if engine._label(state, t, data) == 4:
-                    push(state.t_rel, "fix")
+                if engine._label(state, ns, data) == 4:
+                    push(ns, "fix")
             elif kind == "fix":
-                t_since = state.clock.elapsed_rx_s - r_wake
                 k = data
                 # The wake's fixes count up the rows of each truth table.
                 row = len(state.fixes) % sh._TRUTH_ROWS
                 if not state.fixes:
-                    if state.t_rel > grid[-1]:
+                    if ns > grid[-1]:
                         continue
-                    ttff = t_since
-                    k = math.floor(t_since / cfg.sample_period_s)
-                    truth = engine._truth([state.t_rel, *grid[k + 1 : k + sh._TRUTH_ROWS]])
-                    sky = engine._sky(state, truth)
+                    ttff = ns / 1e9
+                    k = ns // period
+                    sky = truth([ns, *grid[k + 1 : k + sh._TRUTH_ROWS]])
                 elif row == 0:
-                    sky = engine._sky(state, engine._truth(grid[k : k + sh._TRUTH_ROWS]))
+                    sky = truth(grid[k : k + sh._TRUTH_ROWS])
                 noise = sky.truth.noise.copy()
                 key = int(round(state.clock.elapsed_rx_s * 1000.0))
                 noise[row] = _one_cell(engine, key, engine.orbits.sat_id)
-                engine._fix(state, t_since, replace(sky, truth=replace(sky.truth, noise=noise)), row)
-                fix_t = state.t_rel
+                noisy = replace(sky, truth=replace(sky.truth, noise=noise))
+                engine._fix(state, ns / 1e9, noisy, row)
+                fix_ns = ns
                 if k + 1 <= n_samples:
                     push(grid[k + 1], "fix", k + 1)
             else:
-                if fix_t == state.t_rel:
+                if fix_ns == ns:
                     e, n = state.fixes[-1].err_east_m, state.fixes[-1].err_north_m
                 else:
                     e, n, _ = pvt.enu_errors(state.last_known, engine.user_pos(state.t_rel))
@@ -1278,9 +1384,9 @@ _latencies = st.one_of(
 
 # The default scenario in the test's parameters. The examples move it so
 # that two labels arrive after the last sample, and so that, with no lock
-# latency, the estimator's first fix lands exactly on sample 0; after a
-# 23.999765 s sleep the wake starts just below t=64 s, where t_of_r rounds
-# that fix and sample 0 an ulp before the wake's start.
+# latency, the estimator's first fix lands exactly on sample 0, at the
+# wake's start; after a 23.999765 s sleep that start lies just below t=64 s,
+# where a time summed in floats could round below it.
 _DEFAULT_WAKE = dict(
     code_s=0.5, carrier_s=0.3, bit_s=0.4, epsilon=0.0, period=1.0, n_periods=10, off=900.0,
     ppm=10.0, start_tow_s=86400.0, vel=(0.0, 0.0, 0.0), n_sats=8, seed=1,
