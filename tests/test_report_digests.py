@@ -66,25 +66,25 @@ GRID = {
 }
 
 DIGESTS = {
-    "default": "1f522694648ef5fb72ae68440895929f1e894e0f45768ae32c72071f32805b72",
-    "estimator_0.5ppm_60s": "751439b20386a9981a059b00a1cf03931b6e6b1a37478602901e78a8e0c24954",
-    "hotstart_30ppm_0s": "3811872aaf735fad72cbc35f0c3761acc6794953c03d134f80c7b280e6e45f1c",
-    "fallback_1500s": "a4e1211619c0aba0780ee52dec82e500f7136e1de58cd52d11da996aeeff7f67",
-    "moving_user": "a289bc46419631899ed829f9f68704c69538b31f9d4c4980fd18089d53356cdd",
-    "wake_run_120s": "8bd0f9794fdf7284eccb04f141d30215353b476127f77fc6fe06272cf4b8f217",
-    "snapshot_file": "60a46aa5888e2746141debf71d5bb912123f9055e03e1235df995bd7c02bfc46",
-    "week_end_604600_600": "3738a0abb3155d08232e7d382fbadd8366fca3a948ae22aab0a97719f676ef63",
-    "explicit_masked": "b271e218a724c416a9b679688d303185ae2c180d2430990c05779ffc7df7da64",
-    "n_sats_4": "9098ec3282126117bcec7a94841531b6a6c7e0a5d182ff92c95bad8e422a5b1e",
-    "n_sats_32": "3bc3123ac74c7e3984d1c99a81ae5404d4f8f32821c62623bd596184941a5728",
-    "zero_noise": "4bb4a1519d1db5038ccc40e66491eb997edb82f49c6ade24137b1aaa7766cdc1",
-    "changing_selection": "9399d50c46a3be773304ea548a0b56ece60b3c77cd4a7927fdd432882d848cde",
-    "zero_latency": "1b91024f195dfe8185e4980d5a80c39c25b7388c43ff6242f52b6973f1d3601a",
-    "quarter_second_samples": "e82d3fe25dcca5344d0ddacb505567be33ea43dd96b9b1e83995ab663d1673be",
-    "labels_outlive_wake": "0fd39cbf4766a98891d2b9a0e9dd80e84102f87fc642d4e9bca1a76fef56227a",
-    "labels_straddle_bit": "783a4ddda58eee8492769e3863a429918448bb0ebf27374519840615461becca",
-    "week_end_session_one": "5037dcd3d277db258fc6e8d6938f97726be93ded40ec3fa49d0c1eaf8a4bcfc4",
-    "single_session_one_fix": "4b8b495f5a82b1319800b3532bfa43f803388ac762ea1e7992f24c65fa7e18f9",
+    "default": "c4353aa78dc63d3f88d856a9253901eaf25636bc2f42d7fbbbf1193055a21cd6",
+    "estimator_0.5ppm_60s": "02e0811cf0be3b49715c0ce74bfe1b4e7afaff06e030e0b572ce8a38fabe41ad",
+    "hotstart_30ppm_0s": "be14c606cec00ef27d523906b743b1efb56d09b2b204be93956e85acacadb5d7",
+    "fallback_1500s": "8bf0bcf81021218efdd557c567703ec7897c4b9cd2988ee784afde1cf58f71fc",
+    "moving_user": "f1f66f360651f0b02a66478b0217be73ee1b9a09d4d047ec85dc5ca068ac1aec",
+    "wake_run_120s": "ad3541ad4d8138ba8d45bac2b0c98fbabe51308f3cfad80a2a27ffff628e5093",
+    "snapshot_file": "61105197916d8374b095a428dffa30499f7d2f7474defc7802649fffb3f89b45",
+    "week_end_604600_600": "b32fd2e80d75b2358bb5f043c33a0e07b1f323870901d99c211a2bfe6ab6d35c",
+    "explicit_masked": "7126a53e954e8f6676b7aa973d3d757f2c81c5716bafa36db07979a688aa7af0",
+    "n_sats_4": "714b89dc81edc4fb143effa9078c7744b6083ca5b7db6d3a78269f98b5181dcc",
+    "n_sats_32": "108fa0677011b0a9bc097e73d9ef890579ff39ca904ac26833d32361a235791c",
+    "zero_noise": "50857375f29bf38df21298ecca63bd1a89049d6f003a4dfce518bc042334d28c",
+    "changing_selection": "fda46bf8b75116421b4243c2f9c03e13d1f9deb1e48f37913adc1993949cefee",
+    "zero_latency": "bd32815832e10d9a18bfff7692df4c2a363051134ced54573f67a0eccbc1f3d3",
+    "quarter_second_samples": "811b90c34e05c2853a147ccda2f43d7e46123c78a33832d4559b0110bafd8089",
+    "labels_outlive_wake": "e52acd152e7db44beac6af620c3463dcbaea414f0f0230fc0a47b43ae9462548",
+    "labels_straddle_bit": "3010d773fa6ba631bd02c2415f955034a9055f76cf32e3295af529d12d64fba1",
+    "week_end_session_one": "4c37c95c6192a5af7681581ca48efd5f1d8e9c0b3bf4fb5404fc75b572a9dcbb",
+    "single_session_one_fix": "11aa4d1a1bd85a21b8c181a58a637db3ebe6a85ff3c0e6608ca5c9559ca91b30",
 }
 
 
