@@ -90,11 +90,13 @@ def _cmd_budget(args: argparse.Namespace) -> int:
     margins = [float(v) for v in args.margin_ms.split(",") if v.strip()]
     if not ppms or not margins:
         raise ValueError("empty --ppm or --margin-ms list")
-    print("rtc_ppm,margin_ms,budget_ms,budget_s")
+    # Every row is built before any is printed: a bad value prints nothing.
+    rows = ["rtc_ppm,margin_ms,budget_ms,budget_s"]
     for ppm in ppms:
         for margin in margins:
             budget_ms = fs.drift_budget(ppm, margin)
-            print(f"{ppm:g},{margin:g},{budget_ms:.3f},{budget_ms / 1000.0:.3f}")
+            rows.append(f"{ppm:g},{margin:g},{budget_ms:.3f},{budget_ms / 1000.0:.3f}")
+    print("\n".join(rows))
     return EXIT_OK
 
 

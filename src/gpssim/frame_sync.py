@@ -223,8 +223,8 @@ def drift_budget(rtc_ppm: float, bit_margin_ms: float = 10.0) -> float:
     ScenarioConfig.validate rejects a tick not shorter than the margin.
     """
     # Written so that NaN fails too.
-    if not rtc_ppm >= 0:
-        raise ValueError("rtc_ppm must be non-negative")
+    if not 0 <= rtc_ppm < math.inf:
+        raise ValueError("rtc_ppm must be non-negative and finite")
     if not 0 < bit_margin_ms < math.inf:
         raise ValueError("bit_margin_ms must be positive and finite")
     if rtc_ppm == 0:

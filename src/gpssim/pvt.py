@@ -15,7 +15,17 @@ bound on cond(J), must be at most 1e3 (and at most the solve's
 condition_cap on its first iteration). Squaring cond(J) then costs at most
 about 2e-10 of the step's relative accuracy. A step the bound does not
 certify falls back to np.linalg.lstsq, whose condition-cap and rank checks
-raise GeometryError for degenerate geometry.
+raise GeometryError for degenerate geometry. A final iterate beyond twice
+the largest satellite radius is the range equations' second root, and
+raises GeometryError too.
+
+solve takes one problem; solve_rows takes many, one per row of (k, n)
+arrays with a mask of usable cells, and runs each Gauss-Newton iteration
+as one array pass over the rows still running, by solve's rules: the
+scenario harness solves a long truth table's fixes with it, sweep by sweep
+(simharness._Engine._relaxed_fixes). Both share the step's one sequence
+of operations (_certified_step), so a row's step is bitwise solve's for
+the same normal equations.
 """
 from __future__ import annotations
 
@@ -28,6 +38,8 @@ import numpy as np
 # Largest design-matrix condition number a solve accepts; the scenario
 # harness rejects geometry past the same cap up front.
 CONDITION_CAP = 1e8
+# A solve converges when its position step is shorter than this, metres.
+TOL_M = 1e-4
 # Largest bound on cond(J) that certifies a normal-equations step: the
 # step's relative error is then near cond**2 * eps, about 2e-10 at most.
 # Every fix of the benchmark workloads reads under 60. At a limit of 1e5
@@ -97,45 +109,44 @@ def design_matrix(position: np.ndarray, sat_positions: np.ndarray) -> np.ndarray
     return jac
 
 
-def _normal_step(m: list[list[float]], limit: float) -> np.ndarray | None:
-    """The Gauss-Newton step from the normal equations N s = J^T r, when
-    their conditioning is certified; else None.
+def _certified_step(m, sqrt) -> tuple:
+    """The Gauss-Newton step from the normal equations N s = J^T r, and an
+    upper bound on cond(J): (bound, (s0, s1, s2, s3)).
 
-    m is aug.T @ aug as nested lists, aug = [J | r], so N is its leading
-    4x4 block and J^T r its last column. The step comes from N's Cholesky
-    factor L in Python floats. The same factor gives trace(N^-1) as the
-    squared Frobenius norm of L^-1, and sqrt(trace(N) * trace(N^-1)) >=
-    cond(J). The step is certified when that bound, with a relative margin
-    for its own rounding, is at most limit; a factor that fails (a pivot
-    not positive, or not a number) certifies nothing.
+    m is aug.T @ aug, aug = [J | r], so N is its leading 4x4 block and J^T r
+    its last column: nested lists of floats with sqrt = math.sqrt, or a
+    (5, 5, k) array of k problems with sqrt = np.sqrt. Both run this one
+    sequence of IEEE operations, so each array column is bitwise the
+    floats' result. The step comes from N's Cholesky factor L. The same
+    factor gives trace(N^-1) as the squared Frobenius norm of L^-1, and the
+    bound is sqrt(trace(N) * trace(N^-1)), with a relative margin for its
+    own rounding. A factor that fails raises for floats (sqrt of a
+    negative, a zero pivot) and gives a bound that is not a number, or
+    infinite, for arrays.
     """
     (n00, n01, n02, n03, g0), (_, n11, n12, n13, g1), (_, _, n22, n23, g2), (
         _, _, _, n33, g3
     ) = m[:4]
-    try:
-        l00 = math.sqrt(n00)
-        l10, l20, l30 = n01 / l00, n02 / l00, n03 / l00
-        l11 = math.sqrt(n11 - l10 * l10)
-        l21, l31 = (n12 - l20 * l10) / l11, (n13 - l30 * l10) / l11
-        l22 = math.sqrt(n22 - l20 * l20 - l21 * l21)
-        l32 = (n23 - l30 * l20 - l31 * l21) / l22
-        l33 = math.sqrt(n33 - l30 * l30 - l31 * l31 - l32 * l32)
-        # The inverse factor W = L^-1, lower triangular.
-        w00, w11, w22, w33 = 1.0 / l00, 1.0 / l11, 1.0 / l22, 1.0 / l33
-        w10 = -l10 * w00 * w11
-        w21 = -l21 * w11 * w22
-        w32 = -l32 * w22 * w33
-        w20 = -(l20 * w00 + l21 * w10) * w22
-        w31 = -(l31 * w11 + l32 * w21) * w33
-        w30 = -(l30 * w00 + l31 * w10 + l32 * w20) * w33
-    except (ValueError, ZeroDivisionError):  # sqrt of a negative, or a zero pivot
-        return None
+    l00 = sqrt(n00)
+    l10, l20, l30 = n01 / l00, n02 / l00, n03 / l00
+    l11 = sqrt(n11 - l10 * l10)
+    l21, l31 = (n12 - l20 * l10) / l11, (n13 - l30 * l10) / l11
+    l22 = sqrt(n22 - l20 * l20 - l21 * l21)
+    l32 = (n23 - l30 * l20 - l31 * l21) / l22
+    l33 = sqrt(n33 - l30 * l30 - l31 * l31 - l32 * l32)
+    # The inverse factor W = L^-1, lower triangular.
+    w00, w11, w22, w33 = 1.0 / l00, 1.0 / l11, 1.0 / l22, 1.0 / l33
+    w10 = -l10 * w00 * w11
+    w21 = -l21 * w11 * w22
+    w32 = -l32 * w22 * w33
+    w20 = -(l20 * w00 + l21 * w10) * w22
+    w31 = -(l31 * w11 + l32 * w21) * w33
+    w30 = -(l30 * w00 + l31 * w10 + l32 * w20) * w33
     trace_inv = (
         w00 * w00 + w11 * w11 + w22 * w22 + w33 * w33 + w10 * w10 + w21 * w21
         + w32 * w32 + w20 * w20 + w31 * w31 + w30 * w30
     )
-    if not math.sqrt((n00 + n11 + n22 + n33) * trace_inv * (1.0 + _BOUND_MARGIN)) <= limit:
-        return None
+    bound = sqrt((n00 + n11 + n22 + n33) * trace_inv * (1.0 + _BOUND_MARGIN))
     # L y = J^T r, then L^T s = y.
     y0 = g0 / l00
     y1 = (g1 - l10 * y0) / l11
@@ -145,7 +156,25 @@ def _normal_step(m: list[list[float]], limit: float) -> np.ndarray | None:
     s2 = (y2 - l32 * s3) / l22
     s1 = (y1 - l21 * s2 - l31 * s3) / l11
     s0 = (y0 - l10 * s1 - l20 * s2 - l30 * s3) / l00
-    return np.array((s0, s1, s2, s3))
+    return bound, (s0, s1, s2, s3)
+
+
+def _normal_step(m: list[list[float]], limit: float) -> np.ndarray | None:
+    """The Gauss-Newton step of _certified_step for nested lists m, when
+    its bound on cond(J) is at most limit; else None."""
+    try:
+        bound, step = _certified_step(m, math.sqrt)
+    except (ValueError, ZeroDivisionError):  # sqrt of a negative, or a zero pivot
+        return None
+    return np.array(step) if bound <= limit else None
+
+
+# Started far from the user (the Earth's centre, say), the iteration can
+# converge to the range equations' second root, or wander, far out past the
+# constellation. A solution beyond twice the largest satellite radius is
+# neither a user the scenario validator accepts (at most 2 Earth radii) nor
+# near one.
+_SECOND_ROOT = "solution lies beyond twice the largest satellite radius"
 
 
 def solve(
@@ -153,7 +182,7 @@ def solve(
     sat_positions: np.ndarray,
     initial_guess: np.ndarray | None = None,
     *,
-    tol_m: float = 1e-4,
+    tol_m: float = TOL_M,
     max_iterations: int = 20,
     condition_cap: float = CONDITION_CAP,
 ) -> PvtSolution:
@@ -174,7 +203,9 @@ def solve(
     at most. Otherwise that step comes from np.linalg.lstsq, and the solve
     raises GeometryError on the first iteration when lstsq's cond(J)
     exceeds condition_cap, and on any iteration when J is rank-deficient.
-    A certified step cannot meet either condition.
+    A certified step cannot meet either condition. A final iterate beyond
+    twice the largest satellite radius, converged or not, raises
+    GeometryError: it is the second root, not a user position.
     """
     rho = np.asarray(pseudoranges_m, float)
     if rho.ndim != 1:
@@ -233,6 +264,14 @@ def solve(
         if math.sqrt(move.dot(move)) < tol_m:
             converged = True
             break
+    # Within twice the first satellite's radius is within twice the largest.
+    x, y, z, _ = state.tolist()
+    sx, sy, sz = sat_positions[0].tolist()
+    half_sq = (x * x + y * y + z * z) / 4.0
+    if half_sq > sx * sx + sy * sy + sz * sz and (
+        half_sq > np.vecdot(sat_positions, sat_positions).max()
+    ):
+        raise GeometryError(_SECOND_ROOT)
 
     return PvtSolution(
         state[0],
@@ -243,6 +282,146 @@ def solve(
         math.sqrt(residual.dot(residual)),
         converged,
     )
+
+
+
+@dataclass(frozen=True)
+class RowSolutions:
+    """solve_rows' result: per row, the solution solve returns but for its
+    residual norm, or in errors what solve raises. A row in errors holds
+    the iterate it failed at."""
+
+    state: np.ndarray  # (k, 4) position and bias
+    iterations: np.ndarray  # (k,) int
+    converged: np.ndarray  # (k,) bool
+    errors: dict[int, ValueError]
+
+
+def solve_rows(
+    pseudoranges_m: np.ndarray,
+    sat_positions: np.ndarray,
+    usable: np.ndarray,
+    initial_guess: np.ndarray | None = None,
+    *,
+    tol_m: float = TOL_M,
+    max_iterations: int = 20,
+    condition_cap: float = CONDITION_CAP,
+) -> RowSolutions:
+    """k solves at once, one per row, each by solve's rules.
+
+    Row i is solve(pseudoranges_m[i, u], sat_positions[i, u],
+    initial_guess[i]) with u = usable[i]: pseudoranges_m is (k, n),
+    sat_positions (k, n, 3), usable (k, n) and initial_guess (k, 3) or
+    (k, 4). Cells outside usable are never read. Each iteration is one
+    array pass over the rows still running, with solve's checks in solve's
+    order: at least 4 usable measurements, finite inputs, no satellite on
+    the iterate, the certified normal-equations step (bitwise
+    _normal_step's for the same aug.T @ aug), else the lstsq step with its
+    first-iteration cap and rank checks, the convergence test, and the
+    second-root check on the final iterate. What solve would raise for a
+    row is returned in errors, not raised. Only the sums aug.T @ aug may
+    round otherwise than solve's, so a row lands within the rounding of a
+    step of solve's solution, if not on its bits.
+    """
+    rho = np.asarray(pseudoranges_m, float)
+    if rho.ndim != 2:
+        raise ValueError("pseudoranges_m must be a 2-D array")
+    k, n = rho.shape
+    sats = np.asarray(sat_positions, float)
+    usable = np.asarray(usable, bool)
+    if sats.shape != (k, n, 3) or usable.shape != (k, n):
+        raise ValueError("sat_positions and usable must be (k, n, 3) and (k, n)")
+    state = np.zeros((k, 4))
+    if initial_guess is not None:
+        guess = np.asarray(initial_guess, float)
+        if guess.ndim != 2 or len(guess) != k or guess.shape[1] not in (3, 4):
+            raise ValueError("initial_guess must be (k, 3) or (k, 4)")
+        state[:, : guess.shape[1]] = guess
+
+    # solve's input checks, in its order; a row keeps its first failure.
+    count = np.count_nonzero(usable, axis=1)
+    errors: dict[int, ValueError] = {
+        r: InsufficientSatellitesError(f"{count[r]} measurements; need at least 4")
+        for r in np.flatnonzero(count < 4).tolist()
+    }
+    for bad, text in (
+        (usable & ~((0 <= rho) & (rho < math.inf)), "pseudorange must be finite and non-negative"),
+        (usable & ~np.isfinite(sats).all(axis=2), "sat_positions must be finite"),
+        (~np.isfinite(state), "initial_guess must be finite"),
+    ):
+        for r in np.flatnonzero(bad.any(axis=1)).tolist():
+            errors.setdefault(r, ValueError(text))
+    # Cells outside usable become zero columns of [J | r]^T. Their inputs
+    # are replaced, so that nothing reads them: a zero pseudorange, and a
+    # copy of the row's first usable satellite, which is never at zero
+    # range while the row runs. The arrays put the channels last: (k, 3, n)
+    # satellites, (k, 5, n) for [J | r]^T.
+    weight = usable.astype(float)
+    masked = not usable.all()
+    rho = np.where(usable, rho, 0.0)
+    first = sats[np.arange(k), usable.argmax(axis=1), :, None]
+    sats = np.where(usable[:, None, :], sats.transpose(0, 2, 1), first)
+    iterations = np.zeros(k, int)
+    converged = np.zeros(k, bool)
+    active = np.arange(k)
+    if errors:
+        active = np.delete(active, list(errors))
+
+    for it in range(1, max_iterations + 1):
+        if not len(active):
+            break
+        # Every row while none has converged or failed, else a copy of the rest.
+        rows = slice(None) if len(active) == k else active
+        los = sats[rows] - state[rows, :3, None]
+        ranges = np.sqrt(np.add.reduce(los * los, axis=1))
+        aug = np.empty((len(active), 5, n))
+        aug[:, 3] = weight[rows]
+        np.subtract(rho[rows] - ranges, state[rows, 3:], out=aug[:, 4])
+        # A zero range, or a failed factor, gives infinities and NaNs here,
+        # which decide nothing.
+        with np.errstate(all="ignore"):
+            np.divide(los, -ranges[:, None], out=aug[:, :3])
+            if masked:
+                aug[:, [0, 1, 2, 4]] *= aug[:, 3:4]
+            bound, step = _certified_step(
+                np.matmul(aug, aug.transpose(0, 2, 1)).transpose(1, 2, 0), np.sqrt
+            )
+        step = np.stack(step, axis=1)
+        failed = []
+        if not ranges.all():
+            for i in np.flatnonzero((aug[:, 3] * (ranges == 0)).any(axis=1)).tolist():
+                failed.append(i)
+                errors[int(active[i])] = GeometryError(
+                    "linearization point coincides with a satellite"
+                )
+        limit = min(condition_cap, _COND_LIMIT) if it == 1 else _COND_LIMIT
+        for i in np.flatnonzero(~(bound <= limit)).tolist():
+            if i in failed:
+                continue
+            u = weight[active[i]] > 0
+            step[i], _, rank, sv = np.linalg.lstsq(aug[i, :4, u], aug[i, 4, u], rcond=None)
+            if it == 1 and (sv[0] / sv[-1] if sv[-1] else math.inf) > condition_cap:
+                errors[int(active[i])] = GeometryError("design matrix condition number exceeds cap")
+                failed.append(i)
+            elif rank < 4:
+                errors[int(active[i])] = GeometryError("rank-deficient geometry")
+                failed.append(i)
+        if failed:
+            active, step = np.delete(active, failed), np.delete(step, failed, axis=0)
+            rows = active
+        state[rows] += step
+        iterations[active] = it
+        done = np.sqrt(np.vecdot(step[:, :3], step[:, :3])) < tol_m
+        converged[active[done]] = True
+        active = active[~done]
+
+    position = state[:, :3]
+    radius_sq = np.add.reduce(sats * sats, axis=1).max(axis=1)
+    with np.errstate(invalid="ignore"):  # a failed row may hold NaNs
+        far = np.vecdot(position, position) > 4.0 * radius_sq
+    for r in np.flatnonzero(far).tolist():
+        errors.setdefault(r, GeometryError(_SECOND_ROOT))
+    return RowSolutions(state, iterations, converged, errors)
 
 
 def enu_basis(ref_ecef: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -40,6 +40,28 @@ class ClockBackwardsError(ValueError):
     """A counter that must be monotone was asked to run backwards."""
 
 
+def _pick(condition: bool, if_true: float, if_false: float) -> float:
+    return if_true if condition else if_false
+
+
+def normalize_week(week, second, floor=math.floor, where=_pick):
+    """(week, second) with second brought into [0, WEEK_S) and week moved
+    by the whole weeks that took: GpsTime's rule. An int and a float, or,
+    with floor=np.floor and where=np.where, arrays that broadcast, whose
+    weeks come back as floats; both run this one sequence of operations,
+    so each array cell is bitwise the scalar result."""
+    # + 0 turns np.floor's -0.0 into the 0.0 that math.floor's int 0 gives.
+    carry = floor(second / WEEK_S) + 0
+    second = second - carry * WEEK_S
+    # The subtraction can round onto either side of the window edge, and
+    # wrapping a tiny negative back into the week can round onto WEEK_S.
+    low = second < 0.0
+    second = where(low, second + WEEK_S, second)
+    high = second >= WEEK_S
+    second = where(high, second - WEEK_S, second)
+    return week + carry - low + high, second
+
+
 @dataclass(frozen=True)
 class GpsTime:
     """GPS time as (week, second-in-week); normalized on construction."""
@@ -48,18 +70,10 @@ class GpsTime:
     second: float
 
     def __post_init__(self) -> None:
-        carry = math.floor(self.second / WEEK_S)
-        second = self.second - carry * WEEK_S
-        # The subtraction can round onto either side of the window edge, and
-        # wrapping a tiny negative back into the week can round onto WEEK_S.
-        if second < 0.0:
-            second += WEEK_S
-            carry -= 1
-        if second >= WEEK_S:
-            second -= WEEK_S
-            carry += 1
-        if carry or second != self.second:
-            object.__setattr__(self, "week", self.week + carry)
+        # normalize_week keeps a second already in the week as it is.
+        if not 0.0 <= self.second < WEEK_S:
+            week, second = normalize_week(self.week, self.second)
+            object.__setattr__(self, "week", week)
             object.__setattr__(self, "second", second)
 
     def add(self, dt_s: float) -> GpsTime:

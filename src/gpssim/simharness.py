@@ -27,6 +27,19 @@ epsilon, fixes, samples) are whole nanoseconds of receiver time since its
 start, Python ints, so which of two comes first is decided on integers;
 only _Engine.true_time turns one into a time.
 
+Fixes come in truth tables of up to _TRUTH_ROWS rows. Each fix reads the
+one before it (its position as the warm start, the assumed delays and the
+refined clock offset), but only weakly: a metre there moves it about 1e-5
+m. A table of _RELAX_ROWS rows or more is therefore solved at once, in
+array sweeps of fixed-point relaxation (_Engine._relaxed_fixes): row 0
+starts from the session's state, every later row from the table's entry
+position and the delays and offset that position gives, and each sweep's
+row j reads what the sweep before left for row j - 1, until no row's
+inputs move by more than pvt.TOL_M. Its fixes land within 1e-6 m of fix
+by fix, with the same iterations and flags and the same errors. A
+shorter table, and session one's first, which has no position to seed
+its rows from, is solved fix by fix (_Engine._fix, one pvt.solve each).
+
 All internal times are seconds relative to the scenario start; week-scale
 absolute floats would quantize transmit times to about 7.45 ns (2.2 m) at
 week 100, and more coarsely in later weeks. The receive epoch of a fix is
@@ -38,7 +51,6 @@ from __future__ import annotations
 import contextlib
 import math
 import operator
-from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -50,6 +62,7 @@ from . import pvt
 from . import receiver as rcv
 from .constants import (
     BIT_S,
+    CHIP_RATE_HZ,
     DEFAULT_PROPAGATION_DELAY_S,
     EARTH_RADIUS_M,
     SPEED_OF_LIGHT_M_S,
@@ -62,9 +75,10 @@ from .constants import (
 )
 from .rx_clock import (
     GpsTime,
+    Rco,
     ReceiverClockState,
-    code_time_at_tic,
     compute_rco,
+    normalize_week,
     to_gps_time,
 )
 
@@ -289,7 +303,7 @@ class _State:
     rx_orbits: cst.Orbits | None = None
     last_known: np.ndarray | None = None
     # Per fix since record_fixes last ran: (t_since_wake, solved position,
-    # true user position, PvtSolution).
+    # true user position, b_u, iterations, converged).
     solved: list[tuple] = field(default_factory=list)
     records: list[FixRecord] = field(default_factory=list)
     # Frame labels are shifted by this much: an estimate's bit error.
@@ -315,11 +329,13 @@ class _State:
         """Turn the fixes solved since the last call into FixRecords."""
         if not self.solved:
             return
-        t_since, positions, users, sols = zip(*self.solved)
+        t_since, positions, users, *solution = zip(*self.solved)
         east, north, _ = pvt.enu_errors(np.array(positions), np.array(users))
-        for t, e, n, sol in zip(t_since, east.tolist(), north.tolist(), sols):
+        for t, e, n, b_u, iterations, converged in zip(
+            t_since, east.tolist(), north.tolist(), *solution
+        ):
             self.records.append(
-                FixRecord(t, e, n, math.hypot(e, n), sol.b_u, sol.iterations, sol.converged)
+                FixRecord(t, e, n, math.hypot(e, n), b_u, iterations, converged)
             )
         self.solved.clear()
 
@@ -340,6 +356,7 @@ class _Truth:
     decoded copy goes stale.
     """
 
+    t_rel: np.ndarray  # (m,) receive time, relative seconds
     user: np.ndarray  # (m, 3) true user position
     elevation: np.ndarray  # (m, n) rad
     tx: np.ndarray  # (m, n) true transmit time, relative seconds
@@ -364,6 +381,39 @@ class _Sky:
 
 # Rows of truth a session evaluates at once: bounds the table's memory.
 _TRUTH_ROWS = 1024
+# Truth tables of this many rows or more solve their fixes at once
+# (_Engine._relaxed_fixes), shorter ones fix by fix (_Engine._fix). The
+# relaxed solve costs two or three array sweeps, nearly whatever the rows,
+# and fix by fix one solve per row. On a shared 2-vCPU VM (Python 3.11.7,
+# numpy 2.4.6, best of 7 timeit repeats) an estimator wake of m 1 Hz fixes
+# took as long either way at m = 12-14 for a static user and m = 20-24 for
+# one at 12 m/s. A wake_sweep table holds at most 11 rows.
+_RELAX_ROWS = 16
+
+_FEW_CHANNELS = "fewer than 4 usable channels at a fix epoch"
+
+
+def _gps_times(week, second) -> tuple[np.ndarray, np.ndarray]:
+    """GpsTime(week, second)'s normalisation (normalize_week) on arrays:
+    (week, second), each pair bitwise the one GpsTime makes."""
+    week, second = normalize_week(week, second, np.floor, np.where)
+    return week.astype(np.int64), second
+
+
+def _signal_phase(s_week, minimum=min):
+    """(k, word, bit, frac) of a signal time s_week seconds into the week:
+    its subframe count, the word (from 0) and bit within the subframe, and
+    the phase within the bit, the last two capped at 29 and below 1. All
+    floats, or arrays with minimum=np.minimum; both run this one sequence
+    of operations, so each array cell is bitwise the floats' result."""
+    k = s_week // SUBFRAME_S
+    within = s_week - k * SUBFRAME_S
+    word = within // WORD_S
+    in_word = within - word * WORD_S
+    bit = in_word // BIT_S
+    frac = (in_word - bit * BIT_S) / BIT_S
+    return k, word, minimum(bit, 29), minimum(frac, 1.0 - 1e-12)
+
 
 # SplitMix64's increments (the first two outputs of a stream) and finaliser.
 _GAMMAS = np.array([0x9E3779B97F4A7C15, 2 * 0x9E3779B97F4A7C15 % 2**64], np.uint64)[:, None, None]
@@ -455,7 +505,7 @@ class _Engine:
         else:
             keys = self.epoch_keys(t[:, 0])
             noise = sigma * _standard_normals(self._noise_words, keys, self.orbits.sat_id)
-        return _Truth(user, elevation, self.transmit_times(t), noise)
+        return _Truth(t[:, 0], user, elevation, self.transmit_times(t), noise)
 
     def epoch_keys(self, t_rel: np.ndarray) -> np.ndarray:
         """The noise keys of fixes at t_rel: the receiver's elapsed time
@@ -478,14 +528,9 @@ class _Engine:
 
     def decomp(self, s_rel: float) -> tuple[int, int, int, int, float]:
         """(subframe_index, tow, word, bit, bit_fraction) of a signal time."""
-        s_week = self.config.start_tow_s + s_rel
-        k = int(s_week // SUBFRAME_S)
-        within = s_week - k * SUBFRAME_S
-        word = int(within // WORD_S)
-        in_word = within - word * WORD_S
-        bit = int(in_word // BIT_S)
-        frac = (in_word - bit * BIT_S) / BIT_S
-        return k, (k + 1) % TOW_COUNT, word + 1, min(bit, 29), min(frac, 1.0 - 1e-12)
+        k, word, bit, frac = _signal_phase(self.config.start_tow_s + s_rel)
+        k = int(k)
+        return k, (k + 1) % TOW_COUNT, int(word) + 1, int(bit), frac
 
     def _check_geometry(self, t_rel: float) -> None:
         user = self.user_pos(t_rel)
@@ -572,24 +617,25 @@ class _Engine:
     def _refine_rco(self, st: _State, s_bel: float) -> None:
         """Recompute the clock offset from the anchor channel's counters;
         s_bel is the anchor's believed transmit time now."""
-        k, tow, word, bit, frac = self.decomp(s_bel)
-        within = (word - 1) * WORD_S + bit * BIT_S + code_time_at_tic(frac)
-        sync_tic = st.clock.tic_value + (SUBFRAME_S - within) / TIC_S
+        week_number, tow, sync_tic = self._rco_terms(s_bel, st.clock.elapsed_rx_s, min, round)
         st.rco = compute_rco(
             st.clock.zt,
-            # tow is k + 1 wrapped at the week end; count the wraps as weeks.
-            self.config.start_week + (k + 1) // TOW_COUNT,
+            int(week_number),
             sync_tic,
-            tow,
+            int(tow),
             propagation_delay_s=float(st.assumed_delay_s[st.anchor]),
         )
 
     def rco_error_s(self, st: _State) -> float:
         """Believed minus true clock offset, precise to float noise."""
-        true_offset = (
-            st.clock.zt.diff(self.t0_gps) + st.clock.elapsed_rx_s - st.t_rel
-        )
-        return st.rco.week * WEEK_S + st.rco.second - true_offset
+        return self._rco_errors(st.rco.week * WEEK_S + st.rco.second, st.t_rel)
+
+    def _rco_errors(self, offset_s, t_rel):
+        """Believed clock offsets offset_s (week * WEEK_S + second) at times
+        t_rel, floats or arrays, minus the true ones: zero time's offset
+        plus the receiver's elapsed time, clock_at(t_rel).elapsed_rx_s,
+        minus t_rel."""
+        return offset_s - (self.zt.diff(self.t0_gps) + t_rel * self._scale() - t_rel)
 
     def _sky(self, st: _State, truth: _Truth) -> _Sky:
         """The session's _Sky of a truth table; st.rx_orbits has every
@@ -597,6 +643,21 @@ class _Engine:
         believed_tx = truth.tx + st.label_shift_s
         pos, stale = st.rx_orbits.evaluate(self.t0_abs + believed_tx)
         return _Sky(truth, believed_tx, pos, stale, truth.elevation >= self._mask)
+
+    def _rco_terms(self, s_bel, elapsed, minimum=np.minimum, rint=np.rint) -> tuple:
+        """The terms of compute_rco for an anchor's believed transmit time
+        s_bel and the receiver's elapsed time then: the week number and TOW
+        of the subframe it decodes, and the TIC at which that subframe
+        ended, as floats. All floats with minimum=min and rint=round (as
+        _refine_rco calls it), or arrays that broadcast; both run this one
+        sequence of operations, so each array cell is bitwise the floats'
+        result."""
+        k, word, bit, frac = _signal_phase(self.config.start_tow_s + s_bel, minimum)
+        # code_time_at_tic: the bit phase rounded to whole chips.
+        within = word * WORD_S + bit * BIT_S + rint(frac * BIT_S * CHIP_RATE_HZ) / CHIP_RATE_HZ
+        sync_tic = elapsed / TIC_S + (SUBFRAME_S - within) / TIC_S
+        # tow is k + 1 wrapped at the week end; count the wraps as weeks.
+        return self.config.start_week + (k + 1) // TOW_COUNT, (k + 1) % TOW_COUNT, sync_tic
 
     def _believed_pos(self, st: _State, sky: _Sky, row: int, idx: np.ndarray) -> np.ndarray:
         """Where channels idx are at their believed transmit times at the
@@ -628,7 +689,7 @@ class _Engine:
         # by the first fix, so st.rx_orbits covers them all.
         idx = (st.labeled & sky.visible[row]).nonzero()[0]
         if len(idx) < 4:
-            raise ScenarioError("fewer than 4 usable channels at a fix epoch")
+            raise ScenarioError(_FEW_CHANNELS)
         rx_orbits = st.selections.get(key := idx.tobytes())
         if rx_orbits is None:
             rx_orbits = st.selections[key] = st.rx_orbits[idx]
@@ -647,30 +708,188 @@ class _Engine:
         d = believed_pos - position
         st.assumed_delay_s[idx] = np.sqrt(np.vecdot(d, d)) / SPEED_OF_LIGHT_M_S
         self._refine_rco(st, s_anchor)
-        st.solved.append((t_since_wake, position, sky.truth.user[row], sol))
+        st.solved.append(
+            (t_since_wake, position, sky.truth.user[row], sol.b_u, sol.iterations, sol.converged)
+        )
 
-    def _fixes(self, st: _State, instants: list[int], labels: list) -> Iterator[None]:
+    def _fixes(self, st: _State, instants: list[int], labels: list) -> list[float]:
         """Fix at each of instants, each after the labels due at or before
-        it, then run the labels after the last; yields after each fix, so
-        the caller can read the session there. labels are _decoded_labels
+        it, then run the labels after the last; returns the clock offset
+        after each fix, as week * WEEK_S + second. labels are _decoded_labels
         rows, which this takes off the list as it runs them. Truth comes in
         tables of up to _TRUTH_ROWS rows, each made when its first row is
         reached, and the fixes of one table become records before the next
-        is made."""
+        is made. A table of _RELAX_ROWS rows or more is solved at once
+        (_relaxed_fixes) once the session has a position to seed its rows
+        from; a shorter one, and session one's first, fix by fix (_fix)."""
+        offsets = []
         for start in range(0, len(instants), _TRUTH_ROWS):
             st.record_fixes()
             block = instants[start : start + _TRUTH_ROWS]
             sky = self._sky(st, self._truth(self.true_time(st, np.array(block))))
+            if len(block) >= _RELAX_ROWS and st.last_known is not None:
+                offsets += self._relaxed_fixes(st, block, sky, labels)
+                continue
             for row, ns in enumerate(block):
-                while labels and labels[0][0] <= ns:
-                    ns_label, channel, _ = labels.pop(0)
-                    self._label(st, ns_label, channel)
+                self._take_labels(st, labels, ns)
                 self.advance_to(st, ns)
                 self._fix(st, ns / 1e9, sky, row)
-                yield
+                offsets.append(st.rco.week * WEEK_S + st.rco.second)
         # Labels after the last fix still move the clock rco_error_s reads.
-        for ns_label, channel, _ in labels:
+        self._take_labels(st, labels, math.inf)
+        return offsets
+
+    def _take_labels(self, st: _State, labels: list, ns: float) -> None:
+        """Run, and take off the list, the labels due at or before ns."""
+        while labels and labels[0][0] <= ns:
+            ns_label, channel, _ = labels.pop(0)
             self._label(st, ns_label, channel)
+
+    def _relaxed_fixes(self, st: _State, block: list[int], sky: _Sky, labels: list) -> list[float]:
+        """The fixes of one truth table at instants block, all solved at
+        once: what _fix makes of each row in turn, to within 1e-6 m. Returns
+        the clock offsets after each, as _fixes does.
+
+        Fix j reads three things of fix j - 1: its position as the warm
+        start, the assumed delays it leaves and the clock offset it refines.
+        They move fix j little: a metre at fix j - 1 moves it by about
+        v_sat / c, 1e-5 m. So every row is solved in sweeps, by fixed-point
+        (Jacobi, or waveform) relaxation of the chain: each sweep is one
+        array pass (one Orbits.evaluate, one pvt.solve_rows) over all rows,
+        and row j reads what the previous sweep left for row j - 1. Row 0
+        reads the session's own state, so it is exact. The first sweep's
+        row j > 0 reads the table's entry position, the delays from its
+        channels' believed positions at row j - 1 to that position, and the
+        offset those delays give. Sweeps stop when no row's inputs (warm
+        start, delays and offset, the latter two as metres) move by more
+        than pvt.TOL_M; row j is exact after j + 1 sweeps, so len(block)
+        sweeps end it in any case. Over the 40 wake tables of long_track's
+        first five benchmark passes at seeds 1 and 7919 that took three
+        sweeps (two for 2 static ones), the inputs moving up to 1.4e4 m,
+        then 5.2e-2 m, then 9.6e-6 m, and every one of 35,933 fixes landed
+        within 7.8e-9 m of _fix's, with the same iterations and converged
+        flag. A Gauss-Newton result carries the bits of its warm start, so
+        its bits differ from _fix's.
+
+        Labels due in the table run first, in time order, and each row
+        reads the channels labeled by its instant. Failures are decided on
+        the last sweep (an earlier one keeps a failing row's last solution):
+        the first row that fails raises what _fix raises there, in _fix's
+        order of checks, with st.t_rel at that row's time.
+        """
+        m, n = sky.visible.shape
+        labeled = np.empty((m, n), bool)
+        anchor = np.empty(m, np.int64)
+        for row, ns in enumerate(block):
+            self._take_labels(st, labels, ns)
+            labeled[row] = st.labeled
+            anchor[row] = st.anchor
+        usable = labeled & sky.visible
+        rows, cols = np.arange(m), np.arange(n)
+        c = SPEED_OF_LIGHT_M_S
+        # Each row's failures that no other row moves.
+        few = np.count_nonzero(usable, axis=1) < 4
+        believed_stale = (sky.believed_stale & usable).any(axis=1)
+        # Per row, the receiver time (clock_at(t).receiver_time()) and the
+        # clock-offset terms with its anchor.
+        elapsed = sky.truth.t_rel * self._scale()
+        rx_week, rx_second = _gps_times(self.zt.week, self.zt.second + elapsed)
+        week_number, tow, sync_tic = self._rco_terms(sky.believed_tx[rows, anchor], elapsed)
+        week_number = week_number.astype(np.int64)
+
+        def rco(delay: np.ndarray) -> Rco:
+            """Each row's clock offset for its anchor's assumed delays."""
+            return compute_rco(self.zt, week_number, sync_tic, tow, propagation_delay_s=delay)
+
+        # The chain as row 0 enters it, the session's state.
+        delay0 = st.assumed_delay_s
+        position0 = st.last_known
+        # A wake that decoded its labels takes its clock offset at row 0.
+        rco0 = st.rco
+        if rco0 is None:
+            first = rco(delay0[anchor])
+            rco0 = Rco(int(first.week[0]), float(first.second[0]))
+
+        # Each channel's delay after a row is the one the last row at or
+        # before it that selected the channel left, if any.
+        last = np.where(usable, rows[:, None], -1)
+        np.maximum.accumulate(last, axis=0, out=last)
+        selected = last >= 0
+
+        def chain(position: np.ndarray) -> tuple[np.ndarray, ...]:
+            """Each row's inputs, and the delays and clock offset after each
+            row, when each row is solved at the given position."""
+            d = sky.believed_pos - position[:, None, :]
+            solved = np.sqrt(np.vecdot(d, d)) / c
+            delay = np.where(selected, solved[last, cols], delay0)
+            after = rco(delay[rows, anchor])
+            guess = np.vstack([position0, position[:-1]])
+            return (
+                guess,
+                np.vstack([delay0, delay[:-1]]),
+                np.append(rco0.week, after.week[:-1]),
+                np.append(rco0.second, after.second[:-1]),
+                delay,
+                after,
+            )
+
+        position = np.tile(position0, (m, 1))
+        inputs = chain(position)
+        for _ in range(m):
+            guess, delay_in, week_in, second_in = inputs[:4]
+            week, second = _gps_times(rx_week - week_in, rx_second - second_in)
+            r_rel = (week - self.t0_gps.week) * WEEK_S + (second - self.t0_gps.second)
+            rho = c * (r_rel[:, None] - sky.believed_tx) + sky.truth.noise
+            t_assumed = self.t0_abs + (r_rel[:, None] - delay_in)
+            sat_pos, stale = st.rx_orbits.evaluate(t_assumed)
+            stale &= usable
+            ok = ~(few | stale.any(axis=1) | believed_stale)
+            # Every row, without copies, unless one failed before its solve.
+            take = slice(None) if ok.all() else ok
+            sol = pvt.solve_rows(rho[take], sat_pos[take], usable[take], guess[take])
+            solved = rows[take]
+            failed = sorted(sol.errors)
+            position[np.delete(solved, failed)] = np.delete(sol.state[:, :3], failed, axis=0)
+            failed_rows = np.union1d(rows[~ok], solved[failed])
+            after = chain(position)
+            # Rows after the first failure do not count: it ends the session.
+            end = failed_rows[0] + 1 if len(failed_rows) else m
+            moved = max(
+                np.sqrt(np.vecdot(after[0] - guess, after[0] - guess))[:end].max(),
+                c * np.abs(after[1] - delay_in)[:end].max(),
+                c * np.abs(after[3] - second_in)[:end].max(),
+            )
+            inputs = after
+            if moved <= pvt.TOL_M:
+                break
+
+        if len(failed_rows):
+            row = failed_rows[0]
+            st.t_rel = float(sky.truth.t_rel[row])
+            if few[row]:
+                raise ScenarioError(_FEW_CHANNELS)
+            if stale[row].any():
+                col = int(stale[row].argmax())
+                raise st.rx_orbits.stale_error(t_assumed[row, col], col)
+            if believed_stale[row]:
+                self._believed_pos(st, sky, row, usable[row].nonzero()[0])
+            raise sol.errors[int(np.searchsorted(solved, row))]
+
+        self.advance_to(st, block[-1])
+        delay, after = inputs[4:]
+        st.last_known = position[-1].copy()
+        st.assumed_delay_s = delay[-1].copy()
+        st.rco = Rco(int(after.week[-1]), float(after.second[-1]))
+        st.solved += zip(
+            (np.array(block) / 1e9).tolist(),
+            position,
+            sky.truth.user,
+            # np.float64, as PvtSolution.b_u is.
+            list(sol.state[:, 3]),
+            sol.iterations.tolist(),
+            sol.converged.tolist(),
+        )
+        return (after.week * WEEK_S + after.second).tolist()
 
     # --- session one --------------------------------------------------------
 
@@ -705,12 +924,14 @@ class _Engine:
             # ephemeris is in; power-off comes session1_extra_s after the first.
             first = (math.floor(self.clock_at(t_done).elapsed_rx_s) + 1) * 10**9
             fixes = [first + j * 10**9 for j in range(max(1, math.ceil(cfg.session1_extra_s)))]
-            rco_errors = [self.rco_error_s(st) for _ in self._fixes(st, fixes, [])]
+            offsets = self._fixes(st, fixes, [])
             self.advance_to(st, first + round(cfg.session1_extra_s * 1e9))
             snapshot = self._take_snapshot(st)
         st.diagnostics["s1_rco_refined_err_s"] = self.rco_error_s(st)
-        if len(rco_errors) >= 2:
-            st.diagnostics["s1_rco_jitter_s"] = max(rco_errors) - min(rco_errors)
+        if len(fixes) >= 2:
+            # The clock-offset error after each fix.
+            errors = self._rco_errors(np.array(offsets), self.true_time(st, np.array(fixes)))
+            st.diagnostics["s1_rco_jitter_s"] = max(errors.tolist()) - min(errors.tolist())
         return st, snapshot
 
     def _collect_ephemeris(
@@ -813,8 +1034,7 @@ class _Engine:
             # at or before the first fix.
             k = first // period
             instants = [first, *range((k + 1) * period, n_samples * period + 1, period)]
-            for _ in self._fixes(st, instants, labels):
-                pass
+            self._fixes(st, instants, labels)
         # The samples before the first fix read session one's position, all
         # in one call on their rows; sample i from the first fix on reads
         # fix i - k, which fell on it (the first fix, if on sample k).

@@ -106,6 +106,16 @@ def test_budget_rejects_bad_values(capsys):
     assert cli.main(["budget", "--ppm", ","]) == cli.EXIT_INVALID
 
 
+@pytest.mark.parametrize("ppm", ["10,-1", "inf", "10,nan"])
+def test_budget_with_a_bad_value_prints_no_table(ppm, capsys):
+    """A list with one bad value exits 1 and prints no row, not even the
+    rows of the good values before it; the error names the bad one."""
+    assert cli.main(["budget", "--ppm", ppm]) == cli.EXIT_INVALID
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "rtc_ppm must be non-negative and finite" in err
+
+
 def test_snapshot_dump(tmp_path, capsys):
     snap = PersistedSnapshot(6, 19, 2679, 17362, -100.0, 512.25, Rco(0, 0.001))
     path = tmp_path / "state.fsnp"

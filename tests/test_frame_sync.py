@@ -6,6 +6,7 @@ its own arithmetic. The worked example (snapshot at word 6, bit 19, handover
 2679, RTC 17362; wake at RTC 6731176 on a 32 kHz clock) is frozen here in
 both estimation modes.
 """
+import math
 import struct
 import tempfile
 import zlib
@@ -134,6 +135,9 @@ def test_drift_budget_values():
 def test_drift_budget_validation():
     with pytest.raises(ValueError):
         fs.drift_budget(-1.0)
+    for ppm in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="rtc_ppm must be non-negative and finite"):
+            fs.drift_budget(ppm)
     with pytest.raises(ValueError):
         fs.drift_budget(10.0, 0.0)
 

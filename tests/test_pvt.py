@@ -225,6 +225,8 @@ def ref_solve(
         if np.linalg.norm(step[:3]) < tol_m:
             converged = True
             break
+    if np.linalg.norm(state[:3]) > 2 * np.linalg.norm(sat_positions, axis=1).max():
+        raise pvt.GeometryError("solution lies beyond twice the largest satellite radius")
     return pvt.PvtSolution(
         state[0], state[1], state[2], state[3], iterations,
         float(np.linalg.norm(residual)), converged,
@@ -268,12 +270,12 @@ def _geometry(n, seed, kind):
 # 6,000 of them cold starts with four or five satellites, the largest
 # difference in position, bias or residual_norm was under 0.04 of this bound.
 # The bound holds only while the iterate stays near the Earth: an iterate
-# that runs out past the constellation (beyond RAN_AWAY_M from the centre)
-# magnifies a last-bit difference each step, or converges to the range
-# equations' second root far out.
+# that runs out past the constellation magnifies a last-bit difference each
+# step, or converges to the range equations' second root far out. Both
+# solvers raise the same GeometryError for a final iterate beyond twice the
+# largest satellite radius, converged or not.
 ABS_BOUND_M = 1e-6
 EPS = np.finfo(float).eps
-RAN_AWAY_M = 2 * GPS_ORBIT_RADIUS_M
 
 
 def _state(sol):
@@ -316,7 +318,8 @@ def _equal_within(got, expected, bound):
     max_iterations=20, condition_cap=1e8, tol_m=1e-4,
 )
 # Here ref_solve converges after 11 iterations to the second root, 5.97e8 m
-# from the centre, and pvt.solve wanders there for all 20.
+# from the centre, and pvt.solve wanders there for all 20: both raise the
+# second-root GeometryError.
 @example(
     n=4, seed=5208, kind="spread", offset=(0.0, 0.0, 0.0), bias=280576.7414680107,
     noise=0.0, guess="none", max_iterations=20, condition_cap=1e8, tol_m=1e-4,
@@ -329,8 +332,8 @@ def test_solve_equals_reference(
     bound above with the same iterations and converged flag. The flag or
     count may differ only where ref_solve's step at the first iteration
     they part was within the bound of tol_m, and then the solutions may
-    differ by tol_m more. An iterate that ran away is only required to have
-    run away on both sides."""
+    differ by tol_m more. A final iterate beyond twice the largest satellite
+    radius raises the same second-root GeometryError on both sides."""
     sats = _geometry(n, seed, kind)
     truth = TRUTH + np.array(offset)
     rng = np.random.default_rng(seed)
@@ -354,9 +357,6 @@ def test_solve_equals_reference(
         assert repr(got) == repr(expected)
         return
     assert np.isfinite(_state(got)).all() and math.isfinite(got.residual_norm)
-    if np.linalg.norm(_state(expected)[:3]) > RAN_AWAY_M:
-        assert np.linalg.norm(_state(got)[:3]) > RAN_AWAY_M
-        return
     start = np.zeros(4)
     if initial is not None:
         start[: len(initial)] = initial
@@ -399,6 +399,111 @@ def test_normal_step_stays_within_its_certificate(n, seed, kind, at, residual_m)
     assert cond <= pvt._COND_LIMIT
     bound = 10 * cond**2 * EPS * (np.linalg.norm(want) + np.linalg.norm(residual))
     assert np.linalg.norm(np.array(step) - want) <= bound
+
+
+def test_second_root_is_a_geometry_error():
+    """Started at the Earth's centre, these four satellites lead
+    Gauss-Newton to the range equations' second root, 1.02e8 m out, and
+    it converges there. Every solver raises the second-root GeometryError
+    instead of returning it as a fix; from the truth it solves."""
+    sats = _sat_positions(4, seed=42357)
+    meas = _measurements(sats, bias_m=297482.5)
+    expected = (pvt.GeometryError, "solution lies beyond twice the largest satellite radius")
+    assert _outcome(pvt.solve, meas, sats) == expected
+    assert _outcome(ref_solve, meas, sats) == expected
+    rows = pvt.solve_rows(meas[None], sats[None], np.ones((1, 4), bool))
+    assert (type(rows.errors[0]), str(rows.errors[0])) == expected
+    sol = pvt.solve(meas, sats, TRUTH)
+    assert sol.converged and np.linalg.norm(sol.position - TRUTH) < 1e-6
+
+
+@given(
+    n=st.integers(4, 12),
+    seed=st.integers(0, 2**16),
+    kind=st.sampled_from(["spread", "two_planes", "collinear", "repeated"]),
+    at=st.sampled_from(["origin", "truth", "near", "far"]),
+    residual_m=st.sampled_from([1e-3, 1.0, 50.0, 1e5, 1e7]),
+    k=st.integers(1, 6),
+)
+@settings(max_examples=100, deadline=None)
+def test_array_normal_step_is_bitwise_normal_step(n, seed, kind, at, residual_m, k):
+    """_certified_step on a (5, 5, k) array certifies the same columns as
+    _normal_step on each one's nested lists, with each certified step
+    bitwise _normal_step's: the array form runs the same operations."""
+    rng = np.random.default_rng(seed)
+    ms = []
+    for _ in range(k):
+        point = {
+            "origin": np.zeros(3),
+            "truth": TRUTH,
+            "near": TRUTH + rng.normal(0.0, 1e5, 3),
+            "far": rng.normal(0.0, 1e8, 3),
+        }[at]
+        aug = np.column_stack(
+            [pvt.design_matrix(point, _geometry(n, seed, kind)), rng.normal(0.0, residual_m, n)]
+        )
+        ms.append(aug.T.dot(aug))
+    with np.errstate(all="ignore"):
+        bound, step = pvt._certified_step(np.array(ms).transpose(1, 2, 0), np.sqrt)
+    certified = bound <= pvt._COND_LIMIT
+    step = np.stack(step, axis=1)
+    for i, m in enumerate(ms):
+        expected = pvt._normal_step(m.tolist(), pvt._COND_LIMIT)
+        assert (expected is not None) == certified[i]
+        if expected is not None:
+            assert step[i].tobytes() == expected.tobytes()
+
+
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(4, 10),
+    channels=st.integers(10, 12),
+    kind=st.sampled_from(["spread", "spread", "two_planes", "collinear", "repeated"]),
+    guess=st.sampled_from(["none", "origin", "truth3", "truth4"]),
+    max_iterations=st.integers(1, 20),
+    condition_cap=st.sampled_from([1e8, 1e3, 10.0]),
+)
+@settings(max_examples=100, deadline=None)
+def test_solve_rows_equals_solve_row_by_row(
+    seed, n, channels, kind, guess, max_iterations, condition_cap
+):
+    """Each row of solve_rows, its usable cells scattered among unusable
+    ones that hold NaN, gives solve's outcome on those cells: the same
+    exception (type and text), or the same iterations and converged flag
+    and a state within the bound above of solve's (the step sums may round
+    otherwise). A row with fewer than 4 usable cells fails alone."""
+    rng = np.random.default_rng(seed)
+    k = 8
+    rho = np.full((k, channels), np.nan)
+    sats = np.full((k, channels, 3), np.nan)
+    usable = np.zeros((k, channels), bool)
+    guesses = np.zeros((k, 4))
+    problems = []
+    for i in range(k):
+        m = n if i else 3  # the first row is short
+        cells = np.sort(rng.choice(channels, m, replace=False))
+        row_sats = _geometry(max(m, 4), seed + i, kind)[:m]
+        truth = TRUTH + rng.normal(0.0, 1e5, 3)
+        meas = _measurements(row_sats, truth, rng.normal(0.0, 1e5), rng.normal(0.0, 5.0, m))
+        start = {
+            "none": np.zeros(4),
+            "origin": np.zeros(4),
+            "truth3": np.append(TRUTH, 0.0),
+            "truth4": np.append(truth, 0.0),
+        }[guess]
+        rho[i, cells], sats[i, cells], usable[i, cells], guesses[i] = meas, row_sats, True, start
+        problems.append((meas, row_sats, start))
+    kwargs = dict(max_iterations=max_iterations, condition_cap=condition_cap)
+    rows = pvt.solve_rows(rho, sats, usable, guesses, **kwargs)
+    for i, (meas, row_sats, start) in enumerate(problems):
+        expected = _outcome(pvt.solve, meas, row_sats, start, **kwargs)
+        if isinstance(expected, tuple) or i in rows.errors:
+            error = rows.errors.get(i)
+            assert (type(error), str(error)) == expected
+            continue
+        assert (rows.iterations[i], rows.converged[i]) == (expected.iterations, expected.converged)
+        bound = _bound(expected, start, row_sats)
+        assert np.abs(rows.state[i] - _state(expected)).max() <= bound
 
 
 @pytest.mark.parametrize("kind", ["repeated", "collinear", "two_planes", "on_guess"])

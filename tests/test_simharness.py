@@ -328,7 +328,10 @@ def test_no_wake_makes_two_fixes_at_one_sample():
 def test_a_label_due_at_a_fix_is_taken_before_it(monkeypatch):
     """With 20 ms samples every decode wait ends on a sample instant, so
     labels fall on the instants of fixes. Each is taken first, and that
-    fix solves with its channel."""
+    fix solves with its channel. The wake's 400-row table is solved fix by
+    fix here, so that each fix is a _fix call; test_relaxed_fixes_* check
+    that the relaxed solve reads the same channels."""
+    monkeypatch.setattr(sh, "_RELAX_ROWS", sh._TRUTH_ROWS + 1)
     events = []
     label, fix = sh._Engine._label, sh._Engine._fix
 
@@ -897,27 +900,20 @@ def test_a_sample_at_a_fix_reuses_its_errors(monkeypatch):
     wake fix's errors are evaluated once, as one row of its session's
     call, and session one's, which no report reads, not at all."""
     calls = {"rows": 0}
-    fixed = []
-    enu_errors, fix = sh.pvt.enu_errors, sh._Engine._fix
+    enu_errors = sh.pvt.enu_errors
 
     def counting_enu_errors(position, truth):
         calls["rows"] += len(np.atleast_2d(truth))
         return enu_errors(position, truth)
 
-    def counting_fix(self, state, t_since_wake, truth, row):
-        fixed.append(state)
-        return fix(self, state, t_since_wake, truth, row)
-
     monkeypatch.setattr(sh.pvt, "enu_errors", counting_enu_errors)
-    monkeypatch.setattr(sh._Engine, "_fix", counting_fix)
     report = sh.run_scenario(sh.ScenarioConfig(wake_run_s=30.0))
     before_first_fix = [
         s for arm in report.arms.values() for s in arm.samples if not s.fix_valid
     ]
     assert before_first_fix
-    # Session one fixes first; every fix of another session is a wake's.
-    wake_fixes = [state for state in fixed if state is not fixed[0]]
-    assert calls["rows"] == len(wake_fixes) + len(before_first_fix)
+    wake_fixes = sum(len(arm.fixes) for arm in report.arms.values())
+    assert calls["rows"] == wake_fixes + len(before_first_fix)
     for arm in report.arms.values():
         # The first fix lands between samples; each later one on a sample.
         valid = [s for s in arm.samples if s.fix_valid]
@@ -1419,9 +1415,13 @@ def test_wake_sequence_equals_event_queue(
     code_s, carrier_s, bit_s, epsilon, period, n_periods, off, ppm, start_tow_s, vel, n_sats, seed
 ):
     """Both arms of run_wake give the event queue's ArmReport and
-    diagnostics bit for bit, or its ScenarioError text, across latencies
-    and epsilon of 0-60 s, sample periods, wake lengths, ppm, sleeps,
-    start times up to the week end, speeds and satellite counts."""
+    diagnostics, or its ScenarioError text, across latencies and epsilon
+    of 0-60 s, sample periods, wake lengths, ppm, sleeps, start times up
+    to the week end, speeds and satellite counts. The event queue solves
+    fix by fix: run_wake made to do the same gives its outcome bit for
+    bit, and run_wake as it is, which relaxes tables of _RELAX_ROWS rows
+    or more, gives the same error text or reports within RELAXED_BOUND_M
+    (_assert_wakes_within_bound)."""
     config = replace(
         sh.ScenarioConfig(),
         code_s=code_s,
@@ -1445,8 +1445,14 @@ def test_wake_sequence_equals_event_queue(
         return
     for arm in (sh.ARM_ESTIMATOR, sh.ARM_HOTSTART):
         expected = _wake_outcome(ref_run_wake, engine, base, snapshot, arm, off)
-        got = _wake_outcome(sh._Engine.run_wake, engine, base, snapshot, arm, off)
+        with mock.patch.object(sh, "_RELAX_ROWS", sh._TRUTH_ROWS + 1):
+            got = _wake_outcome(sh._Engine.run_wake, engine, base, snapshot, arm, off)
         assert got == expected
+        relaxed = _wake_outcome(sh._Engine.run_wake, engine, base, snapshot, arm, off)
+        if isinstance(expected, str):
+            assert relaxed == expected
+        else:
+            _assert_wakes_within_bound(relaxed, expected)
 
 
 def test_tx_rel_solution_is_self_consistent():
@@ -1457,6 +1463,229 @@ def test_tx_rel_solution_is_self_consistent():
     sat = cst.propagate(eph, engine.t0_abs + t_tx).position
     rng = np.linalg.norm(sat - engine.user_pos(t_rx))
     assert t_rx - t_tx == pytest.approx(rng / SPEED_OF_LIGHT_M_S, abs=1e-12)
+
+
+# --- the relaxed solve of long truth tables against fix by fix ----------------------
+
+# A wake across the GPS week end and the TOW wrap: session one and a 300 s
+# sleep end about 100 s before the week does, and the 300-row tables of a
+# 12 m/s user cross it.
+WEEK_END = replace(
+    BASE,
+    start_tow_s=WEEK_S - 450.0,
+    off_duration_s=300.0,
+    wake_run_s=300.0,
+    noise_sigma_m=5.0,
+    rtc_ppm=10.0,
+    user_vel_ecef=(12.0, -3.0, 1.5),
+    seed=11,
+)
+# Every position and sample of a relaxed table lies this close to fix by
+# fix.
+RELAXED_BOUND_M = 1e-6
+# A clock offset's second of week can round to the next float either way
+# (at most 1.2e-10 s below WEEK_S), and so can the week-scale sum an offset
+# error takes; the clock offset errors lie within these two roundings. The
+# offset sets every pseudorange's receive time, so a fix's clock bias b_u
+# moves with it, by up to c times this (7 cm), while its position does not.
+OFFSET_ROUNDING_S = 2 * np.spacing(WEEK_S)
+
+
+def _relaxed_and_fix_by_fix(run):
+    """run()'s outcome, a value or a ScenarioError text, with the long
+    tables relaxed and with every table solved fix by fix."""
+    outcomes = []
+    for relax_rows in (sh._RELAX_ROWS, sh._TRUTH_ROWS + 1):
+        with mock.patch.object(sh, "_RELAX_ROWS", relax_rows):
+            try:
+                outcomes.append(run())
+            except sh.ScenarioError as exc:
+                outcomes.append(str(exc))
+    return outcomes
+
+
+def _assert_fixes_within_bound(relaxed, fix_by_fix):
+    """The same fix times, iterations and converged flags, positions
+    within RELAXED_BOUND_M, and clock biases within that plus what
+    OFFSET_ROUNDING_S of clock offset moves every pseudorange by."""
+    assert len(relaxed) == len(fix_by_fix)
+    for f, g in zip(relaxed, fix_by_fix):
+        assert (f.t_since_wake_s, f.iterations, f.converged) == (
+            g.t_since_wake_s, g.iterations, g.converged
+        )
+        for name in ("err_east_m", "err_north_m", "err_2d_m"):
+            assert abs(getattr(f, name) - getattr(g, name)) <= RELAXED_BOUND_M
+        assert abs(f.b_u_m - g.b_u_m) <= RELAXED_BOUND_M + SPEED_OF_LIGHT_M_S * OFFSET_ROUNDING_S
+
+
+def _assert_wakes_within_bound(relaxed, fix_by_fix):
+    """Two run_wake outcomes, (ArmReport, diagnostics): every discrete
+    field equal, every sample within RELAXED_BOUND_M, and the clock-offset
+    errors within OFFSET_ROUNDING_S."""
+    (a, diagnostics), (b, diagnostics_f) = relaxed, fix_by_fix
+    assert (a.arm, a.time_to_first_fix_s, a.power_ratio, a.used_estimate, a.hotstart_delay_s) == (
+        b.arm, b.time_to_first_fix_s, b.power_ratio, b.used_estimate, b.hotstart_delay_s
+    )
+    assert abs(a.rms_2d_m - b.rms_2d_m) <= RELAXED_BOUND_M
+    assert [(x.t_s, x.fix_valid) for x in a.samples] == [(x.t_s, x.fix_valid) for x in b.samples]
+    for x, y in zip(a.samples, b.samples):
+        for name in ("err_east_m", "err_north_m", "err_2d_m"):
+            assert abs(getattr(x, name) - getattr(y, name)) <= RELAXED_BOUND_M
+    _assert_fixes_within_bound(a.fixes, b.fixes)
+    _assert_offsets_within_rounding(diagnostics, diagnostics_f)
+
+
+def _assert_offsets_within_rounding(diagnostics, diagnostics_f):
+    assert diagnostics.keys() == diagnostics_f.keys()
+    for key, value in diagnostics.items():
+        assert value == pytest.approx(diagnostics_f[key], rel=0, abs=OFFSET_ROUNDING_S)
+
+
+def _assert_reports_within_bound(relaxed, fix_by_fix):
+    """_assert_wakes_within_bound for each arm of two ScenarioReports."""
+    assert relaxed.arms.keys() == fix_by_fix.arms.keys()
+    for arm, a in relaxed.arms.items():
+        _assert_wakes_within_bound((a, {}), (fix_by_fix.arms[arm], {}))
+    _assert_offsets_within_rounding(relaxed.diagnostics, fix_by_fix.diagnostics)
+
+
+def test_relaxed_fixes_across_the_week_end():
+    """Both arms of a wake whose 300-row tables cross the week end and the
+    TOW wrap: the relaxed solve lands within 1e-6 m of fix by fix, with the
+    same iterations and flags. This pins the array forms of GpsTime's
+    normalisation (the receive times) and of the clock offset's week."""
+    relaxed, fix_by_fix = _relaxed_and_fix_by_fix(lambda: sh.run_scenario(WEEK_END))
+    assert len(relaxed.arms[sh.ARM_HOTSTART].fixes) >= sh._RELAX_ROWS
+    assert relaxed.arms[sh.ARM_ESTIMATOR].used_estimate
+    _assert_reports_within_bound(relaxed, fix_by_fix)
+
+
+@pytest.mark.parametrize("expires_s", [WEEK_S - 450.0 + 480.0, WEEK_S - 450.0 + 391.5])
+def test_relaxed_fixes_fail_where_fix_by_fix_fails(expires_s):
+    """One satellite's ephemeris runs out inside the first wake table,
+    past the week end (135 s into the wake) or before it (46 s in): the
+    relaxed solve raises the error fix by fix raises, text and time
+    included, for both arms."""
+    t0 = sh.GpsTime(WEEK_END.start_week, WEEK_END.start_tow_s).total_seconds()
+    sats = cst.default_constellation(np.array(WEEK_END.user_pos_ecef), t0, 8)
+    validity = expires_s - WEEK_END.start_tow_s
+    sats = tuple(replace(e, validity=validity) if e.sat_id == 2 else e for e in sats)
+    config = replace(WEEK_END, satellites=sats)
+    engine = sh._Engine(config)
+    base, snapshot = engine.run_session_one()
+    for arm in (sh.ARM_ESTIMATOR, sh.ARM_HOTSTART):
+        relaxed, fix_by_fix = _relaxed_and_fix_by_fix(
+            lambda: engine.run_wake(base, snapshot, arm, WEEK_END.off_duration_s)
+        )
+        assert isinstance(relaxed, str) and "sat 2" in relaxed
+        assert relaxed == fix_by_fix
+
+
+def test_relaxed_fixes_read_labels_due_inside_the_table():
+    """A decoding wake with 20 ms samples: its first table (400 rows)
+    starts at the fourth label, and the other labels fall between its
+    rows. Each relaxed row reads the channels labeled by its instant."""
+    config = replace(WEEK_END, start_tow_s=86400.0, sample_period_s=0.02, wake_run_s=8.0)
+    relaxed, fix_by_fix = _relaxed_and_fix_by_fix(lambda: sh.run_scenario(config))
+    assert not relaxed.arms[sh.ARM_HOTSTART].used_estimate
+    _assert_reports_within_bound(relaxed, fix_by_fix)
+
+
+def test_relaxed_tables_hand_their_state_to_the_next(monkeypatch):
+    """With tables of 48 rows, each arm of the week-end wake is six
+    relaxed tables, each entered from the one before, and a tail of 11 or
+    12 rows solved fix by fix from the last: the position, delays and
+    clock offset a relaxed table leaves keep the next within the bound."""
+    monkeypatch.setattr(sh, "_TRUTH_ROWS", 48)
+    relaxed, fix_by_fix = _relaxed_and_fix_by_fix(lambda: sh.run_scenario(WEEK_END))
+    for arm in relaxed.arms.values():
+        assert 6 * 48 < len(arm.fixes) < 6 * 48 + sh._RELAX_ROWS
+    _assert_reports_within_bound(relaxed, fix_by_fix)
+
+
+def test_relaxed_session_one_reads_its_clock_offsets(monkeypatch):
+    """A session one of 100 fixes in tables of 40 rows: the first, which
+    has no position to seed from, goes fix by fix, and the next two are
+    relaxed. Its fixes, clock offset errors (the jitter among them) and
+    snapshot match fix by fix."""
+    monkeypatch.setattr(sh, "_TRUTH_ROWS", 40)
+    config = replace(WEEK_END, session1_extra_s=100.0)
+
+    def session_one():
+        base, snapshot = sh._Engine(config).run_session_one()
+        return base.fixes, base.diagnostics, snapshot
+
+    (fixes, diagnostics, snapshot), (fixes_f, diagnostics_f, snapshot_f) = (
+        _relaxed_and_fix_by_fix(session_one)
+    )
+    assert len(fixes) == 100
+    assert fixes[:40] == fixes_f[:40]
+    _assert_fixes_within_bound(fixes, fixes_f)
+    _assert_offsets_within_rounding(diagnostics, diagnostics_f)
+    assert replace(snapshot_f, rco=snapshot.rco) == snapshot
+    assert snapshot.rco.week == snapshot_f.rco.week
+    assert snapshot.rco.second == pytest.approx(snapshot_f.rco.second, rel=0, abs=OFFSET_ROUNDING_S)
+
+
+def test_session_one_first_table_goes_fix_by_fix(monkeypatch):
+    """Session one has no position to seed relaxed rows from, so its first
+    table is solved fix by fix however long it is: one pvt.solve a fix."""
+    calls, solve = [], pvt.solve
+    monkeypatch.setattr(pvt, "solve", lambda *a: calls.append(1) or solve(*a))
+    base, _ = sh._Engine(replace(WEEK_END, session1_extra_s=20.0)).run_session_one()
+    assert len(base.fixes) == len(calls) == 20
+
+
+@given(
+    start_tow_s=st.one_of(st.floats(0.0, WEEK_S - 1e-3), st.floats(WEEK_S - 100.0, WEEK_S - 1e-3)),
+    t=st.floats(0.0, 3000.0),
+    shift_bits=st.integers(-60, 60),
+    rtc_ppm=st.sampled_from([0.0, 10.0, 1000.0]),
+    delay_s=st.floats(0.06, 0.09),
+)
+@settings(max_examples=100, deadline=None)
+def test_clock_offset_terms_equal_refine_rco(start_tow_s, t, shift_bits, rtc_ppm, delay_s):
+    """For every channel as the anchor, the offset built from the array
+    terms a relaxed table uses (_rco_terms) is bitwise the one _refine_rco
+    computes with the clock at that row, and the array receive time is
+    the clock's receiver time, across the week end."""
+    config = replace(BASE, start_tow_s=start_tow_s, rtc_ppm=rtc_ppm)
+    engine = sh._Engine(config)
+    state = sh._State(
+        0.0,
+        engine.clock_at(t),
+        locks=[rcv.LockState()] * len(engine.sats),
+        label_shift_s=shift_bits * sh.BIT_S,
+    )
+    s_bel = engine._truth([t]).tx + state.label_shift_s
+    elapsed = np.array([t * engine._scale()])
+    weeks, seconds = sh._gps_times(engine.zt.week, engine.zt.second + elapsed)
+    receiver_time = state.clock.receiver_time()
+    assert (int(weeks[0]), float(seconds[0])) == (receiver_time.week, receiver_time.second)
+    week_number, tow, sync_tic = engine._rco_terms(s_bel, elapsed[:, None])
+    rco = sh.compute_rco(
+        engine.zt, week_number.astype(np.int64), sync_tic, tow, propagation_delay_s=delay_s
+    )
+    for anchor in range(len(engine.sats)):
+        state.assumed_delay_s[anchor] = delay_s
+        state.anchor = anchor
+        engine._refine_rco(state, float(s_bel[0, anchor]))
+        offset = (int(rco.week[0, anchor]), float(rco.second[0, anchor]))
+        assert offset == (state.rco.week, state.rco.second)
+
+
+def test_gps_times_equal_gps_time_normalisation():
+    """The array normalisation gives GpsTime's (week, second) bit for bit,
+    at the window edges and their float neighbours too."""
+    edges = [0.0, -0.0, WEEK_S, -WEEK_S, 2 * WEEK_S, 1e-300, -1e-300, 1e6, -1e6]
+    seconds = [x for e in edges for x in (e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf))]
+    seconds += np.random.default_rng(0).uniform(-3 * WEEK_S, 3 * WEEK_S, 200).tolist()
+    weeks, normalised = sh._gps_times(7, np.array(seconds))
+    for week, second, x in zip(weeks.tolist(), normalised.tolist(), seconds):
+        expected = sh.GpsTime(7, x)
+        assert (week, struct.pack("<d", second)) == (
+            expected.week, struct.pack("<d", expected.second)
+        )
 
 
 # --- scenario text ------------------------------------------------------------------
