@@ -21,11 +21,13 @@ raises GeometryError too.
 
 solve takes one problem; solve_rows takes many, one per row of (k, n)
 arrays with a mask of usable cells, and runs each Gauss-Newton iteration
-as one array pass over the rows still running, by solve's rules: the
-scenario harness solves a long truth table's fixes with it, sweep by sweep
-(simharness._Engine._relaxed_fixes). Both share the step's one sequence
-of operations (_certified_step), so a row's step is bitwise solve's for
-the same normal equations.
+as one array pass over the rows still running. It takes certified steps
+only and raises nothing: a row that solve might raise for, or take an
+lstsq step in, is marked failed. The scenario harness solves a long truth
+table's fixes with it, sweep by sweep, and a table with a failed row fix
+by fix with solve (simharness._Engine._relaxed_fixes). Both share the
+step's one sequence of operations (_certified_step), so a row's step is
+bitwise solve's for the same normal equations.
 """
 from __future__ import annotations
 
@@ -46,6 +48,8 @@ TOL_M = 1e-4
 # (2e-6), 10 in 20,000 cold-start solves with four or five satellites took
 # another number of iterations than with lstsq steps alone; at 1e3, 1 did.
 _COND_LIMIT = 1e3
+# Gauss-Newton iterations before a solve stops unconverged.
+_MAX_ITERATIONS = 20
 # Relative margin on the bound's square for the rounding of its own
 # computation.
 _BOUND_MARGIN = 1e-3
@@ -183,7 +187,7 @@ def solve(
     initial_guess: np.ndarray | None = None,
     *,
     tol_m: float = TOL_M,
-    max_iterations: int = 20,
+    max_iterations: int = _MAX_ITERATIONS,
     condition_cap: float = CONDITION_CAP,
 ) -> PvtSolution:
     """Gauss-Newton position/bias solution from pseudoranges.
@@ -284,73 +288,45 @@ def solve(
     )
 
 
-
 @dataclass(frozen=True)
 class RowSolutions:
-    """solve_rows' result: per row, the solution solve returns but for its
-    residual norm, or in errors what solve raises. A row in errors holds
-    the iterate it failed at."""
+    """solve_rows' result, per row: the position and bias, iterations and
+    converged flag solve would return, and whether the row failed. A failed
+    row holds the iterate it stopped at."""
 
     state: np.ndarray  # (k, 4) position and bias
     iterations: np.ndarray  # (k,) int
     converged: np.ndarray  # (k,) bool
-    errors: dict[int, ValueError]
+    failed: np.ndarray  # (k,) bool
 
 
 def solve_rows(
     pseudoranges_m: np.ndarray,
     sat_positions: np.ndarray,
     usable: np.ndarray,
-    initial_guess: np.ndarray | None = None,
-    *,
-    tol_m: float = TOL_M,
-    max_iterations: int = 20,
-    condition_cap: float = CONDITION_CAP,
+    initial_guess: np.ndarray,
 ) -> RowSolutions:
-    """k solves at once, one per row, each by solve's rules.
+    """k solves at once, one per row, by solve's certified steps alone.
 
-    Row i is solve(pseudoranges_m[i, u], sat_positions[i, u],
-    initial_guess[i]) with u = usable[i]: pseudoranges_m is (k, n),
+    Row i solves pseudoranges_m[i, u] from sat_positions[i, u], with
+    u = usable[i], starting at initial_guess[i]: pseudoranges_m is (k, n),
     sat_positions (k, n, 3), usable (k, n) and initial_guess (k, 3) or
     (k, 4). Cells outside usable are never read. Each iteration is one
-    array pass over the rows still running, with solve's checks in solve's
-    order: at least 4 usable measurements, finite inputs, no satellite on
-    the iterate, the certified normal-equations step (bitwise
-    _normal_step's for the same aug.T @ aug), else the lstsq step with its
-    first-iteration cap and rank checks, the convergence test, and the
-    second-root check on the final iterate. What solve would raise for a
-    row is returned in errors, not raised. Only the sums aug.T @ aug may
-    round otherwise than solve's, so a row lands within the rounding of a
-    step of solve's solution, if not on its bits.
+    array pass over the rows still running, and a row converges as solve
+    does. A row is marked failed, and stops, where solve might act
+    otherwise: it has fewer than 4 usable cells, a step's bound on cond(J)
+    is not at most 1e3 (solve would take an lstsq step or raise; a zero
+    range gives no bound), or its final iterate lies past the second
+    root. Nothing is raised: solve decides what a failed row is. A row not
+    failed has solve's iterations and flag, each step bitwise
+    _normal_step's for the same aug.T @ aug; only those sums may round
+    otherwise than solve's, so it lands within the rounding of a step of
+    solve's solution, if not on its bits.
     """
-    rho = np.asarray(pseudoranges_m, float)
-    if rho.ndim != 2:
-        raise ValueError("pseudoranges_m must be a 2-D array")
-    k, n = rho.shape
-    sats = np.asarray(sat_positions, float)
-    usable = np.asarray(usable, bool)
-    if sats.shape != (k, n, 3) or usable.shape != (k, n):
-        raise ValueError("sat_positions and usable must be (k, n, 3) and (k, n)")
+    k, n = pseudoranges_m.shape
     state = np.zeros((k, 4))
-    if initial_guess is not None:
-        guess = np.asarray(initial_guess, float)
-        if guess.ndim != 2 or len(guess) != k or guess.shape[1] not in (3, 4):
-            raise ValueError("initial_guess must be (k, 3) or (k, 4)")
-        state[:, : guess.shape[1]] = guess
-
-    # solve's input checks, in its order; a row keeps its first failure.
-    count = np.count_nonzero(usable, axis=1)
-    errors: dict[int, ValueError] = {
-        r: InsufficientSatellitesError(f"{count[r]} measurements; need at least 4")
-        for r in np.flatnonzero(count < 4).tolist()
-    }
-    for bad, text in (
-        (usable & ~((0 <= rho) & (rho < math.inf)), "pseudorange must be finite and non-negative"),
-        (usable & ~np.isfinite(sats).all(axis=2), "sat_positions must be finite"),
-        (~np.isfinite(state), "initial_guess must be finite"),
-    ):
-        for r in np.flatnonzero(bad.any(axis=1)).tolist():
-            errors.setdefault(r, ValueError(text))
+    state[:, : initial_guess.shape[1]] = initial_guess
+    failed = np.count_nonzero(usable, axis=1) < 4
     # Cells outside usable become zero columns of [J | r]^T. Their inputs
     # are replaced, so that nothing reads them: a zero pseudorange, and a
     # copy of the row's first usable satellite, which is never at zero
@@ -358,19 +334,17 @@ def solve_rows(
     # satellites, (k, 5, n) for [J | r]^T.
     weight = usable.astype(float)
     masked = not usable.all()
-    rho = np.where(usable, rho, 0.0)
-    first = sats[np.arange(k), usable.argmax(axis=1), :, None]
-    sats = np.where(usable[:, None, :], sats.transpose(0, 2, 1), first)
+    rho = np.where(usable, pseudoranges_m, 0.0)
+    first = sat_positions[np.arange(k), usable.argmax(axis=1), :, None]
+    sats = np.where(usable[:, None, :], sat_positions.transpose(0, 2, 1), first)
     iterations = np.zeros(k, int)
     converged = np.zeros(k, bool)
-    active = np.arange(k)
-    if errors:
-        active = np.delete(active, list(errors))
+    active = np.flatnonzero(~failed)
 
-    for it in range(1, max_iterations + 1):
+    for it in range(1, _MAX_ITERATIONS + 1):
         if not len(active):
             break
-        # Every row while none has converged or failed, else a copy of the rest.
+        # Every row while none has stopped, else a copy of the rest.
         rows = slice(None) if len(active) == k else active
         los = sats[rows] - state[rows, :3, None]
         ranges = np.sqrt(np.add.reduce(los * los, axis=1))
@@ -378,7 +352,7 @@ def solve_rows(
         aug[:, 3] = weight[rows]
         np.subtract(rho[rows] - ranges, state[rows, 3:], out=aug[:, 4])
         # A zero range, or a failed factor, gives infinities and NaNs here,
-        # which decide nothing.
+        # which no bound certifies.
         with np.errstate(all="ignore"):
             np.divide(los, -ranges[:, None], out=aug[:, :3])
             if masked:
@@ -387,41 +361,22 @@ def solve_rows(
                 np.matmul(aug, aug.transpose(0, 2, 1)).transpose(1, 2, 0), np.sqrt
             )
         step = np.stack(step, axis=1)
-        failed = []
-        if not ranges.all():
-            for i in np.flatnonzero((aug[:, 3] * (ranges == 0)).any(axis=1)).tolist():
-                failed.append(i)
-                errors[int(active[i])] = GeometryError(
-                    "linearization point coincides with a satellite"
-                )
-        limit = min(condition_cap, _COND_LIMIT) if it == 1 else _COND_LIMIT
-        for i in np.flatnonzero(~(bound <= limit)).tolist():
-            if i in failed:
-                continue
-            u = weight[active[i]] > 0
-            step[i], _, rank, sv = np.linalg.lstsq(aug[i, :4, u], aug[i, 4, u], rcond=None)
-            if it == 1 and (sv[0] / sv[-1] if sv[-1] else math.inf) > condition_cap:
-                errors[int(active[i])] = GeometryError("design matrix condition number exceeds cap")
-                failed.append(i)
-            elif rank < 4:
-                errors[int(active[i])] = GeometryError("rank-deficient geometry")
-                failed.append(i)
-        if failed:
-            active, step = np.delete(active, failed), np.delete(step, failed, axis=0)
+        certified = bound <= _COND_LIMIT
+        if not certified.all():
+            failed[active[~certified]] = True
+            active, step = active[certified], step[certified]
             rows = active
         state[rows] += step
         iterations[active] = it
-        done = np.sqrt(np.vecdot(step[:, :3], step[:, :3])) < tol_m
+        done = np.sqrt(np.vecdot(step[:, :3], step[:, :3])) < TOL_M
         converged[active[done]] = True
         active = active[~done]
 
     position = state[:, :3]
     radius_sq = np.add.reduce(sats * sats, axis=1).max(axis=1)
     with np.errstate(invalid="ignore"):  # a failed row may hold NaNs
-        far = np.vecdot(position, position) > 4.0 * radius_sq
-    for r in np.flatnonzero(far).tolist():
-        errors.setdefault(r, GeometryError(_SECOND_ROOT))
-    return RowSolutions(state, iterations, converged, errors)
+        failed |= np.vecdot(position, position) > 4.0 * radius_sq
+    return RowSolutions(state, iterations, converged, failed)
 
 
 def enu_basis(ref_ecef: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

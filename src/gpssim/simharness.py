@@ -36,7 +36,10 @@ starts from the session's state, every later row from the table's entry
 position and the delays and offset that position gives, and each sweep's
 row j reads what the sweep before left for row j - 1, until no row's
 inputs move by more than pvt.TOL_M. Its fixes land within 1e-6 m of fix
-by fix, with the same iterations and flags and the same errors. A
+by fix; a fix whose step falls that close to the tolerance can take one
+iteration more or fewer. A table with a row that fails, or is not
+certified, on the last sweep is solved fix by fix instead, so _Engine._fix
+decides every error. A
 shorter table, and session one's first, which has no position to seed
 its rows from, is solved fix by fix (_Engine._fix, one pvt.solve each).
 
@@ -390,8 +393,6 @@ _TRUTH_ROWS = 1024
 # one at 12 m/s. A wake_sweep table holds at most 11 rows.
 _RELAX_ROWS = 16
 
-_FEW_CHANNELS = "fewer than 4 usable channels at a fix epoch"
-
 
 def _gps_times(week, second) -> tuple[np.ndarray, np.ndarray]:
     """GpsTime(week, second)'s normalisation (normalize_week) on arrays:
@@ -659,16 +660,6 @@ class _Engine:
         # tow is k + 1 wrapped at the week end; count the wraps as weeks.
         return self.config.start_week + (k + 1) // TOW_COUNT, (k + 1) % TOW_COUNT, sync_tic
 
-    def _believed_pos(self, st: _State, sky: _Sky, row: int, idx: np.ndarray) -> np.ndarray:
-        """Where channels idx are at their believed transmit times at the
-        sky's row; raises as st.rx_orbits[idx].positions would there, for
-        the first stale one."""
-        bad = idx[sky.believed_stale[row, idx]]
-        if len(bad):
-            t_abs = self.t0_abs + sky.believed_tx[row, bad[0]]
-            raise st.rx_orbits.stale_error(t_abs, bad[0])
-        return sky.believed_pos[row, idx]
-
     def _fix(self, st: _State, t_since_wake: float, sky: _Sky, row: int) -> None:
         """Solve one fix now, with the truth at row of sky; the session's
         first uses the flat assumed delay. Only the steps that depend on
@@ -689,7 +680,7 @@ class _Engine:
         # by the first fix, so st.rx_orbits covers them all.
         idx = (st.labeled & sky.visible[row]).nonzero()[0]
         if len(idx) < 4:
-            raise ScenarioError(_FEW_CHANNELS)
+            raise ScenarioError("fewer than 4 usable channels at a fix epoch")
         rx_orbits = st.selections.get(key := idx.tobytes())
         if rx_orbits is None:
             rx_orbits = st.selections[key] = st.rx_orbits[idx]
@@ -700,12 +691,16 @@ class _Engine:
         # delay before the receive time. A stale cell here raises before
         # one at the believed transmit times.
         sat_pos = rx_orbits.positions(self.t0_abs + (r_rel - st.assumed_delay_s[idx]))
-        believed_pos = self._believed_pos(st, sky, row, idx)
+        # A stale cell at the believed transmit times raises as
+        # rx_orbits.positions would there, for the first one.
+        bad = idx[sky.believed_stale[row, idx]]
+        if len(bad):
+            raise st.rx_orbits.stale_error(self.t0_abs + sky.believed_tx[row, bad[0]], bad[0])
 
         sol = pvt.solve(rho, sat_pos, st.last_known)
         st.last_known = position = sol.position
 
-        d = believed_pos - position
+        d = sky.believed_pos[row, idx] - position
         st.assumed_delay_s[idx] = np.sqrt(np.vecdot(d, d)) / SPEED_OF_LIGHT_M_S
         self._refine_rco(st, s_anchor)
         st.solved.append(
@@ -721,15 +716,18 @@ class _Engine:
         reached, and the fixes of one table become records before the next
         is made. A table of _RELAX_ROWS rows or more is solved at once
         (_relaxed_fixes) once the session has a position to seed its rows
-        from; a shorter one, and session one's first, fix by fix (_fix)."""
+        from; a shorter one, session one's first, and one the relaxed solve
+        hands back, fix by fix (_fix)."""
         offsets = []
         for start in range(0, len(instants), _TRUTH_ROWS):
             st.record_fixes()
             block = instants[start : start + _TRUTH_ROWS]
             sky = self._sky(st, self._truth(self.true_time(st, np.array(block))))
             if len(block) >= _RELAX_ROWS and st.last_known is not None:
-                offsets += self._relaxed_fixes(st, block, sky, labels)
-                continue
+                relaxed = self._relaxed_fixes(st, block, sky, labels)
+                if relaxed is not None:
+                    offsets += relaxed
+                    continue
             for row, ns in enumerate(block):
                 self._take_labels(st, labels, ns)
                 self.advance_to(st, ns)
@@ -745,10 +743,13 @@ class _Engine:
             ns_label, channel, _ = labels.pop(0)
             self._label(st, ns_label, channel)
 
-    def _relaxed_fixes(self, st: _State, block: list[int], sky: _Sky, labels: list) -> list[float]:
+    def _relaxed_fixes(
+        self, st: _State, block: list[int], sky: _Sky, labels: list
+    ) -> list[float] | None:
         """The fixes of one truth table at instants block, all solved at
-        once: what _fix makes of each row in turn, to within 1e-6 m. Returns
-        the clock offsets after each, as _fixes does.
+        once: what _fix makes of each row in turn, to within 1e-6 m.
+        Returns the clock offsets after each, as _fixes does, or None, with
+        the session and labels untouched, if a row fails.
 
         Fix j reads three things of fix j - 1: its position as the warm
         start, the assumed delays it leaves and the clock offset it refines.
@@ -769,27 +770,31 @@ class _Engine:
         then 5.2e-2 m, then 9.6e-6 m, and every one of 35,933 fixes landed
         within 7.8e-9 m of _fix's, with the same iterations and converged
         flag. A Gauss-Newton result carries the bits of its warm start, so
-        its bits differ from _fix's.
+        its bits differ from _fix's; and the last sweep solves from inputs
+        that still move by up to pvt.TOL_M, so a fix whose step lands that
+        close to the tolerance can take one iteration more or fewer.
 
-        Labels due in the table run first, in time order, and each row
-        reads the channels labeled by its instant. Failures are decided on
-        the last sweep (an earlier one keeps a failing row's last solution):
-        the first row that fails raises what _fix raises there, in _fix's
-        order of checks, with st.t_rel at that row's time.
+        Each row reads the channels labeled by its instant, and the anchor
+        they give, from the labels due by then; they run only when the
+        table is done. A row fails on the last sweep if pvt.solve_rows marks
+        it failed, or a usable channel is stale at its assumed or believed
+        transmit time (an earlier sweep keeps a failed row's last position).
+        Then _fixes solves the table fix by fix, and _fix decides.
         """
         m, n = sky.visible.shape
-        labeled = np.empty((m, n), bool)
-        anchor = np.empty(m, np.int64)
-        for row, ns in enumerate(block):
-            self._take_labels(st, labels, ns)
-            labeled[row] = st.labeled
-            anchor[row] = st.anchor
-        usable = labeled & sky.visible
         rows, cols = np.arange(m), np.arange(n)
-        c = SPEED_OF_LIGHT_M_S
-        # Each row's failures that no other row moves.
-        few = np.count_nonzero(usable, axis=1) < 4
+        labeled = np.tile(st.labeled, (m, 1))
+        anchor = np.full(m, st.anchor)
+        # A label's row is the first whose instant is at or after it; the
+        # first label of a session with none becomes the anchor (_label).
+        due = np.searchsorted(block, [ns for ns, _, _ in labels])
+        for (_, channel, _), row in zip(labels, due):
+            labeled[row:, channel] = True
+        if labels and not st.labeled.any():
+            anchor[due[0] :] = labels[0][1]
+        usable = labeled & sky.visible
         believed_stale = (sky.believed_stale & usable).any(axis=1)
+        c = SPEED_OF_LIGHT_M_S
         # Per row, the receiver time (clock_at(t).receiver_time()) and the
         # clock-offset terms with its anchor.
         elapsed = sky.truth.t_rel * self._scale()
@@ -840,41 +845,22 @@ class _Engine:
             week, second = _gps_times(rx_week - week_in, rx_second - second_in)
             r_rel = (week - self.t0_gps.week) * WEEK_S + (second - self.t0_gps.second)
             rho = c * (r_rel[:, None] - sky.believed_tx) + sky.truth.noise
-            t_assumed = self.t0_abs + (r_rel[:, None] - delay_in)
-            sat_pos, stale = st.rx_orbits.evaluate(t_assumed)
-            stale &= usable
-            ok = ~(few | stale.any(axis=1) | believed_stale)
-            # Every row, without copies, unless one failed before its solve.
-            take = slice(None) if ok.all() else ok
-            sol = pvt.solve_rows(rho[take], sat_pos[take], usable[take], guess[take])
-            solved = rows[take]
-            failed = sorted(sol.errors)
-            position[np.delete(solved, failed)] = np.delete(sol.state[:, :3], failed, axis=0)
-            failed_rows = np.union1d(rows[~ok], solved[failed])
-            after = chain(position)
-            # Rows after the first failure do not count: it ends the session.
-            end = failed_rows[0] + 1 if len(failed_rows) else m
+            sat_pos, stale = st.rx_orbits.evaluate(self.t0_abs + (r_rel[:, None] - delay_in))
+            sol = pvt.solve_rows(rho, sat_pos, usable, guess)
+            ok = ~(sol.failed | (stale & usable).any(axis=1) | believed_stale)
+            position[ok] = sol.state[ok, :3]
+            inputs = chain(position)
             moved = max(
-                np.sqrt(np.vecdot(after[0] - guess, after[0] - guess))[:end].max(),
-                c * np.abs(after[1] - delay_in)[:end].max(),
-                c * np.abs(after[3] - second_in)[:end].max(),
+                np.sqrt(np.vecdot(inputs[0] - guess, inputs[0] - guess)).max(),
+                c * np.abs(inputs[1] - delay_in).max(),
+                c * np.abs(inputs[3] - second_in).max(),
             )
-            inputs = after
             if moved <= pvt.TOL_M:
                 break
+        if not ok.all():
+            return None
 
-        if len(failed_rows):
-            row = failed_rows[0]
-            st.t_rel = float(sky.truth.t_rel[row])
-            if few[row]:
-                raise ScenarioError(_FEW_CHANNELS)
-            if stale[row].any():
-                col = int(stale[row].argmax())
-                raise st.rx_orbits.stale_error(t_assumed[row, col], col)
-            if believed_stale[row]:
-                self._believed_pos(st, sky, row, usable[row].nonzero()[0])
-            raise sol.errors[int(np.searchsorted(solved, row))]
-
+        self._take_labels(st, labels, block[-1])
         self.advance_to(st, block[-1])
         delay, after = inputs[4:]
         st.last_known = position[-1].copy()

@@ -8,8 +8,9 @@ Each tree runs the whole corpus in its own subprocess, both at once. The
 corpus is built here, once, from this tree's tests and benchmark inputs:
 
 * the GRID scenarios of tests/test_report_digests.py;
-* the pass-0 points of perfbench's wake_sweep workload at seeds 1 and
-  7919 (perfbench/workloads.py is only read);
+* the pass-0 points of perfbench's wake_sweep and long_track workloads at
+  seeds 1 and 7919 (perfbench/workloads.py is only read); long_track's
+  900-row tables are the corpus's only ones long enough to be relaxed;
 * 200 scenario texts from a seeded generator shaped like test_fuzz's
   strategy (up to eight lines drawn from its values per key);
 * a sleep of 1e300 s.
@@ -22,8 +23,8 @@ lists, by name, each scenario with no discrete change whose largest sample
 |delta| exceeds MOVED_M (pvt.solve's 1e-4 m tolerance), such as a fix that
 now sees another set of channels, and every discrete change by scenario:
 an error text (or an error on one side only), the arms, an arm's fix
-count, a sample's fix_valid, and used_estimate. It exits 1 when it finds a
-discrete change, else 0.
+count, a fix's iterations and converged flag, a sample's fix_valid, and
+used_estimate. It exits 1 when it finds a discrete change, else 0.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
-WAKE_SWEEP_SEEDS = (1, 7919)
+BENCHMARK_SEEDS = (1, 7919)
 FUZZ_SCENARIOS = 200
 FUZZ_SEED = 2015
 ARM_FIELDS = ("time_to_first_fix_s", "power_ratio", "rms_2d_m", "hotstart_delay_s")
@@ -62,10 +63,11 @@ def corpus() -> list[dict]:
     import workloads
 
     items = [dict(part="grid", name=name, grid=name) for name in sorted(test_report_digests.GRID)]
-    for seed in WAKE_SWEEP_SEEDS:
-        points = workloads.WakeSweep(seed, Path("{tmp}")).inputs(0)
-        part = f"wake_sweep:{seed}"
-        items += [dict(part=part, name=f"{part}#{i}", text=p.text) for i, p in enumerate(points)]
+    for workload in (workloads.WakeSweep, workloads.LongTrack):
+        for seed in BENCHMARK_SEEDS:
+            points = workload(seed, Path("{tmp}")).inputs(0)
+            part = f"{workload.name}:{seed}"
+            items += [dict(part=part, name=f"{part}#{i}", text=p.text) for i, p in enumerate(points)]
     rng = np.random.default_rng(FUZZ_SEED)
     keys = sorted(test_fuzz._VALUES)
     for i in range(FUZZ_SCENARIOS):
@@ -89,6 +91,8 @@ def _outcome(report) -> dict:
             **{f: getattr(arm, f) for f in ARM_FIELDS},
             "used_estimate": arm.used_estimate,
             "fixes": len(arm.fixes),
+            "iterations": [f.iterations for f in arm.fixes],
+            "converged": [f.converged for f in arm.fixes],
             "fix_valid": [s.fix_valid for s in arm.samples],
             **{f: [getattr(s, f) for s in arm.samples] for f in SAMPLE_FIELDS},
         }
@@ -197,6 +201,10 @@ class Diff:
             for key in ("fixes", "used_estimate"):
                 if pa[key] != ca[key]:
                     self.discrete.append((name, f"{arm} {key} {pa[key]} -> {ca[key]}"))
+            for key in ("iterations", "converged"):
+                if pa["fixes"] == ca["fixes"] and pa[key] != ca[key]:
+                    moved = sum(a != b for a, b in zip(pa[key], ca[key]))
+                    self.discrete.append((name, f"{arm} {key} moved on {moved} fixes"))
             if pa["fix_valid"] != ca["fix_valid"]:
                 moved = sum(a != b for a, b in zip(pa["fix_valid"], ca["fix_valid"]))
                 moved += abs(len(pa["fix_valid"]) - len(ca["fix_valid"]))

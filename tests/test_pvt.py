@@ -411,8 +411,8 @@ def test_second_root_is_a_geometry_error():
     expected = (pvt.GeometryError, "solution lies beyond twice the largest satellite radius")
     assert _outcome(pvt.solve, meas, sats) == expected
     assert _outcome(ref_solve, meas, sats) == expected
-    rows = pvt.solve_rows(meas[None], sats[None], np.ones((1, 4), bool))
-    assert (type(rows.errors[0]), str(rows.errors[0])) == expected
+    rows = pvt.solve_rows(meas[None], sats[None], np.ones((1, 4), bool), np.zeros((1, 3)))
+    assert rows.failed[0]
     sol = pvt.solve(meas, sats, TRUTH)
     assert sol.converged and np.linalg.norm(sol.position - TRUTH) < 1e-6
 
@@ -459,19 +459,16 @@ def test_array_normal_step_is_bitwise_normal_step(n, seed, kind, at, residual_m,
     n=st.integers(4, 10),
     channels=st.integers(10, 12),
     kind=st.sampled_from(["spread", "spread", "two_planes", "collinear", "repeated"]),
-    guess=st.sampled_from(["none", "origin", "truth3", "truth4"]),
-    max_iterations=st.integers(1, 20),
-    condition_cap=st.sampled_from([1e8, 1e3, 10.0]),
+    guess=st.sampled_from(["origin", "truth3", "truth4"]),
 )
 @settings(max_examples=100, deadline=None)
-def test_solve_rows_equals_solve_row_by_row(
-    seed, n, channels, kind, guess, max_iterations, condition_cap
-):
+def test_solve_rows_equals_solve_row_by_row(seed, n, channels, kind, guess):
     """Each row of solve_rows, its usable cells scattered among unusable
-    ones that hold NaN, gives solve's outcome on those cells: the same
-    exception (type and text), or the same iterations and converged flag
-    and a state within the bound above of solve's (the step sums may round
-    otherwise). A row with fewer than 4 usable cells fails alone."""
+    ones that hold NaN, is marked failed exactly where solve on those cells
+    raises or takes an lstsq step. Any other row has solve's iterations and
+    converged flag, and a state within the bound above of solve's (the step
+    sums may round otherwise). A row with fewer than 4 usable cells fails
+    alone."""
     rng = np.random.default_rng(seed)
     k = 8
     rho = np.full((k, channels), np.nan)
@@ -486,20 +483,17 @@ def test_solve_rows_equals_solve_row_by_row(
         truth = TRUTH + rng.normal(0.0, 1e5, 3)
         meas = _measurements(row_sats, truth, rng.normal(0.0, 1e5), rng.normal(0.0, 5.0, m))
         start = {
-            "none": np.zeros(4),
             "origin": np.zeros(4),
             "truth3": np.append(TRUTH, 0.0),
             "truth4": np.append(truth, 0.0),
         }[guess]
         rho[i, cells], sats[i, cells], usable[i, cells], guesses[i] = meas, row_sats, True, start
         problems.append((meas, row_sats, start))
-    kwargs = dict(max_iterations=max_iterations, condition_cap=condition_cap)
-    rows = pvt.solve_rows(rho, sats, usable, guesses, **kwargs)
+    rows = pvt.solve_rows(rho, sats, usable, guesses)
     for i, (meas, row_sats, start) in enumerate(problems):
-        expected = _outcome(pvt.solve, meas, row_sats, start, **kwargs)
-        if isinstance(expected, tuple) or i in rows.errors:
-            error = rows.errors.get(i)
-            assert (type(error), str(error)) == expected
+        expected, lstsq_steps = _solve_counting_lstsq(meas, row_sats, start)
+        assert rows.failed[i] == (isinstance(expected, tuple) or lstsq_steps > 0)
+        if rows.failed[i]:
             continue
         assert (rows.iterations[i], rows.converged[i]) == (expected.iterations, expected.converged)
         bound = _bound(expected, start, row_sats)

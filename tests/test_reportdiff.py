@@ -15,6 +15,8 @@ def test_a_tree_diffed_against_itself_reads_all_zeros():
         "grid": 19,
         "wake_sweep:1": 132,
         "wake_sweep:7919": 132,
+        "long_track:1": 2,
+        "long_track:7919": 2,
         "fuzz": 200,
         "huge_sleep": 1,
     }
@@ -25,7 +27,7 @@ def test_a_tree_diffed_against_itself_reads_all_zeros():
     assert diff.render().endswith("discrete changes: 0")
 
 
-def _outcome(err_2d_m, fix_valid=(True, True), used_estimate=True, fixes=2):
+def _outcome(err_2d_m, fix_valid=(True, True), used_estimate=True, fixes=2, iterations=2):
     arm = dict(
         time_to_first_fix_s=1.2,
         power_ratio=0.002,
@@ -33,6 +35,8 @@ def _outcome(err_2d_m, fix_valid=(True, True), used_estimate=True, fixes=2):
         hotstart_delay_s=None,
         used_estimate=used_estimate,
         fixes=fixes,
+        iterations=[2] * (fixes - 1) + [iterations],
+        converged=[True] * fixes,
         fix_valid=list(fix_valid),
         err_east_m=[0.0, 0.0],
         err_north_m=[0.0, 0.0],
@@ -42,8 +46,8 @@ def _outcome(err_2d_m, fix_valid=(True, True), used_estimate=True, fixes=2):
 
 
 def test_a_diff_names_each_move():
-    items = [dict(part="grid", name=f"s{i}") for i in range(7)]
-    parent = [_outcome(3.0)] * 6 + [{"error": "ScenarioError: a"}]
+    items = [dict(part="grid", name=f"s{i}") for i in range(8)]
+    parent = [_outcome(3.0)] * 7 + [{"error": "ScenarioError: a"}]
     change = [
         _outcome(3.5),
         _outcome(3.0, fix_valid=(False, True)),
@@ -51,6 +55,7 @@ def test_a_diff_names_each_move():
         _outcome(3.0, fixes=3),
         _outcome(3.0 + 2e-4, fixes=3),
         _outcome(3.0 + 5e-5),
+        _outcome(3.0, iterations=3),
         {"error": "ScenarioError: b"},
     ]
     diff = reportdiff.Diff(items, parent, change)
@@ -65,7 +70,8 @@ def test_a_diff_names_each_move():
         ("s2", "estimator used_estimate True -> False"),
         ("s3", "estimator fixes 2 -> 3"),
         ("s4", "estimator fixes 2 -> 3"),
-        ("s6", "error 'ScenarioError: a' -> 'ScenarioError: b'"),
+        ("s6", "estimator iterations moved on 1 fixes"),
+        ("s7", "error 'ScenarioError: a' -> 'ScenarioError: b'"),
     ]
-    assert diff.means["grid"] == (3.0, pytest.approx(3.0 + 0.50025 / 6))
+    assert diff.means["grid"] == (3.0, pytest.approx(3.0 + 0.50025 / 7))
     assert not diff.is_zero()
