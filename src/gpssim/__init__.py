@@ -83,7 +83,6 @@ from .rx_clock import (
     GpsTime,
     Rco,
     ReceiverClockState,
-    code_time_at_tic,
     compute_rco,
     to_gps_time,
 )

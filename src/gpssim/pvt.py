@@ -205,7 +205,7 @@ def solve(
     min(condition_cap, 1e3) on the first iteration and at most 1e3 after
     it, so the step's relative error stays near cond**2 * eps, about 2e-10
     at most. Otherwise that step comes from np.linalg.lstsq, and the solve
-    raises GeometryError on the first iteration when lstsq's cond(J)
+    raises GeometryError on the first iteration when np.linalg.cond(J)
     exceeds condition_cap, and on any iteration when J is rank-deficient.
     A certified step cannot meet either condition. A final iterate beyond
     twice the largest satellite radius, converged or not, raises
@@ -249,14 +249,10 @@ def solve(
         aug[:, 4] = residual
         step = _normal_step(aug.T.dot(aug).tolist(), limit)
         if step is None:
-            step, _, rank, s = np.linalg.lstsq(aug[:, :4], residual, rcond=None)
-            if iterations == 1:
-                # np.linalg.cond(J) but for the last bits (another SVD): the
-                # ratio of extreme singular values, infinite for a singular
-                # matrix. lstsq returns them descending.
-                cond = s[0] / s[-1] if s[-1] else math.inf
-                if cond > condition_cap:
-                    raise GeometryError("design matrix condition number exceeds cap")
+            step, _, rank, _ = np.linalg.lstsq(aug[:, :4], residual, rcond=None)
+            # np.linalg.cond is infinite, with no warning, for a singular J.
+            if iterations == 1 and np.linalg.cond(aug[:, :4]) > condition_cap:
+                raise GeometryError("design matrix condition number exceeds cap")
             if rank < 4:
                 raise GeometryError("rank-deficient geometry")
         limit = _COND_LIMIT

@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 from .constants import (
-    CHIP_RATE_HZ,
-    BIT_S,
     DEFAULT_PROPAGATION_DELAY_S,
     SUBFRAME_S,
     TIC_S,
@@ -146,16 +144,3 @@ def compute_rco(
 def to_gps_time(receiver_time: GpsTime, rco: Rco) -> GpsTime:
     """Convert receiver time to GPS time by removing the clock offset."""
     return GpsTime(receiver_time.week - rco.week, receiver_time.second - rco.second)
-
-
-def code_time_at_tic(bit_phase_fraction: float) -> float:
-    """Elapsed time into the current 20 ms bit, quantized to one chip.
-
-    The hardware resolves signal time to whole 1.023 MHz chips; the fraction
-    is rounded to the nearest chip, so the quantization error never exceeds
-    half a chip time.
-    """
-    if not 0.0 <= bit_phase_fraction < 1.0:
-        raise ValueError("bit phase fraction must be in [0, 1)")
-    chips = round(bit_phase_fraction * BIT_S * CHIP_RATE_HZ)
-    return chips / CHIP_RATE_HZ

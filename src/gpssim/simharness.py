@@ -15,33 +15,37 @@ frame-sync path. The simulation is fully deterministic for a given
 scenario and seed.
 
 Both sessions are plain sequences of shared steps: lock stages, decoded
-frame labels, then fixes, each after the labels due by then. Session one
+frame labels, then fixes, each reading the labels due by then. Session one
 decodes each channel's ephemeris subframes at its label (their indices say
-which), fixes at 1 Hz once the last has ended, and takes the snapshot. A
-wake labels by the estimate gate or the decode waits, fixes first and then
-at each later sample instant, and builds its samples. The receiver clock
-is read at each instant from zero time (_Engine.clock_at), so its bits
-depend only on the instant, and each session knows every fix time first.
-A session's instants (lock stages, decode-wait labels, the estimator's
-epsilon, fixes, samples) are whole nanoseconds of receiver time since its
-start, Python ints, so which of two comes first is decided on integers;
-only _Engine.true_time turns one into a time.
+which), takes its clock offset at its first label, fixes at 1 Hz once the
+last subframe has ended, and takes the snapshot. A wake labels by the
+estimate gate or the decode waits, fixes first and then at each later
+sample instant, and builds its samples. The receiver clock is read at each
+instant from zero time (_Engine.clock_at), so its bits depend only on the
+instant, and each session knows every fix time first. A session's
+instants (lock stages, decode-wait labels, the estimator's epsilon, fixes,
+samples) are whole nanoseconds of receiver time since its start, Python
+ints, so which of two comes first is decided on integers; only
+_Engine.true_time turns one into a time.
 
-Fixes come in truth tables of up to _TRUTH_ROWS rows. Each fix reads the
-one before it (its position as the warm start, the assumed delays and the
-refined clock offset), but only weakly: a metre there moves it about 1e-5
-m. A table of _RELAX_ROWS rows or more is therefore solved at once, in
-array sweeps of fixed-point relaxation (_Engine._relaxed_fixes): row 0
-starts from the session's state, every later row from the table's entry
-position and the delays and offset that position gives, and each sweep's
-row j reads what the sweep before left for row j - 1, until no row's
-inputs move by more than pvt.TOL_M. Its fixes land within 1e-6 m of fix
-by fix; a fix whose step falls that close to the tolerance can take one
-iteration more or fewer. A table with a row that fails, or is not
-certified, on the last sweep is solved fix by fix instead, so _Engine._fix
-decides every error. A
-shorter table, and session one's first, which has no position to seed
-its rows from, is solved fix by fix (_Engine._fix, one pvt.solve each).
+Fixes come in truth tables of up to _TRUTH_ROWS rows, each tabulating what
+no fix changes (_Sky), each row's labeled channels and clock-offset anchor
+(_label_rows) and the anchor's offset terms too: labels are table columns,
+and they step their channels' locks once the fixes are done. Each fix
+reads the one before it (its position as the warm start, the assumed
+delays and the refined clock offset), but only weakly: a metre there moves
+it about 1e-5 m. A table of _RELAX_ROWS rows or more is therefore solved
+at once, in array sweeps of fixed-point relaxation
+(_Engine._relaxed_fixes): row 0 starts from the session's state, every
+later row from the table's entry position and the delays and offset that
+position gives, and each sweep's row j reads what the sweep before left
+for row j - 1, until no row's inputs move by more than pvt.TOL_M. Its
+fixes land within 1e-6 m of fix by fix; a fix whose step falls that close
+to the tolerance can take one iteration more or fewer. A table with a row
+that fails, or is not certified, on the last sweep is solved fix by fix
+instead, so _Engine._fix decides every error. A shorter table, and session
+one's first, which has no position to seed its rows from, is solved fix by
+fix (_Engine._fix, one pvt.solve each).
 
 All internal times are seconds relative to the scenario start; week-scale
 absolute floats would quantize transmit times to about 7.45 ns (2.2 m) at
@@ -51,7 +55,9 @@ clock-bias unknown.
 """
 from __future__ import annotations
 
+import bisect
 import contextlib
+import functools
 import math
 import operator
 from dataclasses import dataclass, field, replace
@@ -287,13 +293,14 @@ class _State:
     time t_start (0, or the wake time); ns is the instant it has reached,
     t_rel its true time and clock always _Engine.clock_at(t_rel).
 
-    Channels are rows in sat_id order, the order of _Engine.sats; anchor
-    is the row of the clock-offset anchor.
+    Channels are rows in sat_id order, the order of _Engine.sats; labeled
+    and anchor, the row of the clock-offset anchor, are those of the last
+    truth table's last row (_label_rows), and a wake starts from session
+    one's anchor.
 
     A fix keeps only what it solved (solved); record_fixes turns those
-    into FixRecords, with one pvt.enu_errors call on all of their rows. It
-    runs as each truth table is done with and whenever fixes is read, so
-    the solved fixes that wait for it are those of one table at most.
+    into FixRecords (fixes), with one pvt.enu_errors call on all of their
+    rows, as each truth table is done with.
     """
 
     t_start: float
@@ -302,13 +309,13 @@ class _State:
     # Set by session one's first label or an accepted estimate; a wake that
     # decodes its labels leaves it to its first fix.
     rco: object | None = None
-    anchor: int | None = None
+    anchor: int = 0
     rx_orbits: cst.Orbits | None = None
     last_known: np.ndarray | None = None
     # Per fix since record_fixes last ran: (t_since_wake, solved position,
     # true user position, b_u, iterations, converged).
     solved: list[tuple] = field(default_factory=list)
-    records: list[FixRecord] = field(default_factory=list)
+    fixes: list[FixRecord] = field(default_factory=list)
     # Frame labels are shifted by this much: an estimate's bit error.
     label_shift_s: float = 0.0
     # By the labeled rows (as bytes) above the mask at a fix: their rows of
@@ -330,22 +337,15 @@ class _State:
 
     def record_fixes(self) -> None:
         """Turn the fixes solved since the last call into FixRecords."""
-        if not self.solved:
-            return
         t_since, positions, users, *solution = zip(*self.solved)
         east, north, _ = pvt.enu_errors(np.array(positions), np.array(users))
         for t, e, n, b_u, iterations, converged in zip(
             t_since, east.tolist(), north.tolist(), *solution
         ):
-            self.records.append(
+            self.fixes.append(
                 FixRecord(t, e, n, math.hypot(e, n), b_u, iterations, converged)
             )
         self.solved.clear()
-
-    @property
-    def fixes(self) -> list[FixRecord]:
-        self.record_fixes()
-        return self.records
 
 
 @dataclass(frozen=True)
@@ -371,15 +371,25 @@ class _Sky:
     """What a session's fixes read of one truth table, tabulated at once:
     per row and channel, the transmit time the receiver believes (the true
     one plus the session's label shift), where its decoded ephemeris puts
-    the satellite then and whether that cell is stale, and whether the
-    channel is above the mask. Each cell is bitwise equal to the per-fix
-    computation."""
+    the satellite then and whether that cell is stale, whether the channel
+    is above the mask, and whether it is labeled by then; per row, the
+    clock-offset anchor and its _rco_terms. Each cell is bitwise equal to
+    the same computation for that one fix."""
 
     truth: _Truth
     believed_tx: np.ndarray  # (m, n) relative seconds
     believed_pos: np.ndarray  # (m, n, 3)
     believed_stale: np.ndarray  # (m, n)
     visible: np.ndarray  # (m, n)
+    labeled: np.ndarray  # (m, n)
+    anchor: np.ndarray  # (m,) channel row
+    rco_terms: tuple[np.ndarray, np.ndarray, np.ndarray]  # (m,) each
+
+    @functools.cached_property
+    def rco_rows(self) -> list[tuple]:
+        """rco_terms row by row, in Python numbers: what a fix reads, which
+        indexes them faster than the arrays."""
+        return list(zip(*(terms.tolist() for terms in self.rco_terms)))
 
 
 # Rows of truth a session evaluates at once: bounds the table's memory.
@@ -401,19 +411,35 @@ def _gps_times(week, second) -> tuple[np.ndarray, np.ndarray]:
     return week.astype(np.int64), second
 
 
-def _signal_phase(s_week, minimum=min):
-    """(k, word, bit, frac) of a signal time s_week seconds into the week:
-    its subframe count, the word (from 0) and bit within the subframe, and
-    the phase within the bit, the last two capped at 29 and below 1. All
-    floats, or arrays with minimum=np.minimum; both run this one sequence
-    of operations, so each array cell is bitwise the floats' result."""
+def _signal_phase(s_week):
+    """(k, word, bit, frac) of signal times s_week seconds into the week,
+    floats or arrays: the subframe count, the word (from 0) and bit within
+    the subframe, and the phase within the bit, the last two capped at 29
+    and below 1. numpy's // on floats runs Python's float // algorithm,
+    so each array cell is bitwise what the same float gives."""
     k = s_week // SUBFRAME_S
     within = s_week - k * SUBFRAME_S
     word = within // WORD_S
     in_word = within - word * WORD_S
     bit = in_word // BIT_S
     frac = (in_word - bit * BIT_S) / BIT_S
-    return k, word, minimum(bit, 29), minimum(frac, 1.0 - 1e-12)
+    return k, word, np.minimum(bit, 29.0), np.minimum(frac, 1.0 - 1e-12)
+
+
+def _label_rows(st: _State, block: list[int], labels: list) -> tuple[np.ndarray, np.ndarray]:
+    """The label rule, per row of a truth table at instants block: the
+    channels labeled by then (m, n) and the clock-offset anchor (m,), from
+    the session's and labels (_decoded_labels rows). A label belongs to the
+    first row at or after its instant; the first label of a session that
+    has none becomes the anchor."""
+    m = len(block)
+    due = [m] * len(st.labeled)
+    for ns, row, _ in labels:
+        due[row] = bisect.bisect_left(block, ns)
+    anchor = np.full(m, st.anchor)
+    if labels and not st.labeled.any():
+        anchor[due[labels[0][1]] :] = labels[0][1]
+    return st.labeled | (np.arange(m)[:, None] >= np.array(due)), anchor
 
 
 # SplitMix64's increments (the first two outputs of a stream) and finaliser.
@@ -527,12 +553,6 @@ class _Engine:
             t = s_rel + np.sqrt(np.vecdot(d, d)) / SPEED_OF_LIGHT_M_S
         return t
 
-    def decomp(self, s_rel: float) -> tuple[int, int, int, int, float]:
-        """(subframe_index, tow, word, bit, bit_fraction) of a signal time."""
-        k, word, bit, frac = _signal_phase(self.config.start_tow_s + s_rel)
-        k = int(k)
-        return k, (k + 1) % TOW_COUNT, int(word) + 1, int(bit), frac
-
     def _check_geometry(self, t_rel: float) -> None:
         user = self.user_pos(t_rel)
         sats, _ = self.orbits.evaluate(self.t0_abs + t_rel)
@@ -578,54 +598,38 @@ class _Engine:
     # --- steps both sessions take --------------------------------------------
 
     def _acquire(self, st: _State) -> int:
-        """Lock code, carrier and bit on every channel, acquiring from now;
-        returns the instant of bit lock, the sum of the rounded latencies."""
+        """Lock code, carrier and bit on every channel, acquiring from now,
+        up to bit lock; returns its instant, the sum of the rounded latencies."""
         ns = st.ns
         for stage in ("code", "carrier", "bit"):
             ns += round(getattr(self.config, f"{stage}_s") * 1e9)
-            self.advance_to(st, ns)
-            self._step_locks(st, stage)
+            self._step_locks(st, stage, ns)
+        self.advance_to(st, ns)
         return ns
 
-    def _step_locks(self, st: _State, stage: str) -> None:
-        event = rcv.LockEvent(stage, st.clock.elapsed_rx_s)
-        st.locks = [lock.step(event) for lock in st.locks]
+    def _step_locks(self, st: _State, stage: str, ns: int, rows=None) -> None:
+        """Step the locks of rows, every channel's by default, at instant
+        ns, at the receiver time there (clock_at's elapsed_rx_s)."""
+        event = rcv.LockEvent(stage, self.true_time(st, ns) * self._scale())
+        for row in range(len(st.locks)) if rows is None else rows:
+            st.locks[row] = st.locks[row].step(event)
 
     def _decoded_labels(self, st: _State) -> list[tuple[int, int, float]]:
         """Each channel's label when it has decoded a preamble and handover
         word, bit-locked now: (instant, row, wait in receiver seconds), in
         (instant, row) order."""
+        _, word, bit, _ = _signal_phase(self.config.start_tow_s + self.transmit_times(st.t_rel))
         labels = []
-        for row, s in enumerate(self.transmit_times(st.t_rel).tolist()):
-            _, _, word, bit, _ = self.decomp(s)
-            wait = rcv.hotstart_frame_lock_delay(word, bit)
+        for row, (w, b) in enumerate(zip(word.tolist(), bit.tolist())):
+            wait = rcv.hotstart_frame_lock_delay(int(w) + 1, int(b))
             labels.append((st.ns + round(wait * 1e9), row, wait))
         return sorted(labels)
 
-    def _label(self, st: _State, ns: int, row: int) -> int:
-        """Frame-lock one channel on its preamble at instant ns; returns how
-        many are labeled. The first labeled becomes the clock-offset anchor."""
-        self.advance_to(st, ns)
-        st.locks[row] = st.locks[row].step(rcv.LockEvent("preamble", st.clock.elapsed_rx_s))
-        st.labeled[row] = True
-        n = int(np.count_nonzero(st.labeled))
-        if n == 1:
-            st.anchor = row
-        return n
+    def _label(self, st: _State, ns: int, row: int) -> None:
+        """Frame-lock one channel on its preamble at instant ns."""
+        self._step_locks(st, "preamble", ns, [row])
 
     # --- measurement and fixes ---------------------------------------------
-
-    def _refine_rco(self, st: _State, s_bel: float) -> None:
-        """Recompute the clock offset from the anchor channel's counters;
-        s_bel is the anchor's believed transmit time now."""
-        week_number, tow, sync_tic = self._rco_terms(s_bel, st.clock.elapsed_rx_s, min, round)
-        st.rco = compute_rco(
-            st.clock.zt,
-            int(week_number),
-            sync_tic,
-            int(tow),
-            propagation_delay_s=float(st.assumed_delay_s[st.anchor]),
-        )
 
     def rco_error_s(self, st: _State) -> float:
         """Believed minus true clock offset, precise to float noise."""
@@ -638,47 +642,59 @@ class _Engine:
         minus t_rel."""
         return offset_s - (self.zt.diff(self.t0_gps) + t_rel * self._scale() - t_rel)
 
-    def _sky(self, st: _State, truth: _Truth) -> _Sky:
-        """The session's _Sky of a truth table; st.rx_orbits has every
-        channel by the first fix."""
+    def _sky(self, st: _State, truth: _Truth, block: list[int], labels: list) -> _Sky:
+        """The session's _Sky of a truth table at instants block, each row
+        reading the labels due by then (_label_rows); st.rx_orbits has
+        every channel by the first fix."""
         believed_tx = truth.tx + st.label_shift_s
         pos, stale = st.rx_orbits.evaluate(self.t0_abs + believed_tx)
-        return _Sky(truth, believed_tx, pos, stale, truth.elevation >= self._mask)
+        labeled, anchor = _label_rows(st, block, labels)
+        # Each row's elapsed receiver time is clock_at(t).elapsed_rx_s.
+        elapsed = truth.t_rel * self._scale()
+        terms = self._rco_terms(believed_tx[np.arange(len(block)), anchor], elapsed)
+        visible = truth.elevation >= self._mask
+        return _Sky(truth, believed_tx, pos, stale, visible, labeled, anchor, terms)
 
-    def _rco_terms(self, s_bel, elapsed, minimum=np.minimum, rint=np.rint) -> tuple:
-        """The terms of compute_rco for an anchor's believed transmit time
-        s_bel and the receiver's elapsed time then: the week number and TOW
-        of the subframe it decodes, and the TIC at which that subframe
-        ended, as floats. All floats with minimum=min and rint=round (as
-        _refine_rco calls it), or arrays that broadcast; both run this one
-        sequence of operations, so each array cell is bitwise the floats'
-        result."""
-        k, word, bit, frac = _signal_phase(self.config.start_tow_s + s_bel, minimum)
-        # code_time_at_tic: the bit phase rounded to whole chips.
-        within = word * WORD_S + bit * BIT_S + rint(frac * BIT_S * CHIP_RATE_HZ) / CHIP_RATE_HZ
+    def _rco_terms(self, s_bel, elapsed) -> tuple:
+        """The terms of compute_rco, in its order, for anchors' believed
+        transmit times s_bel and the receiver's elapsed times then, floats
+        or arrays that broadcast: the week number of the subframe each
+        decodes, the TIC at which that subframe ended, and its TOW, the
+        first and last as int64."""
+        k, word, bit, frac = _signal_phase(self.config.start_tow_s + s_bel)
+        # The code time the hardware resolves: the bit phase in whole chips.
+        within = word * WORD_S + bit * BIT_S + np.rint(frac * BIT_S * CHIP_RATE_HZ) / CHIP_RATE_HZ
         sync_tic = elapsed / TIC_S + (SUBFRAME_S - within) / TIC_S
         # tow is k + 1 wrapped at the week end; count the wraps as weeks.
-        return self.config.start_week + (k + 1) // TOW_COUNT, (k + 1) % TOW_COUNT, sync_tic
+        wraps, tow = np.divmod(k + 1, TOW_COUNT)
+        return (self.config.start_week + wraps).astype(np.int64), sync_tic, tow.astype(np.int64)
 
-    def _fix(self, st: _State, t_since_wake: float, sky: _Sky, row: int) -> None:
-        """Solve one fix now, with the truth at row of sky; the session's
-        first uses the flat assumed delay. Only the steps that depend on
-        the previous fix run here: clock offset, pseudoranges, satellite
-        positions at the assumed delays, the solve, the new assumed delays
-        and the refined offset. The rest is tabulated once per truth table
-        (_sky), and the ENU errors wait for st.record_fixes."""
-        # The anchor's believed transmit time now; the anchor need not be
-        # among the channels the fix selects.
-        s_anchor = float(sky.believed_tx[row, st.anchor])
+    def _rco(self, terms, delay) -> Rco:
+        """The clock offset from one row of _rco_terms, in Python numbers,
+        and the anchor's assumed delay: an Rco of Python numbers."""
+        return compute_rco(self.zt, *terms, propagation_delay_s=float(delay))
+
+    def _fix(self, st: _State, ns: int, sky: _Sky, row: int) -> float:
+        """Solve one fix at the session's instant ns, with row of sky, and
+        return the clock offset after it, as week * WEEK_S + second; the
+        session's first uses the flat assumed delay. Only the steps that
+        depend on the previous fix run here: clock offset, pseudoranges,
+        satellite positions at the assumed delays, the solve, the new
+        assumed delays and the refined offset. The rest, labels included,
+        is tabulated once per truth table (_sky), and the ENU errors wait
+        for st.record_fixes."""
+        self.advance_to(st, ns)
+        # The anchor need not be among the channels the fix selects.
+        anchor = sky.anchor[row]
         if st.rco is None:
             # A wake that decoded its labels takes its clock offset here.
-            self._refine_rco(st, s_anchor)
+            st.rco = self._rco(sky.rco_rows[row], st.assumed_delay_s[anchor])
         receive_gps = to_gps_time(st.clock.receiver_time(), st.rco)
         r_rel = receive_gps.diff(self.t0_gps)
 
         # Labeled channels above the mask; every channel has its ephemeris
         # by the first fix, so st.rx_orbits covers them all.
-        idx = (st.labeled & sky.visible[row]).nonzero()[0]
+        idx = (sky.labeled[row] & sky.visible[row]).nonzero()[0]
         if len(idx) < 4:
             raise ScenarioError("fewer than 4 usable channels at a fix epoch")
         rx_orbits = st.selections.get(key := idx.tobytes())
@@ -702,54 +718,46 @@ class _Engine:
 
         d = sky.believed_pos[row, idx] - position
         st.assumed_delay_s[idx] = np.sqrt(np.vecdot(d, d)) / SPEED_OF_LIGHT_M_S
-        self._refine_rco(st, s_anchor)
+        st.rco = self._rco(sky.rco_rows[row], st.assumed_delay_s[anchor])
         st.solved.append(
-            (t_since_wake, position, sky.truth.user[row], sol.b_u, sol.iterations, sol.converged)
+            (ns / 1e9, position, sky.truth.user[row], sol.b_u, sol.iterations, sol.converged)
         )
+        return st.rco.week * WEEK_S + st.rco.second
 
     def _fixes(self, st: _State, instants: list[int], labels: list) -> list[float]:
-        """Fix at each of instants, each after the labels due at or before
-        it, then run the labels after the last; returns the clock offset
-        after each fix, as week * WEEK_S + second. labels are _decoded_labels
-        rows, which this takes off the list as it runs them. Truth comes in
-        tables of up to _TRUTH_ROWS rows, each made when its first row is
-        reached, and the fixes of one table become records before the next
-        is made. A table of _RELAX_ROWS rows or more is solved at once
-        (_relaxed_fixes) once the session has a position to seed its rows
-        from; a shorter one, session one's first, and one the relaxed solve
-        hands back, fix by fix (_fix)."""
+        """Fix at each of instants, each reading the session's labels
+        (_decoded_labels rows) due by then; returns the clock offset after
+        each fix, as week * WEEK_S + second. Truth comes in tables of up to
+        _TRUTH_ROWS rows, each made when its first row is reached; when one
+        is done, its fixes become records and the session takes its last
+        row's labeled channels and anchor. The labels step their channels'
+        locks (_label) once the last is done, and the session ends at the
+        last fix or label: rco_error_s reads the clock there. A table of
+        _RELAX_ROWS rows or more is solved at once (_relaxed_fixes) once the
+        session has a position to seed its rows from; a shorter one,
+        session one's first, and one the relaxed solve hands back, fix by
+        fix (_fix)."""
         offsets = []
         for start in range(0, len(instants), _TRUTH_ROWS):
-            st.record_fixes()
             block = instants[start : start + _TRUTH_ROWS]
-            sky = self._sky(st, self._truth(self.true_time(st, np.array(block))))
+            sky = self._sky(st, self._truth(self.true_time(st, np.array(block))), block, labels)
+            relaxed = None
             if len(block) >= _RELAX_ROWS and st.last_known is not None:
-                relaxed = self._relaxed_fixes(st, block, sky, labels)
-                if relaxed is not None:
-                    offsets += relaxed
-                    continue
-            for row, ns in enumerate(block):
-                self._take_labels(st, labels, ns)
-                self.advance_to(st, ns)
-                self._fix(st, ns / 1e9, sky, row)
-                offsets.append(st.rco.week * WEEK_S + st.rco.second)
-        # Labels after the last fix still move the clock rco_error_s reads.
-        self._take_labels(st, labels, math.inf)
+                relaxed = self._relaxed_fixes(st, block, sky)
+            offsets += relaxed or [self._fix(st, ns, sky, row) for row, ns in enumerate(block)]
+            st.record_fixes()
+            st.labeled, st.anchor = sky.labeled[-1].copy(), int(sky.anchor[-1])
+        for ns, row, _ in labels:
+            self._label(st, ns, row)
+        if labels and labels[-1][0] > st.ns:
+            self.advance_to(st, labels[-1][0])
         return offsets
 
-    def _take_labels(self, st: _State, labels: list, ns: float) -> None:
-        """Run, and take off the list, the labels due at or before ns."""
-        while labels and labels[0][0] <= ns:
-            ns_label, channel, _ = labels.pop(0)
-            self._label(st, ns_label, channel)
-
-    def _relaxed_fixes(
-        self, st: _State, block: list[int], sky: _Sky, labels: list
-    ) -> list[float] | None:
+    def _relaxed_fixes(self, st: _State, block: list[int], sky: _Sky) -> list[float] | None:
         """The fixes of one truth table at instants block, all solved at
         once: what _fix makes of each row in turn, to within 1e-6 m.
         Returns the clock offsets after each, as _fixes does, or None, with
-        the session and labels untouched, if a row fails.
+        the session untouched, if a row fails.
 
         Fix j reads three things of fix j - 1: its position as the warm
         start, the assumed delays it leaves and the clock offset it refines.
@@ -774,37 +782,21 @@ class _Engine:
         that still move by up to pvt.TOL_M, so a fix whose step lands that
         close to the tolerance can take one iteration more or fewer.
 
-        Each row reads the channels labeled by its instant, and the anchor
-        they give, from the labels due by then; they run only when the
-        table is done. A row fails on the last sweep if pvt.solve_rows marks
-        it failed, or a usable channel is stale at its assumed or believed
+        Each row reads the channels labeled by its instant and its anchor
+        (sky). A row fails on the last sweep if pvt.solve_rows marks it
+        failed, or a usable channel is stale at its assumed or believed
         transmit time (an earlier sweep keeps a failed row's last position).
         Then _fixes solves the table fix by fix, and _fix decides.
         """
         m, n = sky.visible.shape
         rows, cols = np.arange(m), np.arange(n)
-        labeled = np.tile(st.labeled, (m, 1))
-        anchor = np.full(m, st.anchor)
-        # A label's row is the first whose instant is at or after it; the
-        # first label of a session with none becomes the anchor (_label).
-        due = np.searchsorted(block, [ns for ns, _, _ in labels])
-        for (_, channel, _), row in zip(labels, due):
-            labeled[row:, channel] = True
-        if labels and not st.labeled.any():
-            anchor[due[0] :] = labels[0][1]
-        usable = labeled & sky.visible
+        anchor = sky.anchor
+        usable = sky.labeled & sky.visible
         believed_stale = (sky.believed_stale & usable).any(axis=1)
         c = SPEED_OF_LIGHT_M_S
-        # Per row, the receiver time (clock_at(t).receiver_time()) and the
-        # clock-offset terms with its anchor.
+        # Per row, the receiver time (clock_at(t).receiver_time()).
         elapsed = sky.truth.t_rel * self._scale()
         rx_week, rx_second = _gps_times(self.zt.week, self.zt.second + elapsed)
-        week_number, tow, sync_tic = self._rco_terms(sky.believed_tx[rows, anchor], elapsed)
-        week_number = week_number.astype(np.int64)
-
-        def rco(delay: np.ndarray) -> Rco:
-            """Each row's clock offset for its anchor's assumed delays."""
-            return compute_rco(self.zt, week_number, sync_tic, tow, propagation_delay_s=delay)
 
         # The chain as row 0 enters it, the session's state.
         delay0 = st.assumed_delay_s
@@ -812,8 +804,7 @@ class _Engine:
         # A wake that decoded its labels takes its clock offset at row 0.
         rco0 = st.rco
         if rco0 is None:
-            first = rco(delay0[anchor])
-            rco0 = Rco(int(first.week[0]), float(first.second[0]))
+            rco0 = self._rco([terms[0].item() for terms in sky.rco_terms], delay0[anchor[0]])
 
         # Each channel's delay after a row is the one the last row at or
         # before it that selected the channel left, if any.
@@ -827,7 +818,8 @@ class _Engine:
             d = sky.believed_pos - position[:, None, :]
             solved = np.sqrt(np.vecdot(d, d)) / c
             delay = np.where(selected, solved[last, cols], delay0)
-            after = rco(delay[rows, anchor])
+            # Each row's clock offset for its anchor's assumed delay.
+            after = compute_rco(self.zt, *sky.rco_terms, propagation_delay_s=delay[rows, anchor])
             guess = np.vstack([position0, position[:-1]])
             return (
                 guess,
@@ -860,7 +852,6 @@ class _Engine:
         if not ok.all():
             return None
 
-        self._take_labels(st, labels, block[-1])
         self.advance_to(st, block[-1])
         delay, after = inputs[4:]
         st.last_known = position[-1].copy()
@@ -881,8 +872,9 @@ class _Engine:
 
     def run_session_one(self) -> tuple[_State, fs.PersistedSnapshot]:
         """Acquire; label each channel in time order (ties in row order),
-        collecting its ephemeris there; fix at 1 Hz, each fix recording its
-        receiver time since power-on; take the snapshot."""
+        collecting its ephemeris there, and take the clock offset at the
+        first; fix at 1 Hz, each fix recording its receiver time since
+        power-on, the fixes' table running the labels; take the snapshot."""
         cfg = self.config
         st = _State(0.0, self.clock_at(0.0), locks=[rcv.LockState()] * len(self.sats))
         # Per channel row: (signal time its ephemeris ends, decoded ephemeris).
@@ -895,14 +887,15 @@ class _Engine:
             ns_label = np.empty(len(self.sats), np.int64)
             ns_label[[row for _, row, _ in labels]] = [ns for ns, _, _ in labels]
             s_label = self.transmit_times(self.true_time(st, ns_label)).tolist()
-            for ns, row, _ in labels:
-                n_labeled = self._label(st, ns, row)
-                s = s_label[row]
-                if n_labeled == 1:
-                    # Session one labels from decoded words: no shift to add.
-                    self._refine_rco(st, s)
-                    st.diagnostics["s1_rco_first_err_s"] = self.rco_error_s(st)
-                collected[row] = self._collect_ephemeris(self.sats[row], s)
+            # The first label's anchor (_label_rows) takes the clock offset
+            # there, from decoded words (no shift to add), with the flat delay.
+            self.advance_to(st, labels[0][0])
+            (anchor,) = _label_rows(st, [st.ns], labels)[1].tolist()
+            terms = self._rco_terms(s_label[anchor], st.clock.elapsed_rx_s)
+            st.rco = self._rco([x.item() for x in terms], st.assumed_delay_s[anchor])
+            st.diagnostics["s1_rco_first_err_s"] = self.rco_error_s(st)
+            for _, row, _ in labels:
+                collected[row] = self._collect_ephemeris(self.sats[row], s_label[row])
             s_done, eph_rx = zip(*collected)
             st.rx_orbits = cst.Orbits.of(eph_rx)
             t_done = self.receive_times(np.array(s_done)).max().item()
@@ -910,7 +903,7 @@ class _Engine:
             # ephemeris is in; power-off comes session1_extra_s after the first.
             first = (math.floor(self.clock_at(t_done).elapsed_rx_s) + 1) * 10**9
             fixes = [first + j * 10**9 for j in range(max(1, math.ceil(cfg.session1_extra_s)))]
-            offsets = self._fixes(st, fixes, [])
+            offsets = self._fixes(st, fixes, labels)
             self.advance_to(st, first + round(cfg.session1_extra_s * 1e9))
             snapshot = self._take_snapshot(st)
         st.diagnostics["s1_rco_refined_err_s"] = self.rco_error_s(st)
@@ -954,14 +947,14 @@ class _Engine:
         eph = self.sats[st.anchor]
         t = st.t_rel
         s = float(self.transmit_times(t)[st.anchor]) + st.label_shift_s
-        _, tow, word, bit, frac = self.decomp(s)
+        k, word, bit, frac = _signal_phase(self.config.start_tow_s + s)
         sat = cst.propagate(eph, self.t0_abs + s)
         snapshot = fs.take_snapshot(
             st.clock,
-            word,
-            bit,
-            tow,
-            frac,
+            int(word) + 1,
+            int(bit),
+            (int(k) + 1) % TOW_COUNT,
+            float(frac),
             st.rco,
             carrier_doppler_hz=cst.carrier_doppler(sat, self.user_pos(t), self.user_vel),
             code_phase_chips=cst.code_phase_chips(self.config.start_tow_s + s),
@@ -1027,9 +1020,8 @@ class _Engine:
         n_before = -(-first // period)
         t_before = self.true_time(st, np.arange(n_before)[:, None] * period)
         east, north, _ = pvt.enu_errors(base.last_known, self.user_pos(t_before))
-        fixes = st.fixes
         errors = [*zip(east.tolist(), north.tolist())]
-        errors += [(f.err_east_m, f.err_north_m) for f in fixes[n_before - k :]]
+        errors += [(f.err_east_m, f.err_north_m) for f in st.fixes[n_before - k :]]
         samples = [
             Sample(i * cfg.sample_period_s, i >= n_before, e, n, math.hypot(e, n))
             for i, (e, n) in enumerate(errors)
@@ -1039,7 +1031,7 @@ class _Engine:
             arm=arm,
             time_to_first_fix_s=ttff,
             samples=samples,
-            fixes=fixes,
+            fixes=st.fixes,
             rms_2d_m=pvt.rms_2d(s.err_2d_m for s in samples if s.fix_valid),
             power_ratio=power_savings_ratio(off_duration_s, ttff + cfg.sample_period_s),
             used_estimate=used_estimate,
@@ -1094,7 +1086,7 @@ class _Engine:
         err_s -= WEEK_S * round(err_s / WEEK_S)
         n_err = round(err_s / BIT_S)
         shift = n_err * BIT_S
-        self._step_locks(st, "estimate")
+        self._step_locks(st, "estimate", st.ns)
         st.labeled[:] = True
         st.label_shift_s = shift
         # The estimate stands in for a decoded handover word, so the clock

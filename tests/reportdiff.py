@@ -17,7 +17,8 @@ corpus is built here, once, from this tree's tests and benchmark inputs:
 
 It prints, per field, the largest |delta| between the two trees where both
 ran the scenario to the same shape of report (sample errors, time to first
-fix, power ratio, RMS error, hotstart delay, each diagnostic) and each
+fix, power ratio, RMS error, hotstart delay, each fix's clock bias b_u_m,
+each diagnostic) and each
 side's mean rms_2d_m, per part of the corpus and over all of it. Then it
 lists, by name, each scenario with no discrete change whose largest sample
 |delta| exceeds MOVED_M (pvt.solve's 1e-4 m tolerance), such as a fix that
@@ -43,6 +44,9 @@ FUZZ_SCENARIOS = 200
 FUZZ_SEED = 2015
 ARM_FIELDS = ("time_to_first_fix_s", "power_ratio", "rms_2d_m", "hotstart_delay_s")
 SAMPLE_FIELDS = ("err_east_m", "err_north_m", "err_2d_m")
+# Per fix, compared where both trees made the same number of fixes: the
+# clock bias, which a slip in the clock offset moves first.
+FIX_FIELDS = ("b_u_m",)
 # pvt.solve's tolerance: a sample moved further than this is listed by name.
 MOVED_M = 1e-4
 
@@ -93,6 +97,7 @@ def _outcome(report) -> dict:
             "fixes": len(arm.fixes),
             "iterations": [f.iterations for f in arm.fixes],
             "converged": [f.converged for f in arm.fixes],
+            **{f: [getattr(fix, f) for fix in arm.fixes] for f in FIX_FIELDS},
             "fix_valid": [s.fix_valid for s in arm.samples],
             **{f: [getattr(s, f) for s in arm.samples] for f in SAMPLE_FIELDS},
         }
@@ -214,6 +219,9 @@ class Diff:
                 deltas.setdefault(f"arm {f}", []).append(_delta(pa[f], ca[f]))
             for f in SAMPLE_FIELDS:
                 deltas.setdefault(f"sample {f}", []).extend(map(_delta, pa[f], ca[f]))
+            if pa["fixes"] == ca["fixes"]:
+                for f in FIX_FIELDS:
+                    deltas.setdefault(f"fix {f}", []).extend(map(_delta, pa[f], ca[f]))
         pd, cd = p["diagnostics"], c["diagnostics"]
         for key in sorted(set(pd) | set(cd)):
             if key not in pd or key not in cd:

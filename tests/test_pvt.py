@@ -519,13 +519,12 @@ def test_singular_geometry_raises_geometry_error_like_reference(kind):
 @pytest.mark.parametrize("side", [1.0 + 1e-9, 1.0 - 1e-9])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_condition_cap_edge_matches_reference(seed, side):
-    """A cap just above or just below np.linalg.cond(J) decides like
-    ref_solve. (Relative 1e-9, not one ulp: lstsq's singular values and
-    np.linalg.cond's come from different SVDs and can differ in the last
-    bits, as they did before the normal-equations step.)"""
+    """A cap one ulp above or below np.linalg.cond(J), toward cond * side,
+    decides like ref_solve."""
     sats = _sat_positions(6, seed=seed)
     meas = _measurements(sats, bias_m=100.0)
-    cap = np.linalg.cond(pvt.design_matrix(TRUTH, sats)) * side
+    cond = np.linalg.cond(pvt.design_matrix(TRUTH, sats))
+    cap = np.nextafter(cond, cond * side)
     expected = _outcome(ref_solve, meas, sats, TRUTH, condition_cap=cap)
     assert isinstance(expected, tuple) == (side < 1.0)
     got, _ = _solve_counting_lstsq(meas, sats, TRUTH, condition_cap=cap)

@@ -23,11 +23,13 @@ def test_a_tree_diffed_against_itself_reads_all_zeros():
     # Both outcomes occur: reports to compare, and rejections.
     assert diff.both_ran > 300 and diff.both_rejected > 100
     assert diff.is_zero() and diff.moved == []
-    assert "sample err_2d_m" in diff.fields and "diagnostic s1_rco_jitter_s" in diff.fields
+    assert {"sample err_2d_m", "fix b_u_m", "diagnostic s1_rco_jitter_s"} <= diff.fields.keys()
     assert diff.render().endswith("discrete changes: 0")
 
 
-def _outcome(err_2d_m, fix_valid=(True, True), used_estimate=True, fixes=2, iterations=2):
+def _outcome(
+    err_2d_m, fix_valid=(True, True), used_estimate=True, fixes=2, iterations=2, b_u_m=30.0
+):
     arm = dict(
         time_to_first_fix_s=1.2,
         power_ratio=0.002,
@@ -37,6 +39,7 @@ def _outcome(err_2d_m, fix_valid=(True, True), used_estimate=True, fixes=2, iter
         fixes=fixes,
         iterations=[2] * (fixes - 1) + [iterations],
         converged=[True] * fixes,
+        b_u_m=[30.0] * (fixes - 1) + [b_u_m],
         fix_valid=list(fix_valid),
         err_east_m=[0.0, 0.0],
         err_north_m=[0.0, 0.0],
@@ -46,8 +49,8 @@ def _outcome(err_2d_m, fix_valid=(True, True), used_estimate=True, fixes=2, iter
 
 
 def test_a_diff_names_each_move():
-    items = [dict(part="grid", name=f"s{i}") for i in range(8)]
-    parent = [_outcome(3.0)] * 7 + [{"error": "ScenarioError: a"}]
+    items = [dict(part="grid", name=f"s{i}") for i in range(9)]
+    parent = [_outcome(3.0)] * 7 + [{"error": "ScenarioError: a"}, _outcome(3.0)]
     change = [
         _outcome(3.5),
         _outcome(3.0, fix_valid=(False, True)),
@@ -57,6 +60,7 @@ def test_a_diff_names_each_move():
         _outcome(3.0 + 5e-5),
         _outcome(3.0, iterations=3),
         {"error": "ScenarioError: b"},
+        _outcome(3.0, b_u_m=30.25),
     ]
     diff = reportdiff.Diff(items, parent, change)
     # Moved past 1e-4 m with no discrete change: s0 only; s4 moved with
@@ -65,6 +69,8 @@ def test_a_diff_names_each_move():
     assert "  s0: largest sample |delta| 0.5 m" in diff.render()
     assert diff.fields["sample err_2d_m"] == [0.5, 3, "s0"]
     assert diff.fields["diagnostic s1_rco_jitter_s"] == [0.0, 0, ""]
+    # A fix's clock bias is compared where the fix counts agree: s8 alone.
+    assert diff.fields["fix b_u_m"] == [0.25, 1, "s8"]
     assert diff.discrete == [
         ("s1", "estimator fix_valid moved on 1 samples"),
         ("s2", "estimator used_estimate True -> False"),
@@ -73,5 +79,5 @@ def test_a_diff_names_each_move():
         ("s6", "estimator iterations moved on 1 fixes"),
         ("s7", "error 'ScenarioError: a' -> 'ScenarioError: b'"),
     ]
-    assert diff.means["grid"] == (3.0, pytest.approx(3.0 + 0.50025 / 7))
+    assert diff.means["grid"] == (3.0, pytest.approx(3.0 + 0.50025 / 8))
     assert not diff.is_zero()

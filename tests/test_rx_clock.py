@@ -6,7 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gpssim import rx_clock as rxc
-from gpssim.constants import CHIP_RATE_HZ, TIC_S, WEEK_S
+from gpssim.constants import TIC_S, WEEK_S
 
 
 class TestGpsTime:
@@ -166,32 +166,6 @@ def test_rco_then_conversion_recovers_truth():
     assert rco.second == pytest.approx(bias, abs=1e-12)
     recovered = rxc.to_gps_time(zt.add(10.0), rco)
     assert recovered.diff(true_t0.add(10.0)) == pytest.approx(0.0, abs=1e-9)
-
-
-# --- chip quantization ------------------------------------------------------------
-
-
-def test_code_time_zero_fraction():
-    assert rxc.code_time_at_tic(0.0) == 0.0
-
-
-def test_code_time_half_bit():
-    # Half of a 20 ms bit is exactly 10230 chips, no rounding needed.
-    assert rxc.code_time_at_tic(0.5) == pytest.approx(0.010, abs=1.0 / CHIP_RATE_HZ)
-    assert rxc.code_time_at_tic(0.5) == 10230 / CHIP_RATE_HZ
-
-
-def test_code_time_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        rxc.code_time_at_tic(1.0)
-    with pytest.raises(ValueError):
-        rxc.code_time_at_tic(-0.01)
-
-
-@given(frac=st.floats(0.0, 1.0, exclude_max=True, allow_nan=False))
-def test_code_time_quantization_bound(frac):
-    err = rxc.code_time_at_tic(frac) - frac * 0.02
-    assert abs(err) <= 0.5 / CHIP_RATE_HZ + 1e-15
 
 
 def test_tic_boundary_robust_to_float_accumulation():

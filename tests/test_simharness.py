@@ -28,6 +28,7 @@ from gpssim.constants import (
     DEFAULT_PROPAGATION_DELAY_S,
     SPEED_OF_LIGHT_M_S,
     SUBFRAME_S,
+    TIC_S,
     TOW_COUNT,
     WEEK_S,
 )
@@ -327,21 +328,22 @@ def test_no_wake_makes_two_fixes_at_one_sample():
 
 def test_a_label_due_at_a_fix_is_taken_before_it(monkeypatch):
     """With 20 ms samples every decode wait ends on a sample instant, so
-    labels fall on the instants of fixes. Each is taken first, and that
-    fix solves with its channel. The wake's 400-row table is solved fix by
-    fix here, so that each fix is a _fix call; test_relaxed_fixes_* check
-    that the relaxed solve reads the same channels."""
+    labels fall on the instants of fixes. Each fix reads the channels of
+    every label at or before its instant, its own instant's included. The
+    wake's 400-row table is solved fix by fix here, so that each fix is a
+    _fix call; test_relaxed_fixes_* check that the relaxed solve reads the
+    same channels."""
     monkeypatch.setattr(sh, "_RELAX_ROWS", sh._TRUTH_ROWS + 1)
-    events = []
+    fixes, labels = {}, []
     label, fix = sh._Engine._label, sh._Engine._fix
 
     def recording_label(self, st, ns, row):
-        events.append((ns, "label", row))
+        labels.append(ns)
         return label(self, st, ns, row)
 
-    def recording_fix(self, st, t_since_wake, sky, row):
-        events.append((st.ns, "fix", int(np.count_nonzero(st.labeled))))
-        return fix(self, st, t_since_wake, sky, row)
+    def recording_fix(self, st, ns, sky, row):
+        fixes[ns] = int(np.count_nonzero(sky.labeled[row]))
+        return fix(self, st, ns, sky, row)
 
     config = replace(BASE, arms=sh.ARM_HOTSTART, sample_period_s=0.02, wake_run_s=8.0)
     engine = sh._Engine(config)
@@ -349,13 +351,10 @@ def test_a_label_due_at_a_fix_is_taken_before_it(monkeypatch):
     monkeypatch.setattr(sh._Engine, "_label", recording_label)
     monkeypatch.setattr(sh._Engine, "_fix", recording_fix)
     engine.run_wake(base, snapshot, sh.ARM_HOTSTART, 60.0)
-    fixes = {ns: n_labeled for ns, kind, n_labeled in events if kind == "fix"}
-    labels = [ns for ns, kind, _ in events if kind == "label"]
     shared = [ns for ns in labels if ns in fixes]
     assert len(labels) == len(engine.sats) and len(shared) >= 5
-    assert events == sorted(events, key=lambda e: (e[0], e[1] == "fix"))
-    for ns in shared:
-        assert fixes[ns] == sum(other <= ns for other in labels)
+    for ns, n_labeled in fixes.items():
+        assert n_labeled == sum(other <= ns for other in labels)
 
 
 def test_failed_wake_leaves_nothing_for_the_next():
@@ -698,7 +697,7 @@ def test_a_fix_reads_noise_by_channel(monkeypatch):
         st = copy.deepcopy(base)
         st.labeled[dropped] = False
         engine.advance_to(st, ns)
-        engine._fix(st, 0.0, engine._sky(st, table), 0)
+        engine._fix(st, ns, engine._sky(st, table, [ns], []), 0)
         return rhos[-1]
 
     every = np.arange(len(engine.sats))
@@ -865,9 +864,9 @@ def test_first_fix_after_the_last_sample_is_not_solved(monkeypatch):
     fixed = []
     fix = sh._Engine._fix
 
-    def counting_fix(self, state, t_since_wake, truth, row):
+    def counting_fix(self, state, ns, sky, row):
         fixed.append(state)
-        return fix(self, state, t_since_wake, truth, row)
+        return fix(self, state, ns, sky, row)
 
     monkeypatch.setattr(sh._Engine, "_fix", counting_fix)
     with pytest.raises(sh.ScenarioError, match="no fix inside wake_run_s"):
@@ -897,8 +896,8 @@ def test_planar_constellation_is_a_scenario_error():
 def test_a_sample_at_a_fix_reuses_its_errors(monkeypatch):
     """Only samples taken before a wake's first fix compute their own
     errors; every later one falls on a fix and reads that fix's. Each
-    wake fix's errors are evaluated once, as one row of its session's
-    call, and session one's, which no report reads, not at all."""
+    fix's errors, session one's too, are evaluated once, as one row of
+    its session's call."""
     calls = {"rows": 0}
     enu_errors = sh.pvt.enu_errors
 
@@ -906,14 +905,16 @@ def test_a_sample_at_a_fix_reuses_its_errors(monkeypatch):
         calls["rows"] += len(np.atleast_2d(truth))
         return enu_errors(position, truth)
 
+    config = sh.ScenarioConfig(wake_run_s=30.0)
+    session_one_fixes = len(sh._Engine(config).run_session_one()[0].fixes)
     monkeypatch.setattr(sh.pvt, "enu_errors", counting_enu_errors)
-    report = sh.run_scenario(sh.ScenarioConfig(wake_run_s=30.0))
+    report = sh.run_scenario(config)
     before_first_fix = [
         s for arm in report.arms.values() for s in arm.samples if not s.fix_valid
     ]
     assert before_first_fix
     wake_fixes = sum(len(arm.fixes) for arm in report.arms.values())
-    assert calls["rows"] == wake_fixes + len(before_first_fix)
+    assert calls["rows"] == session_one_fixes + wake_fixes + len(before_first_fix)
     for arm in report.arms.values():
         # The first fix lands between samples; each later one on a sample.
         valid = [s for s in arm.samples if s.fix_valid]
@@ -932,9 +933,10 @@ def test_fixes_wait_for_their_errors_one_table_at_most(monkeypatch):
     waiting = []
     fix = sh._Engine._fix
 
-    def recording_fix(self, state, t_since_wake, sky, row):
-        fix(self, state, t_since_wake, sky, row)
+    def recording_fix(self, state, ns, sky, row):
+        offset = fix(self, state, ns, sky, row)
         waiting.append(len(state.solved))
+        return offset
 
     monkeypatch.setattr(sh._Engine, "_fix", recording_fix)
     monkeypatch.setattr(sh, "_TRUTH_ROWS", 4)
@@ -991,9 +993,9 @@ def test_satellite_expiring_mid_wake_fails_at_the_same_fix(monkeypatch):
     fixes = []
     fix = sh._Engine._fix
 
-    def counting_fix(self, state, t_since_wake, truth, row):
-        fixes.append(t_since_wake)
-        return fix(self, state, t_since_wake, truth, row)
+    def counting_fix(self, state, ns, sky, row):
+        fixes.append(ns / 1e9)
+        return fix(self, state, ns, sky, row)
 
     monkeypatch.setattr(sh._Engine, "_fix", counting_fix)
     with pytest.raises(sh.ScenarioError, match=r"t=951\.999 s: sat 3: \+952 s from epoch"):
@@ -1155,7 +1157,8 @@ def test_sky_equals_per_fix_believed_positions(n_sats, vel, start, period, m, sh
     )
     fix_times = [start + k * period for k in range(m)]
     truth = engine._truth(fix_times)
-    sky = engine._sky(state, truth)
+    # With no labels to place, the instants only count the rows.
+    sky = engine._sky(state, truth, list(range(m)), [])
     rng = np.random.default_rng(seed)
     for row, t in enumerate(fix_times):
         idx = np.flatnonzero(rng.random(n_sats) < 0.7)
@@ -1266,6 +1269,19 @@ def test_ephemeris_timeline_equals_boundary_chain(start_tow_s, vel, t_label, bou
 _REF_PRIORITY = {"lock": 0, "label": 1, "fix": 2, "sample": 3}
 
 
+def ref_label(engine, state, ns, row):
+    """A label run as it comes: advance the session to its instant, step
+    the channel's lock at the clock there and mark it labeled; the first
+    labeled becomes the clock-offset anchor. Returns how many are labeled."""
+    engine.advance_to(state, ns)
+    state.locks[row] = state.locks[row].step(rcv.LockEvent("preamble", state.clock.elapsed_rx_s))
+    state.labeled[row] = True
+    n = int(np.count_nonzero(state.labeled))
+    if n == 1:
+        state.anchor = row
+    return n
+
+
 def ref_run_wake(engine, base, snapshot, arm, off_duration_s):
     """_Engine.run_wake as an event loop: (ArmReport, diagnostics)."""
     cfg = engine.config
@@ -1288,7 +1304,7 @@ def ref_run_wake(engine, base, snapshot, arm, off_duration_s):
         heapq.heappush(queue, (ns, _REF_PRIORITY[kind], next(seq), kind, data))
 
     def truth(instants):
-        return engine._sky(state, engine._truth(engine.true_time(state, np.array(instants))))
+        return instants, engine._truth(engine.true_time(state, np.array(instants)))
 
     # Each lock stage at the instant its rounded latency adds up to.
     ns = 0
@@ -1308,7 +1324,7 @@ def ref_run_wake(engine, base, snapshot, arm, off_duration_s):
             ns, _, _, kind, data = heapq.heappop(queue)
             engine.advance_to(state, ns)
             if kind == "lock":
-                engine._step_locks(state, data)
+                engine._step_locks(state, data, ns)
                 if data != "bit":
                     continue
                 if arm == sh.ARM_ESTIMATOR:
@@ -1321,7 +1337,7 @@ def ref_run_wake(engine, base, snapshot, arm, off_duration_s):
                     push(ns_label, "label", row)
                 hotstart_delay = sorted(wait for _, _, wait in labels)[3]
             elif kind == "label":
-                if engine._label(state, ns, data) == 4:
+                if ref_label(engine, state, ns, data) == 4:
                     push(ns, "fix")
             elif kind == "fix":
                 k = data
@@ -1332,14 +1348,16 @@ def ref_run_wake(engine, base, snapshot, arm, off_duration_s):
                         continue
                     ttff = ns / 1e9
                     k = ns // period
-                    sky = truth([ns, *grid[k + 1 : k + sh._TRUTH_ROWS]])
+                    block, table = truth([ns, *grid[k + 1 : k + sh._TRUTH_ROWS]])
                 elif row == 0:
-                    sky = truth(grid[k : k + sh._TRUTH_ROWS])
-                noise = sky.truth.noise.copy()
+                    block, table = truth(grid[k : k + sh._TRUTH_ROWS])
+                noise = table.noise.copy()
                 key = int(round(state.clock.elapsed_rx_s * 1000.0))
                 noise[row] = _one_cell(engine, key, engine.orbits.sat_id)
-                noisy = replace(sky, truth=replace(sky.truth, noise=noise))
-                engine._fix(state, ns / 1e9, noisy, row)
+                # The fix reads the channels labeled so far and their anchor.
+                sky = engine._sky(state, replace(table, noise=noise), block, [])
+                engine._fix(state, ns, sky, row)
+                state.record_fixes()
                 fix_ns = ns
                 if k + 1 <= n_samples:
                     push(grid[k + 1], "fix", k + 1)
@@ -1456,6 +1474,132 @@ def test_wake_sequence_equals_event_queue(
             assert relaxed == expected
         else:
             _assert_wakes_within_bound(relaxed, expected)
+
+
+# --- the label rule against labels run one at a time ------------------------------
+
+
+def _labels_one_at_a_time(engine, run):
+    """Call run(), which makes one _fixes call, recording each truth table's
+    instants and _Sky; then run that call's labels one at a time (ref_label)
+    on a copy of the session as _fixes got it, and check each table row's
+    labeled channels and anchor against the copy's at the row's instant,
+    each channel's lock history (stages and t_rx_s, bitwise), and the
+    instant _fixes leaves the session at. Returns (labels at a fix's
+    instant, labels after the last fix, tables)."""
+    calls, tables = [], []
+    sky, fixes = sh._Engine._sky, sh._Engine._fixes
+
+    def recording_sky(self, st, truth, block, labels):
+        tables.append((list(block), sky(self, st, truth, block, labels)))
+        return tables[-1][1]
+
+    def recording_fixes(self, st, instants, labels):
+        entry = copy.deepcopy(st)
+        offsets = fixes(self, st, instants, labels)
+        calls.append((entry, list(instants), list(labels), copy.deepcopy(st)))
+        return offsets
+
+    with mock.patch.object(sh._Engine, "_sky", recording_sky), mock.patch.object(
+        sh._Engine, "_fixes", recording_fixes
+    ):
+        run()
+    ((ref, instants, labels, state),) = calls
+    assert [ns for block, _ in tables for ns in block] == instants
+    pending = list(labels)
+    for block, table in tables:
+        for row, ns in enumerate(block):
+            while pending and pending[0][0] <= ns:
+                ref_label(engine, ref, *pending.pop(0)[:2])
+            assert table.labeled[row].tolist() == ref.labeled.tolist()
+            assert table.anchor[row] == ref.anchor
+    for ns, channel, _ in pending:
+        ref_label(engine, ref, ns, channel)
+    engine.advance_to(ref, max(ref.ns, instants[-1]))
+    assert (state.ns, state.t_rel, state.anchor) == (ref.ns, ref.t_rel, ref.anchor)
+    for lock, ref_lock in zip(state.locks, ref.locks, strict=True):
+        assert lock.stage == ref_lock.stage
+        assert [(e.kind, struct.pack("<d", e.t_rx_s)) for e in lock.history] == [
+            (e.kind, struct.pack("<d", e.t_rx_s)) for e in ref_lock.history
+        ]
+    at_fix = sum(ns in instants for ns, _, _ in labels)
+    return at_fix, len(pending), len(tables)
+
+
+# Labels on fix instants (20 ms samples); labels after the last fix (two
+# 20 ms after the first fix, which the last sample follows by 10 ms); and
+# those two labels in the next one-row truth table.
+_STRADDLE = dict(start_tow_s=86400.015)
+_AT_FIX = dict(sample_period_s=0.02, wake_run_s=8.0)
+
+
+@pytest.mark.parametrize(
+    "overrides,truth_rows,expected",
+    [
+        (_AT_FIX, sh._TRUTH_ROWS, (8, 0, 1)),
+        (dict(_STRADDLE, sample_period_s=2.67, wake_run_s=2.67), sh._TRUTH_ROWS, (6, 2, 1)),
+        (dict(_STRADDLE, **_AT_FIX), 1, (8, 0, 268)),
+    ],
+)
+def test_table_labels_equal_labels_one_at_a_time(monkeypatch, overrides, truth_rows, expected):
+    """Each row of a decoding wake's truth tables reads the channels and
+    the anchor that labels run one at a time leave by its instant: a label
+    at a fix's own instant counts for that fix, the session's first label
+    becomes the anchor, and labels after the last fix still step their
+    locks and move the session's end to the last. Session one's tables
+    read every label, its first label's channel the anchor."""
+    monkeypatch.setattr(sh, "_TRUTH_ROWS", truth_rows)
+    engine = sh._Engine(replace(BASE, **overrides))
+    base, snapshot = engine.run_session_one()
+    got = _labels_one_at_a_time(
+        engine, lambda: engine.run_wake(base, snapshot, sh.ARM_HOTSTART, 60.0)
+    )
+    assert got == expected
+    assert _labels_one_at_a_time(engine, engine.run_session_one)[:2] == (0, 0)
+    first_label = [lock.history[-1].t_rx_s for lock in base.locks]
+    assert base.anchor == first_label.index(min(first_label))
+
+
+@given(
+    code_s=st.floats(0.0, 1.5),
+    bit_s=st.floats(0.0, 1.5),
+    period=st.one_of(st.sampled_from([0.02, 0.25, 1.0]), st.floats(0.01, 2.0)),
+    wake_run_s=st.floats(3.0, 16.0),
+    off=st.one_of(st.sampled_from([60.0, 2400.0]), st.floats(0.0, 3000.0)),
+    ppm=st.floats(0.0, 50.0),
+    start_tow_s=st.one_of(st.floats(0.0, WEEK_S - 1e-3), st.floats(WEEK_S - 400.0, WEEK_S - 1e-3)),
+    n_sats=st.integers(5, 12),
+    truth_rows=st.sampled_from([1, 2, 7, sh._TRUTH_ROWS]),
+)
+@settings(max_examples=40, deadline=None)
+def test_table_labels_equal_labels_one_at_a_time_randomized(
+    code_s, bit_s, period, wake_run_s, off, ppm, start_tow_s, n_sats, truth_rows
+):
+    """test_table_labels_equal_labels_one_at_a_time over randomized wakes
+    of both arms (the estimator's falls back to decoding past its budget)
+    and session ones, with truth tables of one row and more."""
+    config = replace(
+        BASE,
+        code_s=code_s,
+        bit_s=bit_s,
+        sample_period_s=period,
+        wake_run_s=wake_run_s,
+        rtc_ppm=ppm,
+        start_tow_s=start_tow_s,
+        n_sats=n_sats,
+    )
+    with mock.patch.object(sh, "_TRUTH_ROWS", truth_rows):
+        try:
+            engine = sh._Engine(config)
+            base, snapshot = engine.run_session_one()
+        except sh.ScenarioError:
+            return
+        _labels_one_at_a_time(engine, engine.run_session_one)
+        for arm in (sh.ARM_ESTIMATOR, sh.ARM_HOTSTART):
+            try:
+                _labels_one_at_a_time(engine, lambda: engine.run_wake(base, snapshot, arm, off))
+            except sh.ScenarioError:
+                pass
 
 
 def test_tx_rel_solution_is_self_consistent():
@@ -1707,40 +1851,25 @@ def test_session_one_first_table_goes_fix_by_fix(monkeypatch):
 
 @given(
     start_tow_s=st.one_of(st.floats(0.0, WEEK_S - 1e-3), st.floats(WEEK_S - 100.0, WEEK_S - 1e-3)),
+    s_bel=st.floats(-100.0, 3000.0),
     t=st.floats(0.0, 3000.0),
-    shift_bits=st.integers(-60, 60),
     rtc_ppm=st.sampled_from([0.0, 10.0, 1000.0]),
-    delay_s=st.floats(0.06, 0.09),
 )
-@settings(max_examples=100, deadline=None)
-def test_clock_offset_terms_equal_refine_rco(start_tow_s, t, shift_bits, rtc_ppm, delay_s):
-    """For every channel as the anchor, the offset built from the array
-    terms a relaxed table uses (_rco_terms) is bitwise the one _refine_rco
-    computes with the clock at that row, and the array receive time is
-    the clock's receiver time, across the week end."""
-    config = replace(BASE, start_tow_s=start_tow_s, rtc_ppm=rtc_ppm)
-    engine = sh._Engine(config)
-    state = sh._State(
-        0.0,
-        engine.clock_at(t),
-        locks=[rcv.LockState()] * len(engine.sats),
-        label_shift_s=shift_bits * sh.BIT_S,
-    )
-    s_bel = engine._truth([t]).tx + state.label_shift_s
-    elapsed = np.array([t * engine._scale()])
-    weeks, seconds = sh._gps_times(engine.zt.week, engine.zt.second + elapsed)
-    receiver_time = state.clock.receiver_time()
-    assert (int(weeks[0]), float(seconds[0])) == (receiver_time.week, receiver_time.second)
-    week_number, tow, sync_tic = engine._rco_terms(s_bel, elapsed[:, None])
-    rco = sh.compute_rco(
-        engine.zt, week_number.astype(np.int64), sync_tic, tow, propagation_delay_s=delay_s
-    )
-    for anchor in range(len(engine.sats)):
-        state.assumed_delay_s[anchor] = delay_s
-        state.anchor = anchor
-        engine._refine_rco(state, float(s_bel[0, anchor]))
-        offset = (int(rco.week[0, anchor]), float(rco.second[0, anchor]))
-        assert offset == (state.rco.week, state.rco.second)
+@settings(max_examples=200, deadline=None)
+def test_code_time_quantization_bound(start_tow_s, s_bel, t, rtc_ppm):
+    """The code time inside a table's sync TIC (_rco_terms) is the signal's
+    phase in its subframe resolved to whole 1.023 MHz chips: a whole number
+    of chips, within half a chip of the phase."""
+    engine = sh._Engine(replace(BASE, start_tow_s=start_tow_s, rtc_ppm=rtc_ppm))
+    elapsed = t * engine._scale()
+    _, sync_tic, _ = engine._rco_terms(np.array([s_bel]), np.array([elapsed]))
+    # sync_tic is where the subframe ends: SUBFRAME_S - within after now.
+    within = SUBFRAME_S - (sync_tic[0] - elapsed / TIC_S) * TIC_S
+    err = within - (start_tow_s + s_bel) % SUBFRAME_S
+    err -= SUBFRAME_S * round(err / SUBFRAME_S)
+    assert abs(err) <= 0.5 / CHIP_RATE_HZ + 1e-9
+    chips = within * CHIP_RATE_HZ
+    assert abs(chips - round(chips)) <= 1e-3
 
 
 def test_gps_times_equal_gps_time_normalisation():
